@@ -147,11 +147,6 @@ def build_laplacian(grid, bc="tail"):
     return DiscreteLaplacian(grid, bc=bc)
 
 
-def apply_laplacian(lapl, u):
-    """Apply a DiscreteLaplacian to a field (second-order accurate)."""
-    return lapl.apply(u)
-
-
 def integrate(u, grid):
     """Quadrature of a real field against omega_{d-1} r^{d-1} dr on [0, r_max]."""
     u = _check_grid(u, grid)

@@ -1,46 +1,49 @@
 """Time integration of the radial NLS with conservation monitoring.
 
-Default scheme is Strang splitting: a half-step of the exact nonlinear phase
-rotation u -> u exp(i (dt/2) |u|^{p_c-1}), a linear step, and another half
-nonlinear phase.  The linear step comes in two flavors:
+Strang splitting N(dt/2) L(dt) N(dt/2), where N(s): u -> u exp(i s |u|^{p_c-1})
+is the exact nonlinear phase rotation and the linear substep L(dt) is either
+"cayley", (1 - i dt/2 Lap)^{-1} (1 + i dt/2 Lap) = 2 (1 - i dt/2 Lap)^{-1} - 1
+with the matrix factored once per stepper (LAPACK zgttrf) and one zgttrs
+back-substitution per step, or "exact", the exponential of the symmetrized
+Laplacian from a one-time eigendecomposition (no phase error on stiff modes;
+its N x N float64 eigenvectors, N = n + 1, take 288 MB at n = 6000 and are
+refused above EXACT_MAX_BYTES = 1 GiB, i.e. for n >= 11585).
 
-* "exact": the exact exponential of the symmetrized discrete Laplacian via a
-  one-time tridiagonal eigendecomposition (clean second-order splitting;
-  dense propagator application per step);
-* "cayley": the Cayley/Crank-Nicolson transform
-  (1 - i dt/2 Lap) u' = (1 + i dt/2 Lap) u, a banded tridiagonal solve --
-  much faster per step, used for the long canonical runs.
+N leaves |u| unchanged, so adjacent half-rotations compose into one:
+``evolve`` carries the state v after each linear substep (true state
+N(dt/2) v), applies one full rotation per step, and completes the half-rotation
+only for samples, the blowup test and the final state.  |v|^2 = |u|^2 is
+computed once per step for both the rotation and the amplitude test.
 
 Both substeps are isometries of the discrete (cell-volume) L^2 norm, so mass
-is conserved to round-off and the scheme is unconditionally stable.  A full
-Crank-Nicolson scheme (implicit midpoint with Picard-iterated nonlinearity)
-is available as "crank-nicolson-full".
-
+is conserved to round-off and the scheme is unconditionally stable.
 Backward evolution is requested through the time span: t_span = (0, -T)
-steps with negative dt.
-
-Blowup detection is the conjunction of an amplitude and a gradient-norm
-threshold (both relative to W), checked every step; single-criterion
-detectors misfire on focusing transients.
+steps with negative dt.  Blowup detection is the conjunction of an amplitude
+and a gradient-norm threshold (both relative to W), checked every step;
+single-criterion detectors misfire on focusing transients.
 """
 
 import time as _time
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from . import discretization as dz
 from . import diagnostics as dg
 from . import ground_state as gs
+
+SCHEMES = ("strang",)
+LINEAR_STEPS = ("exact", "cayley")
+EXACT_MAX_BYTES = 2 ** 30
 
 
 class EvolverConfig:
     def __init__(self, dt=1e-3, t_span=(0.0, 10.0), scheme="strang",
                  linear_step="exact", amp_factor=10.0, grad_factor=10.0,
                  sample_every=0.5, dt_floor=1e-9, track_modulation=True):
-        if scheme not in ("strang", "crank-nicolson-full"):
+        if scheme not in SCHEMES:
             raise ValueError("unknown scheme %r" % (scheme,))
-        if linear_step not in ("exact", "cayley"):
+        if linear_step not in LINEAR_STEPS:
             raise ValueError("unknown linear step %r" % (linear_step,))
         if not (dt > dt_floor > 0):
             raise ValueError("need dt > dt_floor > 0")
@@ -57,22 +60,24 @@ class EvolverConfig:
         self.track_modulation = bool(track_modulation)
 
     def as_dict(self):
-        return {"dt": self.dt, "t_span": list(self.t_span), "scheme": self.scheme,
-                "linear_step": self.linear_step,
-                "amp_factor": self.amp_factor, "grad_factor": self.grad_factor,
-                "sample_every": self.sample_every, "dt_floor": self.dt_floor,
-                "track_modulation": self.track_modulation}
+        return dict(vars(self), t_span=list(self.t_span))
+
+
+def check_exact_size(n):
+    """Refuse the "exact" substep when its eigenvector matrix is too large."""
+    nbytes = 8 * (n + 1) ** 2
+    if nbytes > EXACT_MAX_BYTES:
+        raise ValueError("the exact linear substep at n = %d needs a %d-byte "
+                         "eigenvector matrix, above the %d-byte cap; use "
+                         "'cayley'" % (n, nbytes, EXACT_MAX_BYTES))
 
 
 def _symmetric_eig(lapl):
-    """One-time eigendecomposition of the symmetrized Laplacian.
-
-    The flux-form operator A is self-adjoint in the cell-volume inner
-    product, so S = D A D^{-1} with D = diag(sqrt(V)) is symmetric
-    tridiagonal; cached on the operator and shared by all steppers.
-    """
+    """One-time eigendecomposition of the symmetrized Laplacian S = D A D^{-1},
+    D = diag(sqrt(V)), symmetric tridiagonal because the flux-form A is
+    self-adjoint in the cell-volume inner product; cached on the operator."""
     if getattr(lapl, "_eig", None) is None:
-        from scipy.linalg import eigh_tridiagonal
+        check_exact_size(lapl.grid.n)
         D = np.sqrt(lapl.grid.cellv)
         offdiag = lapl.up[:-1] * D[:-1] / D[1:]
         evals, evecs = eigh_tridiagonal(lapl.di, offdiag)
@@ -80,33 +85,40 @@ def _symmetric_eig(lapl):
     return lapl._eig
 
 
-def make_stepper(lapl, dt, scheme="strang", linear_step="exact", p_c=None):
-    """Build a one-step map u -> u(t+dt) for a signed time step dt.
+def solve_banded(factors, b):
+    """One Cayley back-substitution: 2 (1 - i dt/2 Lap)^{-1} b, given the
+    zgttrf factors of (1 - i dt/2 Lap) / 2."""
+    return lapack.zgttrs(*factors, b)[0]
 
-    linear_step = "exact" propagates the linear part by the exact exponential
-    of the symmetrized discrete Laplacian (precomputed eigendecomposition;
-    dense but one-time) -- no phase error on stiff modes, clean second-order
-    splitting.  linear_step = "cayley" uses the unconditionally stable
-    Crank-Nicolson (Cayley) banded solve, much faster per step for large n
-    and long horizons; its Cayley phase saturates on the stiffest modes, so
-    step-doubling studies should use "exact".
+
+def _abs2(u):
+    return u.real ** 2 + u.imag ** 2
+
+
+def _rotate(u, s, m2, pexp):
+    """N(s) u given m2 = |u|^2 and pexp = (p_c - 1) / 2.  exp(ix) is formed
+    from t = tan(x/2) as (c - 1) + i t c with c = 2 / (1 + t^2): one
+    transcendental per node instead of a cosine and a sine."""
+    t = np.tan((0.5 * s) * m2 ** pexp)
+    c = 2.0 / (1.0 + t * t)
+    e = np.empty_like(u)
+    np.subtract(c, 1.0, out=e.real)
+    np.multiply(t, c, out=e.imag)
+    e *= u
+    return e
+
+
+def make_stepper(lapl, dt, linear_step="exact", p_c=None):
+    """Build the Strang step u -> N(dt/2) L(dt) N(dt/2) u for a signed dt.
+
+    step_fn(u, lead=0.5, trail=0.5, m2=None) applies N(lead*dt), L(dt),
+    N(trail*dt); step_fn(u) is one full step.  m2, when given, is |u|^2.
+    The Cayley phase saturates on the stiffest modes, so step-doubling
+    studies should use linear_step = "exact".
     """
-    grid = lapl.grid
-    pc = p_c if p_c is not None else gs.critical_exponent(grid.d)
-    N = grid.nnodes
-    lo, di, up = lapl.lo, lapl.di, lapl.up
-    ab = np.zeros((3, N), complex)
-    ab[0, 1:] = -1j * dt / 2 * up[:-1]
-    ab[1, :] = 1 - 1j * dt / 2 * di
-    ab[2, :-1] = -1j * dt / 2 * lo[1:]
-
-    def cayley(u):
-        b = (1 + 1j * dt / 2 * di) * u
-        b[:-1] += 1j * dt / 2 * up[:-1] * u[1:]
-        b[1:] += 1j * dt / 2 * lo[1:] * u[:-1]
-        return solve_banded((1, 1), ab, b)
-
-    if scheme == "strang" and linear_step == "exact":
+    pc = p_c if p_c is not None else gs.critical_exponent(lapl.grid.d)
+    pexp = (pc - 1) / 2
+    if linear_step == "exact":
         evals, evecs, D = _symmetric_eig(lapl)
         phase = np.exp(1j * evals * dt)
 
@@ -118,36 +130,28 @@ def make_stepper(lapl, dt, scheme="strang", linear_step="exact", p_c=None):
             w = phase * (c[:, 0] + 1j * c[:, 1])
             c = evecs @ np.stack([w.real, w.imag], axis=1)
             return (c[:, 0] + 1j * c[:, 1]) / D
-    else:
-        linear = cayley
+    elif linear_step == "cayley":
+        # (1 - i dt/2 Lap) / 2, so zgttrs returns 2 (1 - i dt/2 Lap)^{-1} u;
+        # nonsingular, as Lap has a real spectrum
+        s = 0.25j * dt
+        factors = lapack.zgttrf(-s * lapl.lo[1:], 0.5 - s * lapl.di,
+                                -s * lapl.up[:-1])[:5]
 
-    if scheme == "strang":
-        def step_fn(u):
-            u = u * np.exp(1j * dt / 2 * np.abs(u) ** (pc - 1))
-            u = linear(u)
-            return u * np.exp(1j * dt / 2 * np.abs(u) ** (pc - 1))
-    elif scheme == "crank-nicolson-full":
-        def step_fn(u):
-            unew = u
-            for _ in range(4):
-                umid = 0.5 * (u + unew)
-                rhs = 1j * dt * np.abs(umid) ** (pc - 1) * umid
-                b = (1 + 1j * dt / 2 * di) * u + rhs
-                b[:-1] += 1j * dt / 2 * up[:-1] * u[1:]
-                b[1:] += 1j * dt / 2 * lo[1:] * u[:-1]
-                unew = solve_banded((1, 1), ab, b)
-            return unew
+        def linear(u):
+            x = solve_banded(factors, u)
+            x -= u
+            return x
     else:
-        raise ValueError("unknown scheme %r" % (scheme,))
+        raise ValueError("unknown linear step %r" % (linear_step,))
+
+    def step_fn(u, lead=0.5, trail=0.5, m2=None):
+        if lead:
+            u = _rotate(u, lead * dt, _abs2(u) if m2 is None else m2, pexp)
+        u = linear(u)
+        if trail:
+            u = _rotate(u, trail * dt, _abs2(u), pexp)
+        return u
     return step_fn
-
-
-def step(u, dt, grid, lapl=None, scheme="strang", linear_step="exact"):
-    """Single time step (convenience wrapper; builds the stepper each call)."""
-    if lapl is None:
-        lapl = dz.build_laplacian(grid)
-    return make_stepper(lapl, dt, scheme=scheme,
-                        linear_step=linear_step)(np.asarray(u, dtype=complex))
 
 
 class EvolutionTrace:
@@ -156,33 +160,21 @@ class EvolutionTrace:
     def __init__(self, grid, config):
         self.grid = grid
         self.config = config
-        self.times = []
-        self.energy = []
-        self.kinetic = []
-        self.max_amp = []
-        self.h1_dist = []
-        self.theta = []
-        self.mu = []
+        self.times, self.energy, self.kinetic, self.max_amp = [], [], [], []
+        self.h1_dist, self.theta, self.mu = [], [], []
         self.termination = {"status": "completed"}
         self.reflection = {}
-
-    def _arrays(self):
-        return (np.asarray(self.times), np.asarray(self.energy),
-                np.asarray(self.kinetic), np.asarray(self.max_amp),
-                np.asarray(self.h1_dist), np.asarray(self.theta),
-                np.asarray(self.mu))
 
     def potential_ratio(self):
         """Potential-to-kinetic energy ratio 1 - 2E/K^2 per sample
         (the scattering proxy; equals 2/3 at W, -> 0 for dispersed fields)."""
-        t, E, K = self.times, np.asarray(self.energy), np.asarray(self.kinetic)
-        return 1.0 - 2.0 * np.asarray(E) / np.asarray(K) ** 2
+        return 1.0 - 2.0 * np.asarray(self.energy) / np.asarray(self.kinetic) ** 2
 
     def save(self, csv_path, json_path=None):
-        t, E, K, mx, dd, th, mu = self._arrays()
         with open(csv_path, "w") as f:
             f.write("t,E,kinetic,max_amp,h1_dist_to_modW,theta_fit,mu_fit\n")
-            for row in zip(t, E, K, mx, dd, th, mu):
+            for row in zip(self.times, self.energy, self.kinetic, self.max_amp,
+                           self.h1_dist, self.theta, self.mu):
                 f.write(",".join("%.17g" % x for x in row) + "\n")
         if json_path is not None:
             dz.save_json(json_path, {"termination": self.termination,
@@ -198,6 +190,8 @@ def evolve(u0, config, grid, lapl=None):
     go non-finite.  The trace records a reflection-horizon estimate (round
     trip of radiation at group speed 2 k_bar, k_bar = ||grad u0|| / ||u0||_2)
     and a boundary-amplitude monitor flagging actual boundary activity.
+    Adjacent nonlinear half-steps are merged (see the module docstring);
+    samples, the blowup test and final_state see the true state.
     """
     u = np.asarray(u0, dtype=complex).copy()
     if u.shape != (grid.nnodes,):
@@ -212,12 +206,10 @@ def evolve(u0, config, grid, lapl=None):
     kin_ref2 = config.grad_factor ** 2 * dz.kinetic_sq(W, grid)
 
     t0, t1 = config.t_span
-    sgn = 1.0 if t1 >= t0 else -1.0
-    dt = sgn * config.dt
+    dt = config.dt if t1 >= t0 else -config.dt
     nsteps = int(round(abs(t1 - t0) / config.dt))
     per = max(1, int(round(config.sample_every / config.dt)))
-    step_fn = make_stepper(lapl, dt, scheme=config.scheme,
-                           linear_step=config.linear_step, p_c=pc)
+    step_fn = make_stepper(lapl, dt, linear_step=config.linear_step, p_c=pc)
 
     trace = EvolutionTrace(grid, config)
     # reflection horizon estimate from the initial data
@@ -232,7 +224,7 @@ def evolve(u0, config, grid, lapl=None):
                         "boundary_amp_initial": bnd0,
                         "first_boundary_activity": None}
 
-    def sample(t):
+    def sample(t, u):
         K = np.sqrt(dz.kinetic_sq(u, grid))
         mx = float(np.max(np.abs(u)))
         E = 0.5 * K ** 2 - (grid.d - 2) / (2 * grid.d) * \
@@ -257,24 +249,29 @@ def evolve(u0, config, grid, lapl=None):
             trace.reflection["horizon_exceeded"] = True
 
     wall = _time.time()
-    t = t0
-    sample(t)
+    sample(t0, u)
+    # v is the state after the linear substep; the true state is N(dt/2) v,
+    # and |v| = |u|, so m2 serves the next rotation and the amplitude test
+    pexp, half = (pc - 1) / 2, 0.5 * dt
+    v, m2, lead = u, _abs2(u), 0.5
     for i in range(nsteps):
-        u = step_fn(u)
+        v = step_fn(v, lead, 0.0, m2)
+        lead = 1.0
+        m2 = _abs2(v)
         t = t0 + (i + 1) * dt
-        mx = np.max(np.abs(u))
+        mx = np.sqrt(np.max(m2))
         if not np.isfinite(mx):
             trace.termination = {"status": "nan", "t_star": t,
                                  "bracket": [t - dt, t]}
             break
-        if mx > amp_ref and dz.kinetic_sq(u, grid) > kin_ref2:
+        if mx > amp_ref and dz.kinetic_sq(_rotate(v, half, m2, pexp), grid) > kin_ref2:
             trace.termination = {"status": "blowup-detected", "t_star": t,
                                  "bracket": [t - dt, t]}
             break
         if (i + 1) % per == 0:
-            sample(t)
+            sample(t, _rotate(v, half, m2, pexp))
     trace.termination["wall_time_s"] = _time.time() - wall
-    trace.final_state = u
+    trace.final_state = _rotate(v, half, m2, pexp) if nsteps else u
     return trace
 
 

@@ -103,8 +103,19 @@ def validate_config(cfg):
     ecfg = cfg.get("evolver", {})
     if not isinstance(ecfg, dict):
         errors.append("evolver: expected an object")
-    elif "dt" in ecfg and (not isinstance(ecfg["dt"], (int, float)) or ecfg["dt"] <= 0):
+        ecfg = {}
+    if "dt" in ecfg and (not isinstance(ecfg["dt"], (int, float)) or ecfg["dt"] <= 0):
         errors.append("evolver.dt: expected positive number, got %r" % (ecfg["dt"],))
+    for key, allowed in (("scheme", ev.SCHEMES), ("linear_step", ev.LINEAR_STEPS)):
+        if key in ecfg and ecfg[key] not in allowed:
+            errors.append("evolver.%s: expected one of %s, got %r"
+                          % (key, list(allowed), ecfg[key]))
+    if (scen in ("evolve-near-solution", "classify-custom") and not errors
+            and ecfg.get("linear_step") == "exact"):
+        try:
+            ev.check_exact_size(cfg.get("grid", DEFAULT_GRID)["n"])
+        except ValueError as exc:
+            errors.append("evolver.linear_step: %s" % exc)
     return errors
 
 
@@ -122,6 +133,14 @@ def _grid_from(cfg):
     g = dict(DEFAULT_GRID)
     g.update(cfg.get("grid", {}))
     return dz.build_grid(g["d"], g["r_max"], g["n"])
+
+
+def _evolver_config(ecfg, t_span, **overrides):
+    """EvolverConfig from a config's "evolver" object and scenario defaults."""
+    kw = {"dt": 0.01, "sample_every": 0.5, "scheme": "strang",
+          "linear_step": "cayley", "track_modulation": True}
+    kw.update({key: ecfg[key] for key in kw if key in ecfg}, **overrides)
+    return ev.EvolverConfig(t_span=t_span, **kw)
 
 
 def _spectrum(grid):
@@ -206,20 +225,14 @@ def _run_wpm(cfg, rundir):
     d0 = dz.h1_distance(u0, W.astype(complex), grid)
     t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / eta)
 
-    lin = ecfg.get("linear_step", "cayley")
-    fwd_cfg = ev.EvolverConfig(dt=dt, t_span=(seed_t0, seed_t0 + t_fwd),
-                               sample_every=ecfg.get("sample_every", 0.5),
-                               scheme=ecfg.get("scheme", "strang"),
-                               linear_step=lin, track_modulation=True)
+    fwd_cfg = _evolver_config(ecfg, (seed_t0, seed_t0 + t_fwd), track_modulation=True)
     trace_f = ev.evolve(u0, fwd_cfg, grid, lapl=blocks.lapl)
     trace_f.save(os.path.join(rundir, "trace_forward.csv"),
                  os.path.join(rundir, "trace_forward.json"))
     rep_f = dg.classify(trace_f, grid)
 
-    bwd_cfg = ev.EvolverConfig(dt=dt, t_span=(seed_t0, seed_t0 - backward_span),
-                               sample_every=ecfg.get("sample_every", 0.5),
-                               scheme=ecfg.get("scheme", "strang"),
-                               linear_step=lin, track_modulation=False)
+    bwd_span = (seed_t0, seed_t0 - backward_span)
+    bwd_cfg = _evolver_config(ecfg, bwd_span, track_modulation=False)
     trace_b = ev.evolve(u0, bwd_cfg, grid, lapl=blocks.lapl)
     trace_b.save(os.path.join(rundir, "trace_backward.csv"),
                  os.path.join(rundir, "trace_backward.json"))
@@ -245,11 +258,7 @@ def _run_wpm(cfg, rundir):
             "passed": rep_b.regime == "blowup", "value": rep_b.regime}
         if rep_b.regime == "blowup" and cfg.get("refine_blowup", True):
             t_star = trace_b.termination["t_star"]
-            fine = ev.EvolverConfig(dt=dt / 2,
-                                    t_span=(seed_t0, seed_t0 - backward_span),
-                                    sample_every=ecfg.get("sample_every", 0.5),
-                                    scheme=ecfg.get("scheme", "strang"),
-                                    linear_step=lin, track_modulation=False)
+            fine = _evolver_config(ecfg, bwd_span, dt=dt / 2, track_modulation=False)
             trace_b2 = ev.evolve(u0, fine, grid, lapl=blocks.lapl)
             t_star2 = trace_b2.termination.get("t_star", float("nan"))
             shift = abs(t_star2 - t_star) / abs(t_star - seed_t0)
@@ -279,12 +288,7 @@ def _run_classify(cfg, rundir):
             raise ConfigError(["initial.path: field grid %r does not match "
                                "config grid %r" % (fgrid, grid)])
     ecfg = cfg.get("evolver", {})
-    config = ev.EvolverConfig(dt=ecfg.get("dt", 0.01),
-                              t_span=tuple(ecfg.get("t_span", (0.0, 20.0))),
-                              sample_every=ecfg.get("sample_every", 0.5),
-                              scheme=ecfg.get("scheme", "strang"),
-                              linear_step=ecfg.get("linear_step", "cayley"),
-                              track_modulation=ecfg.get("track_modulation", True))
+    config = _evolver_config(ecfg, tuple(ecfg.get("t_span", (0.0, 20.0))))
     trace = ev.evolve(u0, config, grid)
     trace.save(os.path.join(rundir, "trace.csv"), os.path.join(rundir, "trace.json"))
     report = dg.classify(trace, grid)

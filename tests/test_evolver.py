@@ -21,6 +21,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ev.EvolverConfig(scheme="leapfrog")
     with pytest.raises(ValueError):
+        ev.EvolverConfig(scheme="crank-nicolson-full")
+    with pytest.raises(ValueError):
         ev.EvolverConfig(linear_step="pade")
     with pytest.raises(ValueError):
         ev.EvolverConfig(dt=-0.1)
@@ -91,12 +93,72 @@ def test_step_doubling_order_two():
     assert np.all(np.abs(orders - 2.0) < 0.3)
 
 
-def test_crank_nicolson_full_scheme_runs(grid, lapl, u0):
-    stp = ev.make_stepper(lapl, 0.005, scheme="crank-nicolson-full")
-    u = u0.copy()
-    for _ in range(20):
-        u = stp(u)
-    assert _mass(u, grid) == pytest.approx(_mass(u0, grid), rel=1e-6)
+def _stepwise(u0, grid, lapl, cfg):
+    """Reference run of cfg: one full make_stepper step at a time, with the
+    energy and kinetic norm of the sampled states, stopped by evolve's
+    blowup detector."""
+    pc = gs.critical_exponent(grid.d)
+    W = gs.sample_w(grid)
+    amp_ref = cfg.amp_factor * np.max(W)
+    kin_ref2 = cfg.grad_factor ** 2 * dz.kinetic_sq(W, grid)
+    dt = cfg.dt
+    nsteps = int(round((cfg.t_span[1] - cfg.t_span[0]) / dt))
+    per = int(round(cfg.sample_every / dt))
+    stp = ev.make_stepper(lapl, dt, linear_step=cfg.linear_step)
+    u, energy, kinetic, bracket = u0.copy(), [], [], None
+    for i in range(nsteps + 1):
+        if i:
+            u = stp(u)
+            if (np.max(np.abs(u)) > amp_ref
+                    and dz.kinetic_sq(u, grid) > kin_ref2):
+                bracket = [(i - 1) * dt, i * dt]
+                break
+        if i % per == 0:
+            K2 = dz.kinetic_sq(u, grid)
+            kinetic.append(np.sqrt(K2))
+            energy.append(0.5 * K2 - (grid.d - 2) / (2 * grid.d)
+                          * dz.integrate(np.abs(u) ** (pc + 1), grid))
+    return u, np.array(energy), np.array(kinetic), bracket
+
+
+@pytest.mark.parametrize("linear_step", ["exact", "cayley"])
+def test_merged_loop_matches_stepper(grid, lapl, linear_step):
+    # evolve merges adjacent nonlinear half-steps; samples and the final
+    # state must still be the states of repeated full steps
+    u0 = (0.9 * gs.sample_w(grid) * np.exp(0.3j * grid.r)).astype(complex)
+    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.5), sample_every=0.25,
+                           linear_step=linear_step, track_modulation=False)
+    trace = ev.evolve(u0, cfg, grid, lapl=lapl)
+    u, energy, kinetic, _ = _stepwise(u0, grid, lapl, cfg)
+    assert len(trace.times) == len(energy) == 7
+    assert np.max(np.abs(trace.final_state - u)) <= 1e-9 * np.max(np.abs(u))
+    assert np.allclose(trace.energy, energy, rtol=1e-10, atol=0)
+    assert np.allclose(trace.kinetic, kinetic, rtol=1e-10, atol=0)
+
+
+def test_merged_loop_blowup_matches_stepper(grid, lapl):
+    u0 = (1.8 * gs.sample_w(grid)).astype(complex)
+    cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 30.0), sample_every=1.0,
+                           linear_step="cayley", track_modulation=False)
+    trace = ev.evolve(u0, cfg, grid, lapl=lapl)
+    _, _, _, bracket = _stepwise(u0, grid, lapl, cfg)
+    assert trace.termination["status"] == "blowup-detected"
+    assert bracket is not None
+    assert trace.termination["bracket"] == pytest.approx(bracket, rel=1e-12)
+    # final_state is the true state, past the gradient threshold
+    kin_ref2 = cfg.grad_factor ** 2 * dz.kinetic_sq(gs.sample_w(grid), grid)
+    assert dz.kinetic_sq(trace.final_state, grid) > kin_ref2
+
+
+def test_exact_substep_refuses_large_grids():
+    # n = 12000: the 12001 x 12001 eigenvector matrix would take 1.15 GB
+    big = dz.build_laplacian(dz.build_grid(6, 60.0, 12000))
+    with pytest.raises(ValueError, match="n = 12000.*1152192008-byte"):
+        ev.make_stepper(big, 0.01, linear_step="exact")
+    assert getattr(big, "_eig", None) is None
+    ev.check_exact_size(11584)  # 11585 nodes: 1073697800 bytes, under 1 GiB
+    with pytest.raises(ValueError):
+        ev.check_exact_size(11585)
 
 
 def test_evolve_samples_and_conserves(grid, lapl, u0):

@@ -58,6 +58,38 @@ def test_run_rejects_invalid_config(tmp_path):
     assert os.listdir(tmp_path) == []  # no output created
 
 
+def test_bad_evolver_options_fail_before_a_run_directory(tmp_path):
+    base = {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
+            "initial": {"kind": "scaled-w", "factor": 1.8}}
+    for key, val in (("linear_step", "foo"), ("scheme", "crank-nicolson-full")):
+        cfg = dict(base, evolver={key: val})
+        with pytest.raises(ex.ConfigError) as exc:
+            ex.run(cfg, out_dir=str(tmp_path))
+        assert exc.value.errors[0].startswith("evolver.%s:" % key)
+    # the exact substep's eigenvector matrix would take 1.15 GB at n = 12000
+    cfg = dict(base, grid={"d": 6, "r_max": 60.0, "n": 12000},
+               evolver={"linear_step": "exact"})
+    with pytest.raises(ex.ConfigError) as exc:
+        ex.run(cfg, out_dir=str(tmp_path))
+    assert exc.value.errors[0].startswith("evolver.linear_step:")
+    assert "1152192008-byte" in exc.value.errors[0]
+    assert os.listdir(tmp_path) == []
+    # the scenarios that never evolve ignore the cap
+    assert ex.validate_config({"scenario": "spectrum", "grid": cfg["grid"],
+                               "evolver": {"linear_step": "exact"}}) == []
+
+
+def test_cli_rejects_bad_evolver_option(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {"scenario": "evolve-near-solution",
+                                "grid": dict(SMALL_GRID),
+                                "evolver": {"linear_step": "foo"}})
+    out = tmp_path / "runs"
+    rc = cli.main(["wpm", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "evolver.linear_step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ground_state_run(tmp_path):
     cfg = {"scenario": "ground-state", "grid": dict(SMALL_GRID)}
     manifest = ex.run(cfg, out_dir=str(tmp_path))
