@@ -243,22 +243,6 @@ def _derivative(u, grid, order):
     return out
 
 
-def hmm_norm(u, m, grid, m_max=4):
-    """Weighted Sobolev norm sum_{0<=j<=m} ||<r>^{m-j} D^j u||_2.
-
-    <r> = (1+r^2)^{1/2}; radial derivatives by repeated second-order
-    differencing, hence m is capped (default 4) before accuracy degrades.
-    """
-    if m > m_max:
-        raise ValueError("m=%d exceeds m_max=%d" % (m, m_max))
-    u = _check_grid(u, grid)
-    jap = np.sqrt(1.0 + grid.r ** 2)
-    total = 0.0
-    for j in range(m + 1):
-        total += l2_norm(jap ** (m - j) * _derivative(u, grid, j), grid)
-    return float(total)
-
-
 def weighted_sup_norm(u, j, m_der, grid):
     """sup_r |<r>^j D^{m_der} u| over the grid nodes (m_der <= 2)."""
     if m_der > 2:

@@ -164,6 +164,8 @@ class EvolutionTrace:
         self.h1_dist, self.theta, self.mu = [], [], []
         self.termination = {"status": "completed"}
         self.reflection = {}
+        self.modulation = {"fits": 0, "nfev": 0, "edge_hits": 0,
+                           "first_edge_t": None}
 
     def potential_ratio(self):
         """Potential-to-kinetic energy ratio 1 - 2E/K^2 per sample
@@ -179,6 +181,7 @@ class EvolutionTrace:
         if json_path is not None:
             dz.save_json(json_path, {"termination": self.termination,
                                      "reflection": self.reflection,
+                                     "modulation": self.modulation,
                                      "config": self.config.as_dict()})
 
 
@@ -226,12 +229,20 @@ def evolve(u0, config, grid, lapl=None):
 
     def sample(t, u):
         K = np.sqrt(dz.kinetic_sq(u, grid))
-        mx = float(np.max(np.abs(u)))
+        amp = np.abs(u)
+        mx = float(np.max(amp))
         E = 0.5 * K ** 2 - (grid.d - 2) / (2 * grid.d) * \
-            dz.integrate(np.abs(u) ** (pc + 1), grid)
+            dz.integrate(amp ** (pc + 1), grid)
         if config.track_modulation:
             fit = dg.fit_modulation(u, grid)
             dd, th, mu = fit.distance, fit.theta, fit.mu
+            mod = trace.modulation
+            mod["fits"] += 1
+            mod["nfev"] += fit.diagnostics["nfev"]
+            if fit.diagnostics["at_bracket_edge"]:
+                mod["edge_hits"] += 1
+                if mod["first_edge_t"] is None:
+                    mod["first_edge_t"] = t
         else:
             dd = th = mu = np.nan
         trace.times.append(t)
@@ -241,7 +252,7 @@ def evolve(u0, config, grid, lapl=None):
         trace.h1_dist.append(dd)
         trace.theta.append(th)
         trace.mu.append(mu)
-        bnd = float(np.max(np.abs(u[-nb:])))
+        bnd = float(np.max(amp[-nb:]))
         if (trace.reflection["first_boundary_activity"] is None
                 and bnd > max(100.0 * bnd0, 1e-10)):
             trace.reflection["first_boundary_activity"] = t

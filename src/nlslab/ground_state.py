@@ -13,7 +13,6 @@ last two nodes; tail="none" is the plain truncated quadrature.
 """
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import discretization as dz
 
@@ -32,8 +31,19 @@ def eval_w(d, r):
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("radius must be finite")
-    out = (1.0 + r ** 2 / (d * (d - 2))) ** (-(d - 2) / 2)
+    out = scaled_w(d, r ** 2 / (d * (d - 2)), 1.0)
     return out if out.ndim else float(out)
+
+
+def scaled_w(d, q, mu):
+    """mu^{-(d-2)/2} W(r/mu) from q = r^2/(d(d-2)), unchecked: the one place
+    the closed form lives, written as mu^{(d-2)/2} (mu^2 + q)^{-(d-2)/2}.
+
+    At mu = 1 it is (1 + q)^{-(d-2)/2} to the last bit.  Callers that sweep
+    mu on a fixed grid compute q once.
+    """
+    k = (d - 2) / 2
+    return mu ** k * (mu * mu + q) ** -k
 
 
 def eval_w_derivative(d, r):
@@ -57,19 +67,6 @@ def scaling_generator(d, r):
 def sample_w(grid):
     """W sampled on a RadialGrid."""
     return eval_w(grid.d, grid.r)
-
-
-class SymmetryParams:
-    """Phase/scale symmetry parameters (theta, mu); radial setting, no translation."""
-
-    def __init__(self, theta=0.0, mu=1.0):
-        if mu <= 0:
-            raise ValueError("scale mu must be positive, got %r" % (mu,))
-        self.theta = float(theta)
-        self.mu = float(mu)
-
-    def __repr__(self):
-        return "SymmetryParams(theta=%g, mu=%g)" % (self.theta, self.mu)
 
 
 def kinetic_norm(u, grid, tail="none", refine=False):
@@ -123,34 +120,5 @@ def w_family(theta, mu, grid):
     if mu <= 0:
         raise ValueError("scale mu must be positive, got %r" % (mu,))
     d = grid.d
-    return np.exp(1j * theta) * mu ** (-(d - 2) / 2) * eval_w(d, grid.r / mu)
+    return np.exp(1j * theta) * scaled_w(d, grid.r ** 2 / (d * (d - 2)), mu)
 
-
-def apply_symmetry(u, s, grid, tail="powerlaw"):
-    """e^{i theta} mu^{-(d-2)/2} u(r/mu) resampled on the grid.
-
-    Monotone cubic (PCHIP) interpolation in r, applied separately to real and
-    imaginary parts; queries beyond r_max use the power-law tail r^{-(d-2)}
-    matched at the last node (tail="powerlaw") or zero (tail="zero").
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (grid.nnodes,):
-        raise ValueError("field does not match grid")
-    if s.mu <= 0:
-        raise ValueError("scale mu must be positive")
-    if s.mu < 2 * grid.h / grid.r_max * 10:
-        raise ValueError("mu=%g concentrates the field below grid resolution" % (s.mu,))
-    if tail not in ("powerlaw", "zero"):
-        raise ValueError("unknown tail option %r" % (tail,))
-    q = grid.r / s.mu
-    inside = q <= grid.r_max
-    if not np.any(inside[1:]):
-        raise ValueError("mu=%g pushes all mass outside the truncated domain" % (s.mu,))
-    out = np.zeros(grid.nnodes, dtype=complex)
-    interp_re = PchipInterpolator(grid.r, u.real)
-    interp_im = PchipInterpolator(grid.r, u.imag)
-    out[inside] = interp_re(q[inside]) + 1j * interp_im(q[inside])
-    if tail == "powerlaw" and np.any(~inside):
-        out[~inside] = u[-1] * (grid.r_max / q[~inside]) ** (grid.d - 2)
-    amp = np.exp(1j * s.theta) * s.mu ** (-(grid.d - 2) / 2)
-    return amp * out

@@ -37,6 +37,45 @@ def test_fit_modulation_recovers_random_members(theta, mu):
     assert fit.mu == pytest.approx(mu, abs=1e-4)
 
 
+def _dist2_at(u, mu, grid):
+    """Squared distance to W_mu at its optimal phase, from the complex
+    field difference (the reference the fit's real arithmetic must match)."""
+    Wm = gs.w_family(0.0, mu, grid)
+    th = np.angle(dz.h1_inner(Wm, u, grid))
+    return dz.kinetic_sq(u - np.exp(1j * th) * Wm, grid)
+
+
+def test_fit_modulation_distance_is_the_direct_minimum(grid, lapl):
+    # W plus a bump; a scaled W focused past the amplitude threshold
+    # (max|u| ~ 98 > 10 max W); a field far from the family
+    cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 2.5), linear_step="cayley",
+                           track_modulation=False)
+    focused = ev.evolve((1.8 * gs.sample_w(grid)).astype(complex), cfg, grid,
+                        lapl=lapl).final_state
+    fields = [gs.w_family(0.0, 1.0, grid) + 0.01 * np.exp(-(grid.r - 8) ** 2),
+              focused,
+              np.exp(-(grid.r / 3) ** 2) * (1 + 0.8j * np.cos(grid.r))]
+    assert np.max(np.abs(focused)) > 10.0
+    for u in fields:
+        fit = dg.fit_modulation(u, grid)
+        assert not fit.diagnostics["at_bracket_edge"]
+        d2 = fit.distance ** 2
+        direct = dz.kinetic_sq(u - gs.w_family(fit.theta, fit.mu, grid), grid)
+        assert d2 == pytest.approx(direct, rel=1e-12)
+        for mu in (fit.mu * (1 - 1e-5), fit.mu * (1 + 1e-5)):
+            assert _dist2_at(u, mu, grid) >= d2
+
+
+def test_fit_modulation_flags_bracket_edge(grid):
+    u = gs.w_family(0.0, 3.0, grid)
+    fit = dg.fit_modulation(u, grid, mu_bounds=(0.5, 1.0))
+    assert fit.diagnostics["at_bracket_edge"] is True
+    assert fit.mu == pytest.approx(1.0, abs=1e-6)
+    fit = dg.fit_modulation(u, grid)
+    assert fit.diagnostics["at_bracket_edge"] is False
+    assert fit.mu == pytest.approx(3.0, abs=1e-6)
+
+
 def test_rate_fit_exact_exponential():
     t = np.linspace(0.0, 20.0, 41)
     d = 3.0 * np.exp(-0.21 * t)

@@ -90,22 +90,6 @@ def test_kinetic_refine_needs_even_n():
         dz.kinetic_sq(gaussian(g.r), g, refine=True)
 
 
-def test_hmm_norm_matches_quad_oracle(grid):
-    # m = 2 for f = exp(-r^2/2) with exact derivatives
-    derivs = [gaussian,
-              lambda s: -s * gaussian(s),
-              lambda s: (s ** 2 - 1) * gaussian(s)]
-    m = 2
-    oracle = 0.0
-    for j in range(m + 1):
-        val, _ = quad(lambda s, j=j: (1 + s ** 2) ** (m - j)
-                      * derivs[j](s) ** 2 * s ** (grid.d - 1), 0, grid.r_max)
-        oracle += np.sqrt(grid.omega * val)
-    assert dz.hmm_norm(gaussian(grid.r), m, grid) == pytest.approx(oracle, rel=1e-2)
-    with pytest.raises(ValueError):
-        dz.hmm_norm(gaussian(grid.r), 5, grid)
-
-
 def test_weighted_sup_norm_oracle(grid):
     # sup_r <r> |f| for f = exp(-r^2/2): maximize sqrt(1+r^2) e^{-r^2/2}
     from scipy.optimize import minimize_scalar

@@ -194,6 +194,21 @@ def test_blowup_detection_brackets_t_star(grid, lapl):
     assert lo < trace.termination["t_star"] <= hi + 1e-12
 
 
+def test_trace_counts_fits_on_the_bracket_edge(grid, lapl):
+    # near blowup the amplitude-seeded bracket stops holding the optimum
+    u0 = (1.8 * gs.sample_w(grid)).astype(complex)
+    cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 30.0), sample_every=0.05,
+                           linear_step="cayley")
+    trace = ev.evolve(u0, cfg, grid, lapl=lapl)
+    mod = trace.modulation
+    assert trace.termination["status"] == "blowup-detected"
+    assert mod["fits"] == len(trace.times)
+    assert mod["nfev"] > mod["fits"]
+    assert 0 < mod["edge_hits"] < mod["fits"]
+    assert mod["first_edge_t"] in trace.times
+    assert 2.0 < mod["first_edge_t"] < trace.termination["t_star"]
+
+
 def test_stationary_w_stays_near_family(grid, lapl):
     W = gs.sample_w(grid).astype(complex)
     cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 5.0), sample_every=1.0)
@@ -227,3 +242,7 @@ def test_trace_save_round_trip(tmp_path, grid, lapl, u0):
     meta = dz.load_json(js)
     assert meta["termination"]["status"] == "completed"
     assert meta["config"]["dt"] == 0.01
+    assert meta["modulation"]["fits"] == len(trace.times) == 3
+    assert meta["modulation"]["nfev"] >= 3
+    assert meta["modulation"]["edge_hits"] == 0
+    assert meta["modulation"]["first_edge_t"] is None

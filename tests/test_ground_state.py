@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from nlslab import discretization as dz
 from nlslab import ground_state as gs
 
 
@@ -123,34 +121,3 @@ def test_w_family_scaling_preserves_kinetic_norm(grid):
         k = gs.kinetic_norm(gs.w_family(0.0, mu, grid), grid,
                             tail="powerlaw", refine=True)
         assert k == pytest.approx(k0, rel=1e-6)
-
-
-def test_apply_symmetry_matches_exact_family(grid):
-    W = gs.sample_w(grid).astype(complex)
-    for theta, mu in ((0.4, 1.3), (-1.1, 0.8)):
-        s = gs.SymmetryParams(theta, mu)
-        resampled = gs.apply_symmetry(W, s, grid)
-        exact = gs.w_family(theta, mu, grid)
-        rel = np.max(np.abs(resampled - exact)) / np.max(np.abs(exact))
-        assert rel < 1e-4  # PCHIP resampling error at h = 0.05
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.floats(-3.0, 3.0), st.floats(0.75, 1.35), st.floats(-3.0, 3.0),
-       st.floats(0.75, 1.35))
-def test_apply_symmetry_group_property(t1, m1, t2, m2):
-    g = dz.build_grid(6, 40.0, 400)
-    W = gs.sample_w(g).astype(complex)
-    a = gs.apply_symmetry(gs.apply_symmetry(W, gs.SymmetryParams(t1, m1), g),
-                          gs.SymmetryParams(t2, m2), g)
-    b = gs.apply_symmetry(W, gs.SymmetryParams(t1 + t2, m1 * m2), g)
-    rel = np.max(np.abs(a - b)) / np.max(np.abs(b))
-    assert rel < 1e-3  # two PCHIP resamplings at h = 0.1
-
-
-def test_apply_symmetry_rejects_bad_scales(grid):
-    W = gs.sample_w(grid).astype(complex)
-    with pytest.raises(ValueError):
-        gs.apply_symmetry(W, gs.SymmetryParams(0.0, 1e-6), grid)
-    with pytest.raises(ValueError):
-        gs.SymmetryParams(0.0, -1.0)
