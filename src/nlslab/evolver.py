@@ -23,8 +23,6 @@ and a gradient-norm threshold (both relative to W), checked every step;
 single-criterion detectors misfire on focusing transients.
 """
 
-import time as _time
-
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
 
@@ -259,7 +257,6 @@ def evolve(u0, config, grid, lapl=None):
         if abs(t - t0) > horizon:
             trace.reflection["horizon_exceeded"] = True
 
-    wall = _time.time()
     sample(t0, u)
     # v is the state after the linear substep; the true state is N(dt/2) v,
     # and |v| = |u|, so m2 serves the next rotation and the amplitude test
@@ -281,7 +278,6 @@ def evolve(u0, config, grid, lapl=None):
             break
         if (i + 1) % per == 0:
             sample(t, _rotate(v, half, m2, pexp))
-    trace.termination["wall_time_s"] = _time.time() - wall
     trace.final_state = _rotate(v, half, m2, pexp) if nsteps else u
     return trace
 

@@ -5,7 +5,7 @@ directory named by the content hash of its config, containing the declared
 outputs plus a manifest.json echoing the config, library versions, wall
 time, an output index, and the pass/fail record of every embedded check.
 Numerics are deterministic (fixed iteration orders), so rerunning a config
-reproduces outputs byte-for-byte.
+reproduces every output but the manifest byte-for-byte.
 """
 
 import concurrent.futures

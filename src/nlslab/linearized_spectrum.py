@@ -8,32 +8,45 @@ blocks
     L_minus = Lap +     W^{p_c - 1}    (acts on the imaginary part),
 
 with the eigenmode relations  L_minus y2 = e0 y1  and  -L_plus y1 = e0 y2,
-so y1 is an eigenvector of the composition L_minus L_plus with eigenvalue
--e0^2 (its most negative eigenvalue).  The unstable/stable pair is
-Y_plus = y1 + i y2 (rate +e0) and its conjugate Y_minus (rate -e0).
+i.e. (y1, y2) is an eigenvector of the block operator
+B (y1, y2) = (L_minus y2, -L_plus y1) with eigenvalue e0.  The
+unstable/stable pair is Y_plus = y1 + i y2 (rate +e0) and its conjugate
+Y_minus (rate -e0).
 
-The solve proceeds in three stages: a dense eigenvalue sweep on a coarse
-grid to locate the shift (avoids locking onto truncated-continuum
-artifacts), Rayleigh-quotient iteration on the fine-grid composition with
-banded solves, and a final inverse-iteration polish on the 2N x 2N block
-system, which certifies the eigenpair to near round-off.
+Every fine-grid solve goes through one factorization: the block matrix
+
+    A_s = [[L_plus, s I], [-s I, L_minus]],
+
+with the unknowns interleaved as y1_0, y2_0, y1_1, y2_1, ..., is a real band
+matrix with two diagonals on each side, factored by LAPACK's banded LU
+(factor_block).  A_s is a signed row permutation of B - s I: in complex
+storage y = y1 + i y2, (B - s I) y' = y exactly when A_s y' = i y.  The
+order-j profiles of the near-solution series solve A_{j e0}; the eigenmode
+comes from two stages: a dense eigenvalue sweep of L_minus L_plus on a
+coarse grid, whose most negative eigenvalue -s^2 locates the shift (avoids
+locking onto truncated-continuum artifacts), then inverse iteration on
+B - s I with the single factorization of A_s, which certifies the eigenpair
+to near round-off.
 """
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse import bmat, diags, identity
+from scipy.linalg import lapack
+from scipy.sparse import diags
 
 from . import discretization as dz
 from . import ground_state as gs
+
+N_COARSE = 400    # cells of the coarse sweep grid (fewer when the grid has fewer)
+TOL = 1e-10       # relative block residual that ends the inverse iteration
+MAX_ITER = 40
 
 
 class LinearizedBlocks:
     """The pair (L_plus, L_minus) on a grid, plus the underlying Laplacian."""
 
-    def __init__(self, grid, bc="tail"):
+    def __init__(self, grid):
         self.grid = grid
-        self.lapl = dz.build_laplacian(grid, bc=bc)
+        self.lapl = dz.build_laplacian(grid)
         self.W = gs.sample_w(grid)
         pc = gs.critical_exponent(grid.d)
         self.p_c = pc
@@ -42,13 +55,43 @@ class LinearizedBlocks:
         self.L_plus = (T + diags(pc * pot)).tocsc()
         self.L_minus = (T + diags(pot)).tocsc()
 
-    def composition(self):
-        """L_minus @ L_plus (pentadiagonal)."""
-        return (self.L_minus @ self.L_plus).tocsc()
+
+def build_blocks(grid):
+    return LinearizedBlocks(grid)
 
 
-def build_blocks(grid, bc="tail"):
-    return LinearizedBlocks(grid, bc=bc)
+def _block_band(blocks, s):
+    """A_s on interleaved unknowns, in the LAPACK band storage dgbtrf expects
+    (kl = ku = 2, two extra rows on top for the fill-in of partial pivoting):
+    entry A[i, c] sits at ab[4 + i - c, c]."""
+    Lp, Lm = blocks.L_plus, blocks.L_minus
+    ab = np.zeros((7, 2 * blocks.grid.nnodes))
+    ab[4, 0::2], ab[4, 1::2] = Lp.diagonal(), Lm.diagonal()
+    ab[2, 2::2], ab[2, 3::2] = Lp.diagonal(1), Lm.diagonal(1)
+    ab[6, 0:-2:2], ab[6, 1:-2:2] = Lp.diagonal(-1), Lm.diagonal(-1)
+    ab[3, 1::2] = s    # y1-row i, column y2_i
+    ab[5, 0::2] = -s   # y2-row i, column y1_i
+    return ab
+
+
+def factor_block(blocks, s):
+    """Banded LU of A_s = [[L_plus, s I], [-s I, L_minus]].
+
+    Returns (solve, ||A_s||_1), where solve(x, trans=0) returns A_s^{-1} x
+    (trans=1: A_s^{-T} x) for x on interleaved unknowns, one vector or the
+    columns of a matrix.
+    """
+    ab = _block_band(blocks, s)
+    norm_a = float(np.abs(ab[2:]).sum(axis=0).max())
+    lu, piv, info = lapack.dgbtrf(ab, 2, 2)
+    if info != 0:
+        raise np.linalg.LinAlgError("block system A_s is singular at s = %g "
+                                    "(dgbtrf info %d)" % (s, info))
+
+    def solve(x, trans=0):
+        return lapack.dgbtrs(lu, 2, 2, x, piv, trans=trans)[0]
+
+    return solve, norm_a
 
 
 class EigenPair:
@@ -70,78 +113,56 @@ class EigenPair:
         return self.y1 - 1j * self.y2
 
 
-def _coarse_shift(d, r_max, bc="tail", n_coarse=400):
-    """Most negative eigenvalue of the composed operator on a coarse grid.
+def _coarse_shift(d, r_max, n):
+    """Coarse-grid estimate sqrt(-lambda) of e0, with lambda the most negative
+    eigenvalue of L_minus L_plus from a dense sweep on n cells.
 
-    Dense sweep; anchors the fine-grid inverse iteration away from
-    truncated-continuum artifacts.
+    Anchors the fine-grid inverse iteration away from truncated-continuum
+    artifacts.
     """
-    grid = dz.build_grid(d, r_max, n_coarse)
-    blocks = LinearizedBlocks(grid, bc=bc)
-    lam = np.linalg.eigvals(blocks.composition().toarray())
+    blocks = LinearizedBlocks(dz.build_grid(d, r_max, n))
+    lam = np.linalg.eigvals((blocks.L_minus @ blocks.L_plus).toarray())
     real = lam[np.abs(lam.imag) < 1e-8 * np.abs(lam.real).max()].real
     neg = real[real < 0]
     if neg.size == 0:
         raise RuntimeError(
             "no negative eigenvalue of L_minus L_plus on the coarse grid "
             "(d=%d, r_max=%g): grid too coarse or domain too small" % (d, r_max))
-    return float(neg.min())
+    return float(np.sqrt(-neg.min()))
 
 
-def ground_mode(blocks, shift=None, tol=1e-10, max_rqi=40, n_coarse=400):
+def ground_mode(blocks):
     """Compute (e0, Y_plus) for the linearized operator.
 
-    shift: optional starting eigenvalue guess for L_minus L_plus (negative);
-    by default located by the coarse-grid sweep.
+    Inverse iteration on B - s I from the coarse-grid shift s, each step one
+    back-substitution with the banded LU of A_s; stops once the block
+    residual ||B z - e0 z|| is below TOL relative to e0 and has stopped
+    falling tenfold per step.
     """
     grid = blocks.grid
-    N = grid.nnodes
-    M = blocks.composition()
-    if shift is None:
-        shift = _coarse_shift(grid.d, grid.r_max, bc=blocks.lapl.bc,
-                              n_coarse=min(n_coarse, grid.n))
-    if shift >= 0:
-        raise ValueError("shift must be negative (eigenvalue is -e0^2)")
-
-    # stage 1: Rayleigh-quotient iteration on the composition
-    lam = shift
-    x = np.exp(-grid.r ** 2)
-    I = identity(N, format="csc")
-    converged = False
-    for _ in range(max_rqi):
-        x = spla.spsolve((M - lam * I).tocsc(), x)
-        x /= np.linalg.norm(x)
-        Mx = M @ x
-        lam_new = float(x @ Mx)
-        res = np.linalg.norm(Mx - lam_new * x)
-        done = abs(lam_new - lam) <= 1e-12 * abs(lam_new)
-        lam = lam_new
-        if done:
-            converged = True
+    s = _coarse_shift(grid.d, grid.r_max, min(N_COARSE, grid.n))
+    solve = factor_block(blocks, s)[0]
+    # complex storage y1 + i y2 is exactly the interleaved layout
+    y = np.exp(-grid.r ** 2).astype(complex)
+    res_prev = np.inf
+    for _ in range(MAX_ITER):
+        y = solve((1j * y).view(float)).view(complex)
+        y /= np.linalg.norm(y)
+        By = blocks.L_minus @ y.imag - 1j * (blocks.L_plus @ y.real)
+        e0 = float(np.vdot(y, By).real)
+        res = np.linalg.norm(By - e0 * y)
+        # converged, and no longer gaining a digit per step (round-off floor)
+        if res <= max(TOL * abs(e0), 1e-13) and res > 0.1 * res_prev:
             break
-    if lam >= 0:
-        raise RuntimeError("Rayleigh iteration drifted to a nonnegative eigenvalue")
-
-    # stage 2: polish on the block system B (y1, y2) -> (L_minus y2, -L_plus y1)
-    e0 = float(np.sqrt(-lam))
-    B = bmat([[None, blocks.L_minus], [-blocks.L_plus, None]], format="csc")
-    z = np.concatenate([x, -(blocks.L_plus @ x) / e0])
-    z /= np.linalg.norm(z)
-    lu = spla.splu((B - e0 * (1 + 1e-8) * identity(2 * N, format="csc")).tocsc())
-    converged = False
-    for _ in range(12):
-        z = lu.solve(z)
-        z /= np.linalg.norm(z)
-        Bz = B @ z
-        e0 = float(z @ Bz)
-        if np.linalg.norm(Bz - e0 * z) <= max(tol * abs(e0), 1e-13):
-            converged = True
-            break
-    if not converged or e0 <= 0:
-        raise RuntimeError("block inverse iteration did not certify a positive rate "
+        res_prev = res
+    else:
+        raise RuntimeError("block inverse iteration did not converge "
                            "(reached e0=%g)" % (e0,))
+    if e0 <= 0:
+        raise RuntimeError("block inverse iteration found a nonpositive rate "
+                           "e0=%g" % (e0,))
 
-    y1, y2 = z[:N].copy(), z[N:].copy()
+    y1, y2 = y.real.copy(), y.imag.copy()
     if y1[0] < 0:
         y1, y2 = -y1, -y2
     nrm = np.sqrt(dz.kinetic_sq(y1, grid) + dz.kinetic_sq(y2, grid))

@@ -19,19 +19,18 @@ block system
     A_j (f, g) = [[L_plus, j e0 I], [-j e0 I, L_minus]] (f, g) = (-Re F_j, -Im F_j),
 
 solved as it stands (no Schur complement, which would square the condition
-number of the Laplacian).  With the unknowns interleaved as f_0, g_0, f_1,
-g_1, ... A_j is a real band matrix with two diagonals on each side, factored
-by LAPACK's banded LU.
+number of the Laplacian) with the banded LU of linearized_spectrum.factor_block,
+the same factorization the eigenmode is computed with.
 """
 
 import warnings
 
 import numpy as np
-from scipy.linalg import lapack
 from scipy.optimize import brentq
 
 from . import discretization as dz
 from . import ground_state as gs
+from . import linearized_spectrum as ls
 
 
 # ---------------------------------------------------------------------------
@@ -45,20 +44,9 @@ def generalized_binomial(alpha, k):
     return out
 
 
-class ExpansionTable:
-    """Coefficients a_{j1,j2} of P(z) = sum a_{j1,j2} z^{j1} conj(z)^{j2}."""
-
-    def __init__(self, p_c, j_max, coef):
-        self.p_c = p_c
-        self.j_max = j_max
-        self.coef = coef  # {(j1, j2): float} for 2 <= j1+j2 <= j_max
-
-    def __getitem__(self, key):
-        return self.coef[key]
-
-
 def pz_coefficients(p_c, j_max):
-    """Generalized-binomial expansion table of P(z), orders 2..j_max."""
+    """Generalized-binomial expansion table of P(z), orders 2..j_max:
+    {(j1, j2): a_{j1,j2}} with P(z) = sum a_{j1,j2} z^{j1} conj(z)^{j2}."""
     if j_max < 2:
         raise ValueError("j_max must be >= 2, got %r" % (j_max,))
     ap, am = (p_c + 1) / 2, (p_c - 1) / 2
@@ -67,7 +55,7 @@ def pz_coefficients(p_c, j_max):
         for j2 in range(j_max + 1 - j1):
             if j1 + j2 >= 2:
                 coef[(j1, j2)] = generalized_binomial(ap, j1) * generalized_binomial(am, j2)
-    return ExpansionTable(p_c, j_max, coef)
+    return coef
 
 
 def eval_p(z, p_c):
@@ -76,12 +64,12 @@ def eval_p(z, p_c):
     return np.abs(1 + z) ** (p_c - 1) * (1 + z)
 
 
-def reconstruct_p(table, z):
+def reconstruct_p(table, z, p_c):
     """P(z) rebuilt from its expansion table (plus the linear part)."""
     z = np.asarray(z, dtype=complex)
-    ap, am = (table.p_c + 1) / 2, (table.p_c - 1) / 2
+    ap, am = (p_c + 1) / 2, (p_c - 1) / 2
     out = 1.0 + ap * z + am * np.conj(z)
-    for (j1, j2), a in table.coef.items():
+    for (j1, j2), a in table.items():
         out = out + a * z ** j1 * np.conj(z) ** j2
     return out
 
@@ -153,7 +141,7 @@ def order_forcing(j, profiles, table, grid):
         return cur
 
     F = np.zeros(N, complex)
-    for (j1, j2), a in table.coef.items():
+    for (j1, j2), a in table.items():
         if j1 + j2 > j:
             continue
         t1 = poly_pow(U, j1)
@@ -163,20 +151,6 @@ def order_forcing(j, profiles, table, grid):
             c += t1[da] * t2[j - da]
         F += a * c
     return F * W ** pc
-
-
-def _block_band(blocks, s):
-    """A_s = [[L_plus, s I], [-s I, L_minus]] on interleaved unknowns, in the
-    LAPACK band storage dgbtrf expects (kl = ku = 2, two extra rows on top for
-    the fill-in of partial pivoting): entry A[i, c] sits at ab[4 + i - c, c]."""
-    Lp, Lm = blocks.L_plus, blocks.L_minus
-    ab = np.zeros((7, 2 * blocks.grid.nnodes))
-    ab[4, 0::2], ab[4, 1::2] = Lp.diagonal(), Lm.diagonal()
-    ab[2, 2::2], ab[2, 3::2] = Lp.diagonal(1), Lm.diagonal(1)
-    ab[6, 0:-2:2], ab[6, 1:-2:2] = Lp.diagonal(-1), Lm.diagonal(-1)
-    ab[3, 1::2] = s    # f-row i, column g_i
-    ab[5, 0::2] = -s   # g-row i, column f_i
-    return ab
 
 
 def _inverse_onenorm(solve, n, t=3, itmax=5):
@@ -229,20 +203,11 @@ def solve_profile(j, forcing, pair, blocks):
     if j < 2:
         raise ValueError("solve_profile needs j >= 2; Phi_1 = a * Y_plus")
     e0 = pair.e0
-    ab = _block_band(blocks, j * e0)
-    norm_a = float(np.abs(ab[2:]).sum(axis=0).max())
-    lu, piv, info = lapack.dgbtrf(ab, 2, 2)
-    if info != 0:
-        raise np.linalg.LinAlgError("order-%d block system is singular "
-                                    "(dgbtrf info %d)" % (j, info))
-
-    def solve(x, trans=0):
-        return lapack.dgbtrs(lu, 2, 2, x, piv, trans=trans)[0]
-
+    solve, norm_a = ls.factor_block(blocks, j * e0)
     # complex storage is exactly the interleaved (Re, Im) layout
     rhs = (-np.asarray(forcing, dtype=complex)).view(float)
     phi = solve(rhs).view(complex)
-    inv_norm = _inverse_onenorm(solve, ab.shape[1])
+    inv_norm = _inverse_onenorm(solve, rhs.size)
     sigma_min_est = 1.0 / inv_norm
     baseline = (j - 1) * e0
     if sigma_min_est < 0.01 * baseline:
@@ -266,13 +231,12 @@ class NearSolution:
         self.W = gs.sample_w(grid)
 
 
-def build_near_solution(k, a, pair, blocks, table=None):
+def build_near_solution(k, a, pair, blocks):
     """Run the order-by-order recursion up to order k with Phi_1 = a * Y_plus."""
     if k < 1:
         raise ValueError("k must be >= 1")
     grid = blocks.grid
-    if table is None:
-        table = pz_coefficients(blocks.p_c, max(k, 2))
+    table = pz_coefficients(blocks.p_c, max(k, 2))
     profiles = [None, a * pair.y_plus]
     conditioning = {}
     for j in range(2, k + 1):

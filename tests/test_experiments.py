@@ -115,6 +115,32 @@ def test_reruns_are_reproducible(tmp_path):
         assert f.read() == first
 
 
+def _output_bytes(rundir):
+    out = {}
+    for base, _, files in os.walk(rundir):
+        for name in files:
+            path = os.path.join(base, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, rundir)] = f.read()
+    return out
+
+
+def test_outputs_are_byte_reproducible_across_roots(tmp_path):
+    # every file but the manifest (which alone carries timings) reproduces
+    grid = {"d": 6, "r_max": 40.0, "n": 400}
+    cfgs = [{"scenario": "classify-custom", "grid": grid,
+             "initial": {"kind": "scaled-w", "factor": 1.8},
+             "evolver": {"dt": 0.01, "t_span": [0.0, 2.0]}},
+            {"scenario": "spectrum", "grid": grid}]
+    for cfg in cfgs:
+        runs = [ex.run(cfg, out_dir=str(tmp_path / root)) for root in ("a", "b")]
+        first, second = (_output_bytes(m["run_dir"]) for m in runs)
+        outputs = runs[0]["outputs"]
+        assert set(first) == set(second) == set(outputs) | {"manifest.json"}
+        for name in outputs:
+            assert first[name] == second[name], (cfg["scenario"], name)
+
+
 def test_spectrum_run(tmp_path):
     cfg = {"scenario": "spectrum", "grid": dict(SMALL_GRID)}
     manifest = ex.run(cfg, out_dir=str(tmp_path), check=True)

@@ -54,7 +54,7 @@ def test_ground_mode_matches_dense_oracle():
     # independent route: dense eigensolve of the full 2N x 2N block system
     g = dz.build_grid(6, 40.0, 300)
     b = ls.build_blocks(g)
-    pair = ls.ground_mode(b, n_coarse=300)
+    pair = ls.ground_mode(b)
     B = np.block([[np.zeros((g.nnodes, g.nnodes)), b.L_minus.toarray()],
                   [-b.L_plus.toarray(), np.zeros((g.nnodes, g.nnodes))]])
     lam = scipy.linalg.eigvals(B)
@@ -70,9 +70,33 @@ def test_eigenmode_decays(grid, pair):
     assert amp[-1] < 1e-3 * np.max(amp)
 
 
-def test_ground_mode_shift_validation(blocks):
-    with pytest.raises(ValueError):
-        ls.ground_mode(blocks, shift=0.5)
+def test_factor_block_matches_dense_solves(rng):
+    g = dz.build_grid(6, 40.0, 50)
+    b = ls.build_blocks(g)
+    N, s = g.nnodes, 0.3
+    Lp, Lm, I = b.L_plus.toarray(), b.L_minus.toarray(), np.eye(N)
+    # A_s on interleaved unknowns y1_0, y2_0, y1_1, ...
+    A = np.zeros((2 * N, 2 * N))
+    A[0::2, 0::2], A[0::2, 1::2] = Lp, s * I
+    A[1::2, 0::2], A[1::2, 1::2] = -s * I, Lm
+    solve, norm_a = ls.factor_block(b, s)
+    assert norm_a == pytest.approx(np.abs(A).sum(axis=0).max(), rel=1e-14)
+    x = rng.standard_normal(2 * N)
+    X = rng.standard_normal((2 * N, 3))
+    for got, want in ((solve(x), np.linalg.solve(A, x)),
+                      (solve(X), np.linalg.solve(A, X)),
+                      (solve(x, 1), np.linalg.solve(A.T, x)),
+                      (solve(X, 1), np.linalg.solve(A.T, X))):
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
+    # (B - s I) z' = z is A_s z' = (-z2, z1), B (y1, y2) = (L_minus y2, -L_plus y1)
+    B = np.block([[np.zeros((N, N)), Lm], [-Lp, np.zeros((N, N))]])
+    z1, z2 = rng.standard_normal(N), rng.standard_normal(N)
+    rhs = np.empty(2 * N)
+    rhs[0::2], rhs[1::2] = -z2, z1
+    zp = solve(rhs)
+    z = np.concatenate([z1, z2])
+    res = (B - s * np.eye(2 * N)) @ np.concatenate([zp[0::2], zp[1::2]]) - z
+    assert np.linalg.norm(res) / np.linalg.norm(z) < 1e-12
 
 
 def test_eigenpair_round_trip(tmp_path, grid, pair):
