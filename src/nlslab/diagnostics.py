@@ -12,7 +12,10 @@ the kinetic norm of the direct field difference u - e^{i theta} W_mu.  The
 expanded norm-difference formula ||u||^2 - 2|<.,.>| + ||W_mu||^2 is never
 used: it cancels catastrophically near the family and floors around 1e-3.
 An optimum within 1e-6 of the bracket width from either end is flagged
-``at_bracket_edge``: the true minimizer may lie outside the bracket.
+``at_bracket_edge``: the true minimizer may lie outside the bracket.  On the
+amplitude-seeded bracket, which loses the optimum while a field focuses, such
+a fit is repeated once on a bracket of the same ratio centred on the hit edge,
+and the fit with the smaller distance is reported.
 
 Classification mirrors the forward/backward trichotomy: blowup if the
 detector fired; convergence to the modulated W family if the fitted distance
@@ -43,7 +46,10 @@ def fit_modulation(u, grid, mu_bounds=None):
 
     theta is eliminated in closed form per mu; mu by bounded scalar
     minimization on a bracket seeded from amplitude matching
-    (max W_mu = mu^{-(d-2)/2}).
+    (max W_mu = mu^{-(d-2)/2}).  diagnostics: "at_bracket_edge" for the first
+    bracket (given or seeded; a seeded one is then refit once past that
+    edge), "bracket" for the bracket of the reported fit, and "nfev" over
+    both fits.
     """
     u = np.asarray(u, dtype=complex)
     if not np.any(u):
@@ -63,20 +69,29 @@ def fit_modulation(u, grid, mu_bounds=None):
         e_im = du_im - math.sin(th) * dw
         return float((flux * e_re) @ e_re + (flux * e_im) @ e_im), th
 
-    if mu_bounds is None:
+    def fit(bounds):
+        res = minimize_scalar(lambda m: dist2_theta(m)[0], bounds=bounds,
+                              method="bounded", options={"xatol": 1e-10})
+        if not res.success:
+            raise RuntimeError("modulation scale search failed on bracket %r: %s"
+                               % (bounds, res.message))
+        mu = float(res.x)
+        return (*dist2_theta(mu), mu, list(bounds), int(res.nfev))
+
+    seeded = mu_bounds is None
+    if seeded:
         seed = float(np.clip((np.max(np.abs(u))) ** (-2 / (d - 2)), 0.05, 20.0))
         mu_bounds = (seed / 5.0, seed * 5.0)
-    res = minimize_scalar(lambda m: dist2_theta(m)[0], bounds=mu_bounds,
-                          method="bounded", options={"xatol": 1e-10})
-    if not res.success:
-        raise RuntimeError("modulation scale search failed on bracket %r: %s"
-                           % (mu_bounds, res.message))
-    d2, th = dist2_theta(res.x)
+    d2, th, mu, bracket, nfev = fit(mu_bounds)
     lo, hi = mu_bounds
-    edge = min(res.x - lo, hi - res.x) <= 1e-6 * (hi - lo)
-    return ModulationFit(th, res.x, np.sqrt(max(d2, 0.0)),
-                         diagnostics={"bracket": list(mu_bounds),
-                                      "nfev": int(res.nfev),
+    edge = min(mu - lo, hi - mu) <= 1e-6 * (hi - lo)
+    if seeded and edge:
+        wide = fit((mu / 5.0, mu * 5.0))
+        nfev += wide[4]
+        if wide[0] < d2:
+            d2, th, mu, bracket = wide[:4]
+    return ModulationFit(th, mu, np.sqrt(max(d2, 0.0)),
+                         diagnostics={"bracket": bracket, "nfev": nfev,
                                       "at_bracket_edge": bool(edge)})
 
 

@@ -38,13 +38,13 @@ EXACT_MAX_BYTES = 2 ** 30
 class EvolverConfig:
     def __init__(self, dt=1e-3, t_span=(0.0, 10.0), scheme="strang",
                  linear_step="exact", amp_factor=10.0, grad_factor=10.0,
-                 sample_every=0.5, dt_floor=1e-9, track_modulation=True):
+                 sample_every=0.5, track_modulation=True):
         if scheme not in SCHEMES:
             raise ValueError("unknown scheme %r" % (scheme,))
         if linear_step not in LINEAR_STEPS:
             raise ValueError("unknown linear step %r" % (linear_step,))
-        if not (dt > dt_floor > 0):
-            raise ValueError("need dt > dt_floor > 0")
+        if not dt > 0:
+            raise ValueError("need dt > 0")
         if amp_factor <= 1 or grad_factor <= 1:
             raise ValueError("blowup thresholds must exceed 1")
         self.dt = float(dt)
@@ -54,7 +54,6 @@ class EvolverConfig:
         self.amp_factor = float(amp_factor)
         self.grad_factor = float(grad_factor)
         self.sample_every = float(sample_every)
-        self.dt_floor = float(dt_floor)
         self.track_modulation = bool(track_modulation)
 
     def as_dict(self):

@@ -3,7 +3,8 @@
 Configs are JSON (versioned schema).  Each run writes into an append-only
 directory named by the content hash of its config, containing the declared
 outputs plus a manifest.json echoing the config, library versions, wall
-time, an output index, and the pass/fail record of every embedded check.
+time (a sweep adds the seconds of its spectra and of its cells under
+"timings"), an output index, and the pass/fail record of every embedded check.
 Numerics are deterministic (fixed iteration orders), so rerunning a config
 reproduces every output but the manifest byte-for-byte.
 """
@@ -306,7 +307,8 @@ def _run_sweep(cfg, rundir, workers=1):
     aa = ranges.get("a", [1.0])
     r_max = cfg.get("grid", {}).get("r_max", DEFAULT_GRID["r_max"])
 
-    # shared immutable precomputations per (d, n)
+    # shared precomputations per (d, n); the blocks' memo is filled by the cells
+    t0 = _time.perf_counter()
     spectra = {}
     for d in ds:
         for n in ns:
@@ -322,6 +324,7 @@ def _run_sweep(cfg, rundir, workers=1):
                 "t_k": report.t_k, "rate": report.rate,
                 "rate_target": (k + 1) * pair.e0}
 
+    t1 = _time.perf_counter()
     cells = [(d, n, k, a) for d in ds for n in ns for k in ks for a in aa]
     rows, failures = {}, {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
@@ -332,6 +335,7 @@ def _run_sweep(cfg, rundir, workers=1):
                 rows[c] = fut.result()
             except Exception as exc:  # per-cell failures recorded, sweep continues
                 failures[c] = "%s: %s" % (type(exc).__name__, exc)
+    timings = {"spectra_s": t1 - t0, "cells_s": _time.perf_counter() - t1}
 
     cols = ["d", "n", "k", "a", "e0", "t_k", "rate", "rate_target"]
     with open(os.path.join(rundir, "aggregate.csv"), "w") as f:
@@ -344,7 +348,7 @@ def _run_sweep(cfg, rundir, workers=1):
                      {str(k): v for k, v in failures.items()})
     checks = {"all-cells-completed": {"passed": not failures,
                                       "failed_cells": len(failures)}}
-    return ["aggregate.csv"], checks
+    return ["aggregate.csv"], checks, timings
 
 
 _PIPELINES = {
@@ -368,8 +372,9 @@ def run(cfg, out_dir=".", workers=1, check=False):
     rundir = os.path.join(out_dir, "%s-%s" % (scen, config_hash(cfg)))
     os.makedirs(rundir, exist_ok=True)
     t0 = _time.time()
+    timings = None
     if scen == "sweep":
-        outputs, checks = _run_sweep(cfg, rundir, workers=workers)
+        outputs, checks, timings = _run_sweep(cfg, rundir, workers=workers)
     else:
         outputs, checks = _PIPELINES[scen](cfg, rundir)
     manifest = {
@@ -382,6 +387,8 @@ def run(cfg, out_dir=".", workers=1, check=False):
         "checks": checks,
         "ok": all(c["passed"] for c in checks.values()) if checks else True,
     }
+    if timings is not None:
+        manifest["timings"] = timings
     dz.save_json(os.path.join(rundir, "manifest.json"), manifest)
     if check and not manifest["ok"]:
         failed = [name for name, c in checks.items() if not c["passed"]]

@@ -29,6 +29,8 @@ B - s I with the single factorization of A_s, which certifies the eigenpair
 to near round-off.
 """
 
+import threading
+
 import numpy as np
 from scipy.linalg import lapack
 from scipy.sparse import diags
@@ -37,12 +39,16 @@ from . import discretization as dz
 from . import ground_state as gs
 
 N_COARSE = 400    # cells of the coarse sweep grid (fewer when the grid has fewer)
-TOL = 1e-10       # relative block residual that ends the inverse iteration
+TOL = 1e-10       # block residual, relative to e0, that ends the inverse iteration
 MAX_ITER = 40
 
 
 class LinearizedBlocks:
-    """The pair (L_plus, L_minus) on a grid, plus the underlying Laplacian."""
+    """The pair (L_plus, L_minus) on a grid, plus the underlying Laplacian.
+
+    inverse_norms memoizes ||A_s^{-1}||_1 per shift s for the series profiles;
+    hold memo_lock while reading or filling it.
+    """
 
     def __init__(self, grid):
         self.grid = grid
@@ -54,6 +60,8 @@ class LinearizedBlocks:
         pot = self.W ** (pc - 1)
         self.L_plus = (T + diags(pc * pot)).tocsc()
         self.L_minus = (T + diags(pot)).tocsc()
+        self.inverse_norms = {}
+        self.memo_lock = threading.Lock()
 
 
 def build_blocks(grid):
@@ -108,10 +116,6 @@ class EigenPair:
     def y_plus(self):
         return self.y1 + 1j * self.y2
 
-    @property
-    def y_minus(self):
-        return self.y1 - 1j * self.y2
-
 
 def _coarse_shift(d, r_max, n):
     """Coarse-grid estimate sqrt(-lambda) of e0, with lambda the most negative
@@ -136,12 +140,16 @@ def ground_mode(blocks):
 
     Inverse iteration on B - s I from the coarse-grid shift s, each step one
     back-substitution with the banded LU of A_s; stops once the block
-    residual ||B z - e0 z|| is below TOL relative to e0 and has stopped
-    falling tenfold per step.
+    residual ||B z - e0 z|| (||z|| = 1) has stopped falling tenfold per step
+    and is below TOL relative to e0 or at round-off, eps ||B||_1: its floor
+    grows like ||B||_1 ~ 1/h^2 and passes TOL e0 on fine grids (measured
+    ||B z - e0 z|| / ||B||_1 = 1.3-2.1e-17 at d = 6, n = 6000 to 48000).
     """
     grid = blocks.grid
     s = _coarse_shift(grid.d, grid.r_max, min(N_COARSE, grid.n))
-    solve = factor_block(blocks, s)[0]
+    solve, norm_a = factor_block(blocks, s)
+    # each column of |A_s| sums to that of |B| plus s
+    floor = np.finfo(float).eps * (norm_a - s)
     # complex storage y1 + i y2 is exactly the interleaved layout
     y = np.exp(-grid.r ** 2).astype(complex)
     res_prev = np.inf
@@ -152,7 +160,7 @@ def ground_mode(blocks):
         e0 = float(np.vdot(y, By).real)
         res = np.linalg.norm(By - e0 * y)
         # converged, and no longer gaining a digit per step (round-off floor)
-        if res <= max(TOL * abs(e0), 1e-13) and res > 0.1 * res_prev:
+        if res <= max(TOL * abs(e0), floor) and res > 0.1 * res_prev:
             break
         res_prev = res
     else:

@@ -20,7 +20,24 @@ block system
 
 solved as it stands (no Schur complement, which would square the condition
 number of the Laplacian) with the banded LU of linearized_spectrum.factor_block,
-the same factorization the eigenmode is computed with.
+the same factorization the eigenmode is computed with.  The reported
+conditioning needs ||A_s^{-1}||_1, whose estimate costs ten times the profile
+solve; it depends only on the grid and s = j e0, so it is estimated once per
+LinearizedBlocks and s and memoized there (the factorization itself is redone
+per call: holding the LU factors would cost more memory than refactoring
+costs time).
+
+The residual eps_k = (i d/dt + Lap) W_k^a + |W_k^a|^{p_c-1} W_k^a is linear in
+the profiles except for its last term:
+
+    eps_k(t) = Lap W + sum_j c_j(t) G_j + |u|^{p_c-1} u,
+    c_j(t) = e^{-j e0 t},  u = W + sum_j c_j(t) Phi_j,
+    G_j = Lap Phi_j - i j e0 Phi_j,
+
+so the Laplacian is applied once per profile, and the time samples are
+evaluated together, in row chunks of at most CHUNK_BYTES: one
+(samples x k)(k x nodes) product for u, one for the linear part, then the
+nonlinearity and the norms along rows.
 """
 
 import warnings
@@ -31,6 +48,8 @@ from scipy.optimize import brentq
 from . import discretization as dz
 from . import ground_state as gs
 from . import linearized_spectrum as ls
+
+CHUNK_BYTES = 1 << 18  # cap on one (samples x nodes) array of the batched residual
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +215,25 @@ def solve_profile(j, forcing, pair, blocks):
     reported, not assumed: A_j is a signed row permutation of B - j e0 I, with
     B (y1, y2) = (L_minus y2, -L_plus y1) the eigen-block, whose only real
     eigenvalues are +-e0; so absent resonance the smallest singular value of
-    A_j is ~ (j - 1) e0.  A warning fires when the estimated smallest singular
-    value drops far below that baseline, i.e. when j*e0 comes close to the
-    discrete spectrum.
+    A_j is ~ (j - 1) e0.  A warning fires, on every call, when the estimated
+    smallest singular value drops far below that baseline, i.e. when j*e0
+    comes close to the discrete spectrum.  The inverse norm is estimated once
+    per (blocks, j e0) and memoized on blocks.
     """
     if j < 2:
         raise ValueError("solve_profile needs j >= 2; Phi_1 = a * Y_plus")
     e0 = pair.e0
-    solve, norm_a = ls.factor_block(blocks, j * e0)
+    s = j * e0
+    solve, norm_a = ls.factor_block(blocks, s)
     # complex storage is exactly the interleaved (Re, Im) layout
     rhs = (-np.asarray(forcing, dtype=complex)).view(float)
     phi = solve(rhs).view(complex)
-    inv_norm = _inverse_onenorm(solve, rhs.size)
+    # the lock is held through the estimate, so a concurrent cell waits for
+    # it instead of repeating it
+    with blocks.memo_lock:
+        inv_norm = blocks.inverse_norms.get(s)
+        if inv_norm is None:
+            inv_norm = blocks.inverse_norms[s] = _inverse_onenorm(solve, rhs.size)
     sigma_min_est = 1.0 / inv_norm
     baseline = (j - 1) * e0
     if sigma_min_est < 0.01 * baseline:
@@ -269,15 +295,34 @@ def time_derivative(near, t):
     return ut
 
 
-def residual_epsilon(near, t):
-    """PDE residual eps_k^a(t) = (i d/dt + Lap) W_k^a + |W_k^a|^{p_c-1} W_k^a."""
-    pc = gs.critical_exponent(near.grid.d)
-    u = assemble(near, t)
-    eps = (1j * time_derivative(near, t) + near.lapl.apply(u)
-           + np.abs(u) ** (pc - 1) * u)
-    if not np.all(np.isfinite(eps)):
+def _residual_norms(near, ts, sup_weight, lap_w):
+    """Interior weighted L^2 and <r>^sup_weight-sup norms of the PDE residual
+    eps_k^a(t) = (i d/dt + Lap) W_k^a + |W_k^a|^{p_c-1} W_k^a at the times ts,
+    given lap_w = Lap W (see the module docstring for the evaluation)."""
+    grid, e0 = near.grid, near.e0
+    pc = gs.critical_exponent(grid.d)
+    rates = -e0 * np.arange(1, near.k + 1)
+    phis = np.array(near.profiles[1:], dtype=complex)
+    glin = np.array([near.lapl.apply(phi) + 1j * rate * phi
+                     for rate, phi in zip(rates, phis)])
+    # real (samples x k) coefficients times complex profiles, as one real GEMM
+    phis, glin = phis.view(float), glin.view(float)
+    w, jw = grid.w[:-1], np.sqrt(1.0 + grid.r ** 2) ** sup_weight
+    rows = max(1, CHUNK_BYTES // (16 * grid.nnodes))
+    l2s, sups = np.empty(len(ts)), np.empty(len(ts))
+    for lo in range(0, len(ts), rows):
+        c = np.exp(np.outer(ts[lo:lo + rows], rates))
+        u = near.W + (c @ phis).view(complex)
+        eps = (c @ glin).view(complex)
+        eps += lap_w
+        eps += np.abs(u) ** (pc - 1) * u
+        mag = np.abs(eps)
+        l2s[lo:lo + rows] = np.sqrt(mag[:, :-1] ** 2 @ w)
+        sups[lo:lo + rows] = (mag * jw).max(axis=1)
+    # max propagates nan and inf, so a non-finite entry of eps shows in sups
+    if not np.all(np.isfinite(sups)):
         raise ValueError("non-finite residual")
-    return eps
+    return l2s, sups
 
 
 def series_reconstruction(near, table, t):
@@ -339,7 +384,8 @@ def residual_rate(near, t_window=None, n_samples=121, span=60.0, sup_weight=2):
     fitted alongside.
     """
     grid = near.grid
-    floor_field = near.lapl.apply(near.W) + near.W ** gs.critical_exponent(grid.d)
+    lap_w = near.lapl.apply(near.W)
+    floor_field = lap_w + near.W ** gs.critical_exponent(grid.d)
     floor = dz.l2_norm(floor_field, grid, interior=True)
     sup_floor = dz.weighted_sup_norm(floor_field, sup_weight, 0, grid)
     t_k = validity_start(near)
@@ -349,12 +395,7 @@ def residual_rate(near, t_window=None, n_samples=121, span=60.0, sup_weight=2):
         ts = np.linspace(t_window[0], t_window[1], n_samples)
         if ts[0] < t_k - 1e-9:
             raise ValueError("fit window starts before the smallness time t_k=%.3f" % t_k)
-    l2s, sups = [], []
-    for t in ts:
-        eps = residual_epsilon(near, t)
-        l2s.append(dz.l2_norm(eps, grid, interior=True))
-        sups.append(dz.weighted_sup_norm(eps, sup_weight, 0, grid))
-    l2s, sups = np.array(l2s), np.array(sups)
+    l2s, sups = _residual_norms(near, ts, sup_weight, lap_w)
     mask = l2s > 10 * floor
     if mask.sum() < 5:
         raise RuntimeError("fit window empty after floor filtering "

@@ -76,6 +76,34 @@ def test_fit_modulation_flags_bracket_edge(grid):
     assert fit.mu == pytest.approx(3.0, abs=1e-6)
 
 
+def test_fit_modulation_refits_past_the_seeded_bracket_edge(grid, lapl):
+    # a focusing 1.8 W leaves the amplitude-seeded bracket from t ~ 2.44; the
+    # refit past the hit edge reports what a wide bracket finds, and the
+    # trace records that fit
+    u0 = (1.8 * gs.sample_w(grid)).astype(complex)
+
+    def config(t_end, track):
+        return ev.EvolverConfig(dt=0.005, t_span=(0.0, t_end), sample_every=0.05,
+                                linear_step="cayley", track_modulation=track)
+
+    trace = ev.evolve(u0, config(30.0, True), grid, lapl=lapl)
+    hits = 0
+    for t, mu, dist in zip(trace.times, trace.mu, trace.h1_dist):
+        if t < 2.44:
+            continue
+        u = ev.evolve(u0, config(t, False), grid, lapl=lapl).final_state
+        fit = dg.fit_modulation(u, grid)
+        if not fit.diagnostics["at_bracket_edge"]:
+            continue
+        hits += 1
+        wide = dg.fit_modulation(u, grid, mu_bounds=(0.01, 10.0))
+        assert not wide.diagnostics["at_bracket_edge"]
+        assert (fit.mu, fit.distance) == (mu, dist)
+        assert fit.mu == pytest.approx(wide.mu, rel=1e-6)
+        assert fit.distance == pytest.approx(wide.distance, rel=1e-9)
+    assert hits == trace.modulation["edge_hits"] >= 2
+
+
 def test_rate_fit_exact_exponential():
     t = np.linspace(0.0, 20.0, 41)
     d = 3.0 * np.exp(-0.21 * t)

@@ -197,6 +197,21 @@ def test_sweep_run(tmp_path):
         assert abs(row[6] - row[7]) / row[7] <= 0.10  # rate near target
 
 
+def test_sweep_aggregate_independent_of_workers(tmp_path):
+    cfg = {"ranges": {"d": [6], "n": [800], "k": [1, 2, 3], "a": [1.0, -1.0]},
+           "grid": {"r_max": 40.0}}
+    texts = []
+    for workers in (1, 2):
+        manifest = ex.sweep(cfg, out_dir=str(tmp_path / str(workers)),
+                            workers=workers)
+        assert manifest["ok"]
+        assert set(manifest["timings"]) == {"spectra_s", "cells_s"}
+        with open(os.path.join(manifest["run_dir"], "aggregate.csv"), "rb") as f:
+            texts.append(f.read())
+    assert texts[0] == texts[1]
+    assert texts[0].count(b"\n") == 7
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -65,6 +65,17 @@ def test_ground_mode_matches_dense_oracle():
     assert np.min(np.abs(pos - pair.e0)) / pair.e0 < 1e-8
 
 
+def test_ground_mode_certifies_fine_grids():
+    # the block residual's round-off floor grows like ||B||_1 ~ 1/h^2 and
+    # passes 1e-10 e0 near n = 20000; the backward-error stop still certifies
+    ref = ls.ground_mode(ls.build_blocks(dz.build_grid(6, 60.0, 6000)))
+    fine = ls.ground_mode(ls.build_blocks(dz.build_grid(6, 60.0, 24000)))
+    assert fine.residual <= 1e-8
+    assert abs(fine.e0 - ref.e0) <= 5e-4
+    # e0 at n = 6000 as recorded in bench/reference.json
+    assert abs(ref.e0 - 0.14029086451248082) <= 1e-10
+
+
 def test_eigenmode_decays(grid, pair):
     amp = np.abs(pair.y_plus)
     assert amp[-1] < 1e-3 * np.max(amp)

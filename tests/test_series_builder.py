@@ -1,5 +1,9 @@
 """Nonlinearity expansion and the exponential near-solution recursion."""
 
+import concurrent.futures
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -120,12 +124,103 @@ def test_solve_profile_reports_block_conditioning(grid, pair, blocks):
 
 
 def test_solve_profile_warns_at_resonance(grid, pair, blocks):
-    # with the rate halved, 2 * e0 hits the eigenvalue e0 of the eigen-block
+    # with the rate halved, 2 * e0 hits the eigenvalue e0 of the eigen-block;
+    # the second call, served from the memo, warns too
     table = sb.pz_coefficients(blocks.p_c, 3)
     F = sb.order_forcing(2, [None, pair.y_plus], table, grid)
     half = ls.EigenPair(pair.e0 / 2, pair.y1, pair.y2)
-    with pytest.warns(UserWarning, match="near-singular"):
-        sb.solve_profile(2, F, half, blocks)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="near-singular"):
+            sb.solve_profile(2, F, half, blocks)
+
+
+def _counting_estimator(monkeypatch, delay=0.0):
+    calls = []
+    estimate = sb._inverse_onenorm
+
+    def counted(solve, n):
+        calls.append(n)
+        time.sleep(delay)  # widens the window in which a second caller could enter
+        return estimate(solve, n)
+
+    monkeypatch.setattr(sb, "_inverse_onenorm", counted)
+    return calls
+
+
+def test_solve_profile_memoizes_the_inverse_norm(monkeypatch, grid, pair):
+    # ||A_s^{-1}||_1 is estimated once per (blocks, s) and equals a fresh
+    # estimate of the same matrix
+    blocks = ls.build_blocks(grid)
+    calls = _counting_estimator(monkeypatch)
+    table = sb.pz_coefficients(blocks.p_c, 3)
+    F = sb.order_forcing(2, [None, pair.y_plus], table, grid)
+    phi, cond = sb.solve_profile(2, F, pair, blocks)
+    phi2, cond2 = sb.solve_profile(2, F, pair, blocks)
+    assert len(calls) == 1
+    assert np.array_equal(phi, phi2)
+    solve, norm_a = ls.factor_block(blocks, 2 * pair.e0)
+    assert cond2 == cond == norm_a * sb._inverse_onenorm(solve, 2 * grid.nnodes)
+
+
+def test_solve_profile_memo_under_threads(monkeypatch, grid, pair):
+    # more threads than cores, released together and switching often: each s
+    # is estimated once and every call reports the same conditioning
+    blocks = ls.build_blocks(grid)
+    calls = _counting_estimator(monkeypatch, delay=0.05)
+    table = sb.pz_coefficients(blocks.p_c, 3)
+    F = sb.order_forcing(2, [None, pair.y_plus], table, grid)
+    pairs = [pair, ls.EigenPair(0.9 * pair.e0, pair.y1, pair.y2)] * 3
+    start = threading.Barrier(len(pairs))
+
+    def call(p):
+        start.wait(timeout=60)
+        return sb.solve_profile(2, F, p, blocks)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=len(pairs)) as pool:
+            futs = [pool.submit(call, p) for p in pairs]
+            conds = [f.result(timeout=120)[1] for f in futs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 2
+    assert set(conds[0::2]) == {conds[0]} and set(conds[1::2]) == {conds[1]}
+
+
+def test_batched_residual_matches_per_time_oracle(grid, pair, blocks):
+    # the direct residual per time sample; the two summation orders differ by
+    # round-off in the terms that cancel in eps (|Lap| |u| ~ |u| / h^2), so
+    # the gap is measured against those terms, not against eps itself
+    pc = blocks.p_c
+    L = blocks.lapl
+    for k in (1, 2, 3, 4):
+        near = sb.build_near_solution(k, 1.0, pair, blocks)
+        t_k = sb.validity_start(near)
+        ts = np.linspace(t_k, t_k + 60.0, 45)
+        assert len(ts) > sb.CHUNK_BYTES // (16 * grid.nnodes)  # several chunks
+        l2s, sups = sb._residual_norms(near, ts, 2, L.apply(near.W))
+        for t, l2, sup in zip(ts, l2s, sups):
+            u = sb.assemble(near, t)
+            ut = sb.time_derivative(near, t)
+            eps = 1j * ut + L.apply(u) + np.abs(u) ** (pc - 1) * u
+            a = np.abs(u)
+            terms = np.abs(L.di) * a + np.abs(ut) + a ** pc
+            terms[:-1] += np.abs(L.up[:-1]) * a[1:]
+            terms[1:] += np.abs(L.lo[1:]) * a[:-1]
+            assert abs(l2 - dz.l2_norm(eps, grid, interior=True)) \
+                <= 1e-12 * dz.l2_norm(terms, grid, interior=True)
+            assert abs(sup - dz.weighted_sup_norm(eps, 2, 0, grid)) \
+                <= 1e-12 * dz.weighted_sup_norm(terms, 2, 0, grid)
+
+
+def test_residual_norms_reject_non_finite_values(grid, pair, blocks):
+    near = sb.build_near_solution(1, 1.0, pair, blocks)
+    near.profiles[1] = near.profiles[1].copy()
+    near.profiles[1][5] = np.inf
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="non-finite residual"):
+        sb._residual_norms(near, np.array([0.0, 1.0]), 2, blocks.lapl.apply(near.W))
 
 
 def test_order_forcing_requires_lower_profiles(grid, pair, blocks):
