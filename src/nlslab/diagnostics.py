@@ -21,7 +21,8 @@ Classification mirrors the forward/backward trichotomy: blowup if the
 detector fired; convergence to the modulated W family if the fitted distance
 decays to a small value at a positive rate; scattering proxy if the
 potential-to-kinetic energy ratio drops below a threshold before the
-reflection horizon; undetermined otherwise (a valid outcome).
+reflection horizon; undetermined otherwise (a valid outcome).  ||grad W||
+is that of the background the trace was evolved on.
 """
 
 import math
@@ -29,7 +30,6 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import discretization as dz
 from . import ground_state as gs
 
 
@@ -136,14 +136,14 @@ def rate_fit(times, distances, floor):
                    t.size, flags)
 
 
-def kinetic_dichotomy(trace, grid, deadband=1e-6):
+def kinetic_dichotomy(trace, deadband=1e-6):
     """Side of ||grad u(t)|| vs ||grad W|| along a trace.
 
     Returns (side, violations): side in {"below", "above", "at", "mixed"}
     within a relative dead-band; violations lists the sample times on the
     minority side when the sign is not constant.
     """
-    kin_w = np.sqrt(dz.kinetic_sq(gs.sample_w(grid), grid))
+    kin_w = gs.kinetic_norm(trace.background.W, trace.background.grid)
     t = np.asarray(trace.times)
     rel = (np.asarray(trace.kinetic) - kin_w) / kin_w
     sign = np.where(rel > deadband, 1, np.where(rel < -deadband, -1, 0))
@@ -179,7 +179,7 @@ class ClassificationReport:
         return out
 
 
-def classify(trace, grid, proxy_threshold=0.05, dist_tol=0.25, floor=1e-3,
+def classify(trace, proxy_threshold=0.05, dist_tol=0.25, floor=1e-3,
              deadband=1e-6):
     """Sort a trace into blowup / converges-to-W / scattering-proxy / undetermined.
 
@@ -188,7 +188,7 @@ def classify(trace, grid, proxy_threshold=0.05, dist_tol=0.25, floor=1e-3,
     below dist_tol.  scattering-proxy: the potential/kinetic ratio falls below
     proxy_threshold before the recorded reflection horizon.
     """
-    side, viol = kinetic_dichotomy(trace, grid, deadband=deadband)
+    side, viol = kinetic_dichotomy(trace, deadband=deadband)
     thresholds = {"proxy_threshold": proxy_threshold, "dist_tol": dist_tol,
                   "floor": floor, "deadband": deadband}
     details = {"kinetic_violations": viol,

@@ -18,9 +18,9 @@ The Laplacian is the conservative flux form
 
 which is second-order accurate, exact on quadratics (Lap r^2 = 2d), and whose
 origin row reduces to the regular-solution limit d * u''(0) automatically.
-At r_max the default boundary condition matches the W-like power-law tail
-r^{-(d-2)} through a ghost node (a diagonal-only modification); homogeneous
-Dirichlet is available as an option.
+At r_max the boundary condition matches the W-like power-law tail
+r^{-(d-2)} through a ghost node (a diagonal-only modification).  The chain
+builds this operator once per grid, in ground_state.Background.
 """
 
 import io
@@ -98,18 +98,14 @@ def _check_grid(u, grid):
 class DiscreteLaplacian:
     """Tridiagonal flux-form radial Laplacian on a RadialGrid.
 
-    bc = "tail":      ghost node u_{n+1} = beta * u_n with
-                      beta = (r_n / (r_n + h))^{d-2}, matching the r^{-(d-2)}
-                      power-law tail of W-like fields (diagonal modification,
-                      keeps self-adjointness in the cell-volume inner product).
-    bc = "dirichlet": ghost node u_{n+1} = 0.
+    The boundary row closes with the ghost node u_{n+1} = beta * u_n,
+    beta = (r_n / (r_n + h))^{d-2}, matching the r^{-(d-2)} power-law tail
+    of W-like fields (diagonal modification, keeps self-adjointness in the
+    cell-volume inner product).
     """
 
-    def __init__(self, grid, bc="tail"):
-        if bc not in ("tail", "dirichlet"):
-            raise ValueError("unknown boundary condition %r" % (bc,))
+    def __init__(self, grid):
         self.grid = grid
-        self.bc = bc
         n, h = grid.n, grid.h
         a, V = grid.flux, grid.cellv
         N = grid.nnodes
@@ -124,7 +120,7 @@ class DiscreteLaplacian:
         up[1:n] = a[1:n] / V[1:n]
         # boundary row via ghost node beyond r_max
         a_out = grid.omega * (grid.r_max + h / 2) ** (grid.d - 1) / h
-        beta = (grid.r_max / (grid.r_max + h)) ** (grid.d - 2) if bc == "tail" else 0.0
+        beta = (grid.r_max / (grid.r_max + h)) ** (grid.d - 2)
         lo[n] = a[n - 1] / V[n]
         di[n] = -(a[n - 1] + (1.0 - beta) * a_out) / V[n]
         self.lo, self.di, self.up = lo, di, up
@@ -143,8 +139,8 @@ class DiscreteLaplacian:
         return diags([self.lo[1:], self.di, self.up[:-1]], [-1, 0, 1], format="csc")
 
 
-def build_laplacian(grid, bc="tail"):
-    return DiscreteLaplacian(grid, bc=bc)
+def build_laplacian(grid):
+    return DiscreteLaplacian(grid)
 
 
 def integrate(u, grid):

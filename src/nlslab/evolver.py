@@ -21,6 +21,9 @@ Backward evolution is requested through the time span: t_span = (0, -T)
 steps with negative dt.  Blowup detection is the conjunction of an amplitude
 and a gradient-norm threshold (both relative to W), checked every step;
 single-criterion detectors misfire on focusing transients.
+
+``evolve`` runs on the ground_state.Background the spectrum and the series
+were built on, and the trace carries it to the classifier.
 """
 
 import numpy as np
@@ -30,17 +33,14 @@ from . import discretization as dz
 from . import diagnostics as dg
 from . import ground_state as gs
 
-SCHEMES = ("strang",)
 LINEAR_STEPS = ("exact", "cayley")
 EXACT_MAX_BYTES = 2 ** 30
 
 
 class EvolverConfig:
-    def __init__(self, dt=1e-3, t_span=(0.0, 10.0), scheme="strang",
-                 linear_step="exact", amp_factor=10.0, grad_factor=10.0,
-                 sample_every=0.5, track_modulation=True):
-        if scheme not in SCHEMES:
-            raise ValueError("unknown scheme %r" % (scheme,))
+    def __init__(self, dt=1e-3, t_span=(0.0, 10.0), linear_step="exact",
+                 amp_factor=10.0, grad_factor=10.0, sample_every=0.5,
+                 track_modulation=True):
         if linear_step not in LINEAR_STEPS:
             raise ValueError("unknown linear step %r" % (linear_step,))
         if not dt > 0:
@@ -49,7 +49,6 @@ class EvolverConfig:
             raise ValueError("blowup thresholds must exceed 1")
         self.dt = float(dt)
         self.t_span = (float(t_span[0]), float(t_span[1]))
-        self.scheme = scheme
         self.linear_step = linear_step
         self.amp_factor = float(amp_factor)
         self.grad_factor = float(grad_factor)
@@ -105,7 +104,7 @@ def _rotate(u, s, m2, pexp):
     return e
 
 
-def make_stepper(lapl, dt, linear_step="exact", p_c=None):
+def make_stepper(lapl, dt, linear_step="exact"):
     """Build the Strang step u -> N(dt/2) L(dt) N(dt/2) u for a signed dt.
 
     step_fn(u, lead=0.5, trail=0.5, m2=None) applies N(lead*dt), L(dt),
@@ -113,8 +112,7 @@ def make_stepper(lapl, dt, linear_step="exact", p_c=None):
     The Cayley phase saturates on the stiffest modes, so step-doubling
     studies should use linear_step = "exact".
     """
-    pc = p_c if p_c is not None else gs.critical_exponent(lapl.grid.d)
-    pexp = (pc - 1) / 2
+    pexp = (gs.critical_exponent(lapl.grid.d) - 1) / 2
     if linear_step == "exact":
         evals, evecs, D = _symmetric_eig(lapl)
         phase = np.exp(1j * evals * dt)
@@ -152,10 +150,10 @@ def make_stepper(lapl, dt, linear_step="exact", p_c=None):
 
 
 class EvolutionTrace:
-    """Time-stamped diagnostics of one evolution."""
+    """Time-stamped diagnostics of one evolution on a background."""
 
-    def __init__(self, grid, config):
-        self.grid = grid
+    def __init__(self, background, config):
+        self.background = background
         self.config = config
         self.times, self.energy, self.kinetic, self.max_amp = [], [], [], []
         self.h1_dist, self.theta, self.mu = [], [], []
@@ -182,8 +180,9 @@ class EvolutionTrace:
                                      "config": self.config.as_dict()})
 
 
-def evolve(u0, config, grid, lapl=None):
-    """March the splitting scheme over config.t_span, sampling diagnostics.
+def evolve(u0, config, bg):
+    """March the splitting scheme over config.t_span on the background bg
+    (a ground_state.Background), sampling diagnostics.
 
     Declares blowup when max|u| > amp_factor * max W  AND
     ||grad u|| > grad_factor * ||grad W|| (checked every step), or when values
@@ -193,25 +192,22 @@ def evolve(u0, config, grid, lapl=None):
     Adjacent nonlinear half-steps are merged (see the module docstring);
     samples, the blowup test and final_state see the true state.
     """
+    grid = bg.grid
     u = np.asarray(u0, dtype=complex).copy()
     if u.shape != (grid.nnodes,):
         raise ValueError("initial data does not match grid")
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite initial data")
-    if lapl is None:
-        lapl = dz.build_laplacian(grid)
-    pc = gs.critical_exponent(grid.d)
-    W = gs.sample_w(grid)
-    amp_ref = config.amp_factor * np.max(W)
-    kin_ref2 = config.grad_factor ** 2 * dz.kinetic_sq(W, grid)
+    amp_ref = config.amp_factor * np.max(bg.W)
+    kin_ref2 = config.grad_factor ** 2 * dz.kinetic_sq(bg.W, grid)
 
     t0, t1 = config.t_span
     dt = config.dt if t1 >= t0 else -config.dt
     nsteps = int(round(abs(t1 - t0) / config.dt))
     per = max(1, int(round(config.sample_every / config.dt)))
-    step_fn = make_stepper(lapl, dt, linear_step=config.linear_step, p_c=pc)
+    step_fn = make_stepper(bg.lapl, dt, linear_step=config.linear_step)
 
-    trace = EvolutionTrace(grid, config)
+    trace = EvolutionTrace(bg, config)
     # reflection horizon estimate from the initial data
     mass0 = float(np.sum(grid.cellv * np.abs(u) ** 2))
     k_bar = np.sqrt(dz.kinetic_sq(u, grid) / mass0)
@@ -229,7 +225,7 @@ def evolve(u0, config, grid, lapl=None):
         amp = np.abs(u)
         mx = float(np.max(amp))
         E = 0.5 * K ** 2 - (grid.d - 2) / (2 * grid.d) * \
-            dz.integrate(amp ** (pc + 1), grid)
+            dz.integrate(amp ** (bg.p_c + 1), grid)
         if config.track_modulation:
             fit = dg.fit_modulation(u, grid)
             dd, th, mu = fit.distance, fit.theta, fit.mu
@@ -259,7 +255,7 @@ def evolve(u0, config, grid, lapl=None):
     sample(t0, u)
     # v is the state after the linear substep; the true state is N(dt/2) v,
     # and |v| = |u|, so m2 serves the next rotation and the amplitude test
-    pexp, half = (pc - 1) / 2, 0.5 * dt
+    pexp, half = (bg.p_c - 1) / 2, 0.5 * dt
     v, m2, lead = u, _abs2(u), 0.5
     for i in range(nsteps):
         v = step_fn(v, lead, 0.0, m2)

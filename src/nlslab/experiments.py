@@ -6,7 +6,9 @@ outputs plus a manifest.json echoing the config, library versions, wall
 time (a sweep adds the seconds of its spectra and of its cells under
 "timings"), an output index, and the pass/fail record of every embedded check.
 Numerics are deterministic (fixed iteration orders), so rerunning a config
-reproduces every output but the manifest byte-for-byte.
+reproduces every output but the manifest byte-for-byte.  A config holds
+only keys its scenario's pipeline reads (_READS).  A pipeline builds one
+background per grid and passes it through series, evolution and classification.
 """
 
 import concurrent.futures
@@ -27,10 +29,26 @@ from . import series_builder as sb
 
 SCHEMA_VERSION = 1
 
-SCENARIOS = ("ground-state", "spectrum", "build-series",
-             "evolve-near-solution", "classify-custom", "sweep")
-
 DEFAULT_GRID = {"d": 6, "r_max": 60.0, "n": 6000}
+
+# what each scenario's pipeline reads besides _COMMON: key -> the keys of its
+# object, or None for a value.  Scenarios that never evolve still accept (and
+# check) an evolver object.
+_GRID = ("d", "r_max", "n")
+_COMMON = {"scenario": None, "schema_version": None,
+           "evolver": ("dt", "t_span", "sample_every", "linear_step", "track_modulation")}
+_READS = {
+    "ground-state": {"grid": _GRID},
+    "spectrum": {"grid": _GRID},
+    "build-series": {"grid": _GRID, "series": ("k", "a")},
+    "evolve-near-solution": {
+        "grid": _GRID, "series": ("k",), "evolver": ("dt", "sample_every", "linear_step"),
+        **dict.fromkeys(("sign", "seed_t0", "departure_floor", "backward_span",
+                         "refine_blowup"))},
+    "classify-custom": {"grid": _GRID, "initial": ("kind", "factor", "path")},
+    "sweep": {"grid": ("r_max",), "ranges": ("d", "n", "k", "a")},
+}
+SCENARIOS = tuple(_READS)
 
 
 class ConfigError(ValueError):
@@ -39,78 +57,64 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join("  %s" % e for e in self.errors))
 
 
-def _check_grid_cfg(g, errors, path="grid"):
-    for key, typ in (("d", int), ("r_max", (int, float)), ("n", int)):
-        if key not in g:
-            errors.append("%s.%s: missing" % (path, key))
-        elif not isinstance(g[key], typ) or isinstance(g[key], bool):
-            errors.append("%s.%s: expected %s, got %r" % (path, key, typ, g[key]))
-    if not errors:
-        if g["d"] < 3:
-            errors.append("%s.d: must be >= 3" % path)
-        if g["r_max"] <= 0:
-            errors.append("%s.r_max: must be positive" % path)
-        if g["n"] < 16:
-            errors.append("%s.n: must be >= 16" % path)
-
-
 def validate_config(cfg):
-    """Return a list of error strings with field paths (empty when valid)."""
-    errors = []
+    """Return a list of error strings with field paths (empty when valid).
+    Unknown keys and sections that are not objects are reported first, alone."""
     if not isinstance(cfg, dict):
         return ["config: expected a JSON object"]
     scen = cfg.get("scenario")
     if scen not in SCENARIOS:
-        errors.append("scenario: expected one of %s, got %r" % (list(SCENARIOS), scen))
+        return ["scenario: expected one of %s, got %r" % (list(SCENARIOS), scen)]
+    errors, reads = [], dict(_COMMON, **_READS[scen])
+    for key, val in cfg.items():
+        if key not in reads:
+            errors.append("%s: unknown key" % key)
+        elif reads[key] is not None and not isinstance(val, dict):
+            errors.append("%s: expected an object" % key)
+        elif reads[key] is not None:
+            errors += ["%s.%s: unknown key" % (key, sub)
+                       for sub in val if sub not in reads[key]]
+    if errors:
         return errors
-    if scen != "sweep":
-        g = cfg.get("grid", DEFAULT_GRID)
-        if not isinstance(g, dict):
-            errors.append("grid: expected an object")
-        else:
-            _check_grid_cfg(g, errors)
-    if scen in ("build-series", "evolve-near-solution"):
-        series = cfg.get("series", {})
-        if not isinstance(series, dict):
-            errors.append("series: expected an object")
-        else:
-            k = series.get("k", 3)
-            if not isinstance(k, int) or k < 1:
-                errors.append("series.k: expected integer >= 1, got %r" % (k,))
-    if scen == "evolve-near-solution":
-        sign = cfg.get("sign", -1)
-        if sign not in (1, -1):
-            errors.append("sign: expected +1 or -1, got %r" % (sign,))
-    if scen == "classify-custom":
-        init = cfg.get("initial")
-        if not isinstance(init, dict) or "kind" not in init:
-            errors.append("initial: expected an object with a 'kind' field")
-        elif init["kind"] not in ("scaled-w", "field"):
-            errors.append("initial.kind: expected 'scaled-w' or 'field', got %r"
-                          % (init["kind"],))
-        elif init["kind"] == "scaled-w" and "factor" not in init:
-            errors.append("initial.factor: missing")
-        elif init["kind"] == "field" and "path" not in init:
-            errors.append("initial.path: missing")
-    if scen == "sweep":
-        ranges = cfg.get("ranges")
-        if not isinstance(ranges, dict):
-            errors.append("ranges: expected an object with parameter lists")
-        else:
-            for key in ("d", "n", "k", "a"):
-                vals = ranges.get(key)
-                if vals is not None and (not isinstance(vals, list) or not vals):
-                    errors.append("ranges.%s: expected a nonempty list" % key)
+    g = cfg.get("grid", DEFAULT_GRID)
+    if scen == "sweep":  # r_max only: d and n come from the ranges
+        g = dict(DEFAULT_GRID, **g)
+    for key, typ in (("d", int), ("r_max", (int, float)), ("n", int)):
+        if key not in g:
+            errors.append("grid.%s: missing" % key)
+        elif not isinstance(g[key], typ) or isinstance(g[key], bool):
+            errors.append("grid.%s: expected %s, got %r" % (key, typ, g[key]))
+    if not errors:
+        if g["d"] < 3:
+            errors.append("grid.d: must be >= 3")
+        if g["r_max"] <= 0:
+            errors.append("grid.r_max: must be positive")
+        if g["n"] < 16:
+            errors.append("grid.n: must be >= 16")
+    k = cfg.get("series", {}).get("k", 3)
+    if not isinstance(k, int) or k < 1:
+        errors.append("series.k: expected integer >= 1, got %r" % (k,))
+    if cfg.get("sign", -1) not in (1, -1):
+        errors.append("sign: expected +1 or -1, got %r" % (cfg["sign"],))
+    init = cfg.get("initial", {})
+    if scen == "classify-custom" and init.get("kind") not in ("scaled-w", "field"):
+        errors.append("initial.kind: expected 'scaled-w' or 'field', got %r"
+                      % (init.get("kind"),))
+    elif init.get("kind") == "scaled-w" and "factor" not in init:
+        errors.append("initial.factor: missing")
+    elif init.get("kind") == "field" and "path" not in init:
+        errors.append("initial.path: missing")
+    if scen == "sweep" and "ranges" not in cfg:
+        errors.append("ranges: expected an object with parameter lists")
+    for key, vals in cfg.get("ranges", {}).items():
+        if not isinstance(vals, list) or not vals:
+            errors.append("ranges.%s: expected a nonempty list" % key)
     ecfg = cfg.get("evolver", {})
-    if not isinstance(ecfg, dict):
-        errors.append("evolver: expected an object")
-        ecfg = {}
     if "dt" in ecfg and (not isinstance(ecfg["dt"], (int, float)) or ecfg["dt"] <= 0):
         errors.append("evolver.dt: expected positive number, got %r" % (ecfg["dt"],))
-    for key, allowed in (("scheme", ev.SCHEMES), ("linear_step", ev.LINEAR_STEPS)):
-        if key in ecfg and ecfg[key] not in allowed:
-            errors.append("evolver.%s: expected one of %s, got %r"
-                          % (key, list(allowed), ecfg[key]))
+    if "linear_step" in ecfg and ecfg["linear_step"] not in ev.LINEAR_STEPS:
+        errors.append("evolver.linear_step: expected one of %s, got %r"
+                      % (list(ev.LINEAR_STEPS), ecfg["linear_step"]))
     if (scen in ("evolve-near-solution", "classify-custom") and not errors
             and ecfg.get("linear_step") == "exact"):
         try:
@@ -138,8 +142,8 @@ def _grid_from(cfg):
 
 def _evolver_config(ecfg, t_span, **overrides):
     """EvolverConfig from a config's "evolver" object and scenario defaults."""
-    kw = {"dt": 0.01, "sample_every": 0.5, "scheme": "strang",
-          "linear_step": "cayley", "track_modulation": True}
+    kw = {"dt": 0.01, "sample_every": 0.5, "linear_step": "cayley",
+          "track_modulation": True}
     kw.update({key: ecfg[key] for key in kw if key in ecfg}, **overrides)
     return ev.EvolverConfig(t_span=t_span, **kw)
 
@@ -217,27 +221,26 @@ def _run_wpm(cfg, rundir):
     ls.save_eigenpair(os.path.join(rundir, "eigenpair"), pair, grid)
     near = sb.build_near_solution(k, float(sign), pair, blocks)
     sb.save_near_solution(os.path.join(rundir, "near_solution"), near)
-    W = gs.sample_w(grid)
     u0 = sb.assemble(near, seed_t0)
 
     # forward horizon: stop before the unstable mode amplifies floor-level
     # noise into departure; d0 e^{-e0 t} meets eta e^{+e0 t} at
     # (1/(2 e0)) ln(d0/eta), kept with a safety factor
-    d0 = dz.h1_distance(u0, W.astype(complex), grid)
+    d0 = dz.h1_distance(u0, blocks.W.astype(complex), grid)
     t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / eta)
 
     fwd_cfg = _evolver_config(ecfg, (seed_t0, seed_t0 + t_fwd), track_modulation=True)
-    trace_f = ev.evolve(u0, fwd_cfg, grid, lapl=blocks.lapl)
+    trace_f = ev.evolve(u0, fwd_cfg, blocks)
     trace_f.save(os.path.join(rundir, "trace_forward.csv"),
                  os.path.join(rundir, "trace_forward.json"))
-    rep_f = dg.classify(trace_f, grid)
+    rep_f = dg.classify(trace_f)
 
     bwd_span = (seed_t0, seed_t0 - backward_span)
     bwd_cfg = _evolver_config(ecfg, bwd_span, track_modulation=False)
-    trace_b = ev.evolve(u0, bwd_cfg, grid, lapl=blocks.lapl)
+    trace_b = ev.evolve(u0, bwd_cfg, blocks)
     trace_b.save(os.path.join(rundir, "trace_backward.csv"),
                  os.path.join(rundir, "trace_backward.json"))
-    rep_b = dg.classify(trace_b, grid)
+    rep_b = dg.classify(trace_b)
 
     checks = {}
     rate = rep_f.rate.rate if rep_f.rate is not None else float("nan")
@@ -260,7 +263,7 @@ def _run_wpm(cfg, rundir):
         if rep_b.regime == "blowup" and cfg.get("refine_blowup", True):
             t_star = trace_b.termination["t_star"]
             fine = _evolver_config(ecfg, bwd_span, dt=dt / 2, track_modulation=False)
-            trace_b2 = ev.evolve(u0, fine, grid, lapl=blocks.lapl)
+            trace_b2 = ev.evolve(u0, fine, blocks)
             t_star2 = trace_b2.termination.get("t_star", float("nan"))
             shift = abs(t_star2 - t_star) / abs(t_star - seed_t0)
             checks["blowup-time-stable"] = {
@@ -281,8 +284,9 @@ def _run_wpm(cfg, rundir):
 def _run_classify(cfg, rundir):
     grid = _grid_from(cfg)
     init = cfg["initial"]
+    bg = gs.Background(grid)
     if init["kind"] == "scaled-w":
-        u0 = init["factor"] * gs.sample_w(grid).astype(complex)
+        u0 = init["factor"] * bg.W.astype(complex)
     else:
         u0, fgrid = dz.load_field(init["path"])
         if fgrid != grid:
@@ -290,9 +294,9 @@ def _run_classify(cfg, rundir):
                                "config grid %r" % (fgrid, grid)])
     ecfg = cfg.get("evolver", {})
     config = _evolver_config(ecfg, tuple(ecfg.get("t_span", (0.0, 20.0))))
-    trace = ev.evolve(u0, config, grid)
+    trace = ev.evolve(u0, config, bg)
     trace.save(os.path.join(rundir, "trace.csv"), os.path.join(rundir, "trace.json"))
-    report = dg.classify(trace, grid)
+    report = dg.classify(trace)
     dz.save_json(os.path.join(rundir, "report.json"), report.as_dict())
     checks = {"classified": {"passed": report.regime != "undetermined",
                              "value": report.regime}}
@@ -309,15 +313,11 @@ def _run_sweep(cfg, rundir, workers=1):
 
     # shared precomputations per (d, n); the blocks' memo is filled by the cells
     t0 = _time.perf_counter()
-    spectra = {}
-    for d in ds:
-        for n in ns:
-            grid = dz.build_grid(d, r_max, n)
-            spectra[(d, n)] = (grid,) + _spectrum(grid)
+    spectra = {(d, n): _spectrum(dz.build_grid(d, r_max, n)) for d in ds for n in ns}
 
     def cell(params):
         d, n, k, a = params
-        grid, blocks, pair = spectra[(d, n)]
+        blocks, pair = spectra[(d, n)]
         near = sb.build_near_solution(k, a, pair, blocks)
         report = sb.residual_rate(near)
         return {"d": d, "n": n, "k": k, "a": a, "e0": pair.e0,

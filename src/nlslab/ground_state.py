@@ -10,6 +10,9 @@ truncated-domain quadrature misses the slowly decaying r^{-(d-2)} tail of
 W-like fields, which matters for the tightest identities (Pohozaev, sharp
 Sobolev constant).  tail="powerlaw" fits the exterior analytically from the
 last two nodes; tail="none" is the plain truncated quadrature.
+
+Background(grid) holds W (its grid's one sample_w call) and what the chain
+builds from it; every later layer reads them off it instead of rebuilding.
 """
 
 import numpy as np
@@ -67,6 +70,18 @@ def scaling_generator(d, r):
 def sample_w(grid):
     """W sampled on a RadialGrid."""
     return eval_w(grid.d, grid.r)
+
+
+class Background:
+    """W on one grid with what the chain builds from it: grid, W, p_c,
+    pot = W^{p_c-1} and lapl, the tail-closure Laplacian."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.W = sample_w(grid)
+        self.p_c = critical_exponent(grid.d)
+        self.pot = self.W ** (self.p_c - 1)
+        self.lapl = dz.build_laplacian(grid)
 
 
 def kinetic_norm(u, grid, tail="none", refine=False):

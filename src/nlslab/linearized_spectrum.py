@@ -43,23 +43,19 @@ TOL = 1e-10       # block residual, relative to e0, that ends the inverse iterat
 MAX_ITER = 40
 
 
-class LinearizedBlocks:
-    """The pair (L_plus, L_minus) on a grid, plus the underlying Laplacian.
+class LinearizedBlocks(gs.Background):
+    """The pair (L_plus, L_minus) on a grid, extending the grid's background,
+    which the blocks then serve as for the series, evolver and classifier.
 
     inverse_norms memoizes ||A_s^{-1}||_1 per shift s for the series profiles;
     hold memo_lock while reading or filling it.
     """
 
     def __init__(self, grid):
-        self.grid = grid
-        self.lapl = dz.build_laplacian(grid)
-        self.W = gs.sample_w(grid)
-        pc = gs.critical_exponent(grid.d)
-        self.p_c = pc
+        super().__init__(grid)
         T = self.lapl.matrix()
-        pot = self.W ** (pc - 1)
-        self.L_plus = (T + diags(pc * pot)).tocsc()
-        self.L_minus = (T + diags(pot)).tocsc()
+        self.L_plus = (T + diags(self.p_c * self.pot)).tocsc()
+        self.L_minus = (T + diags(self.pot)).tocsc()
         self.inverse_norms = {}
         self.memo_lock = threading.Lock()
 

@@ -38,6 +38,9 @@ so the Laplacian is applied once per profile, and the time samples are
 evaluated together, in row chunks of at most CHUNK_BYTES: one
 (samples x k)(k x nodes) product for u, one for the linear part, then the
 nonlinearity and the norms along rows.
+
+W, p_c, the potential W^{p_c-1} and the Laplacian come from the blocks, the
+ground_state.Background the profiles are solved on; a NearSolution keeps it.
 """
 
 import warnings
@@ -96,15 +99,14 @@ def reconstruct_p(table, z, p_c):
 # ---------------------------------------------------------------------------
 # nonlinear remainder and its linear part, evaluated directly
 
-def eval_gamma(v, grid):
+def eval_gamma(v, bg):
     """Linearized nonlinearity Gamma(v) = ((p_c+1)/2) W^{p_c-1} v + ((p_c-1)/2) W^{p_c-1} conj(v)."""
     v = np.asarray(v, dtype=complex)
-    pc = gs.critical_exponent(grid.d)
-    pot = gs.sample_w(grid) ** (pc - 1)
+    pc, pot = bg.p_c, bg.pot
     return (pc + 1) / 2 * pot * v + (pc - 1) / 2 * pot * np.conj(v)
 
 
-def eval_r(v, grid):
+def eval_r(v, bg):
     """Quadratic-and-higher remainder, returned as i R(v):
 
         i R(v) = |v+W|^{p_c-1}(v+W) - W^{p_c} - Gamma(v),
@@ -112,9 +114,8 @@ def eval_r(v, grid):
     evaluated pointwise from the displayed formula (not via the series).
     """
     v = np.asarray(v, dtype=complex)
-    pc = gs.critical_exponent(grid.d)
-    W = gs.sample_w(grid)
-    out = np.abs(v + W) ** (pc - 1) * (v + W) - W ** pc - eval_gamma(v, grid)
+    pc, W = bg.p_c, bg.W
+    out = np.abs(v + W) ** (pc - 1) * (v + W) - W ** pc - eval_gamma(v, bg)
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite remainder (field too large?)")
     return out
@@ -123,7 +124,7 @@ def eval_r(v, grid):
 # ---------------------------------------------------------------------------
 # order-by-order recursion
 
-def order_forcing(j, profiles, table, grid):
+def order_forcing(j, profiles, table, bg):
     """Order-j forcing F_j: the coefficient of e^{-j e0 t} in i R(v_k).
 
     profiles: sequence with profiles[m] = Phi_m for 1 <= m < j (index 0 unused).
@@ -136,9 +137,8 @@ def order_forcing(j, profiles, table, grid):
     for m in range(1, j):
         if profiles[m] is None:
             raise ValueError("missing profile Phi_%d" % (m,))
-    N = grid.nnodes
-    W = gs.sample_w(grid)
-    pc = gs.critical_exponent(grid.d)
+    N = bg.grid.nnodes
+    W, pc = bg.W, bg.p_c
     U = [np.zeros(N, complex) for _ in range(j + 1)]
     for m in range(1, j):
         U[m] = np.asarray(profiles[m], dtype=complex) / W
@@ -244,34 +244,31 @@ def solve_profile(j, forcing, pair, blocks):
 
 
 class NearSolution:
-    """W plus profiles {Phi_j^a}, evaluable at any time t."""
+    """W plus profiles {Phi_j^a} on a background, evaluable at any time t."""
 
-    def __init__(self, grid, k, a, e0, profiles, lapl=None, conditioning=None):
-        self.grid = grid
+    def __init__(self, background, k, a, e0, profiles, conditioning=None):
+        self.background = background
+        self.grid, self.W = background.grid, background.W
         self.k = int(k)
         self.a = float(a)
         self.e0 = float(e0)
         self.profiles = profiles  # profiles[j] for 1 <= j <= k; index 0 is None
-        self.lapl = lapl or dz.build_laplacian(grid)
         self.conditioning = conditioning or {}
-        self.W = gs.sample_w(grid)
 
 
 def build_near_solution(k, a, pair, blocks):
     """Run the order-by-order recursion up to order k with Phi_1 = a * Y_plus."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    grid = blocks.grid
     table = pz_coefficients(blocks.p_c, max(k, 2))
     profiles = [None, a * pair.y_plus]
     conditioning = {}
     for j in range(2, k + 1):
-        F = order_forcing(j, profiles, table, grid)
+        F = order_forcing(j, profiles, table, blocks)
         phi, cond = solve_profile(j, F, pair, blocks)
         profiles.append(phi)
         conditioning[j] = cond
-    return NearSolution(grid, k, a, pair.e0, profiles,
-                        lapl=blocks.lapl, conditioning=conditioning)
+    return NearSolution(blocks, k, a, pair.e0, profiles, conditioning=conditioning)
 
 
 def perturbation(near, t):
@@ -300,10 +297,10 @@ def _residual_norms(near, ts, sup_weight, lap_w):
     eps_k^a(t) = (i d/dt + Lap) W_k^a + |W_k^a|^{p_c-1} W_k^a at the times ts,
     given lap_w = Lap W (see the module docstring for the evaluation)."""
     grid, e0 = near.grid, near.e0
-    pc = gs.critical_exponent(grid.d)
+    pc = near.background.p_c
     rates = -e0 * np.arange(1, near.k + 1)
     phis = np.array(near.profiles[1:], dtype=complex)
-    glin = np.array([near.lapl.apply(phi) + 1j * rate * phi
+    glin = np.array([near.background.lapl.apply(phi) + 1j * rate * phi
                      for rate, phi in zip(rates, phis)])
     # real (samples x k) coefficients times complex profiles, as one real GEMM
     phis, glin = phis.view(float), glin.view(float)
@@ -330,7 +327,7 @@ def series_reconstruction(near, table, t):
     i R(v_k(t)) through order k (misses orders > k, i.e. O(e^{-(k+1) e0 t}))."""
     out = np.zeros(near.grid.nnodes, complex)
     for j in range(2, near.k + 1):
-        F = order_forcing(j, near.profiles, table, near.grid)
+        F = order_forcing(j, near.profiles, table, near.background)
         out += np.exp(-j * near.e0 * t) * F
     return out
 
@@ -383,9 +380,9 @@ def residual_rate(near, t_window=None, n_samples=121, span=60.0, sup_weight=2):
     Norms are interior weighted L^2; a weighted-sup variant <r>^sup_weight is
     fitted alongside.
     """
-    grid = near.grid
-    lap_w = near.lapl.apply(near.W)
-    floor_field = lap_w + near.W ** gs.critical_exponent(grid.d)
+    grid, bg = near.grid, near.background
+    lap_w = bg.lapl.apply(near.W)
+    floor_field = lap_w + near.W ** bg.p_c
     floor = dz.l2_norm(floor_field, grid, interior=True)
     sup_floor = dz.weighted_sup_norm(floor_field, sup_weight, 0, grid)
     t_k = validity_start(near)
@@ -433,7 +430,6 @@ def save_near_solution(dirpath, near, report=None):
     manifest = {
         "d": near.grid.d, "r_max": near.grid.r_max, "n": near.grid.n,
         "k": near.k, "a": near.a, "e0": near.e0,
-        "bc": near.lapl.bc,
         "t_k": validity_start(near),
         "conditioning": {str(j): c for j, c in near.conditioning.items()},
     }
@@ -450,8 +446,6 @@ def load_near_solution(dirpath):
     for j in range(1, meta["k"] + 1):
         phi, grid = dz.load_field(os.path.join(dirpath, "profile_%d.csv" % j))
         profiles.append(phi)
-    lapl = dz.build_laplacian(grid, bc=meta.get("bc", "tail"))
-    return NearSolution(grid, meta["k"], meta["a"], meta["e0"], profiles,
-                        lapl=lapl,
-                        conditioning={int(j): c for j, c in
-                                      meta.get("conditioning", {}).items()})
+    return NearSolution(gs.Background(grid), meta["k"], meta["a"], meta["e0"],
+                        profiles, conditioning={int(j): c for j, c in
+                                                meta.get("conditioning", {}).items()})

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nlslab import discretization as dz
+from nlslab import ground_state as gs
 from nlslab import linearized_spectrum as ls
 
 
@@ -19,6 +20,11 @@ def grid():
 @pytest.fixture(scope="session")
 def lapl(grid):
     return dz.build_laplacian(grid)
+
+
+@pytest.fixture(scope="session")
+def background(grid):
+    return gs.Background(grid)
 
 
 @pytest.fixture(scope="session")

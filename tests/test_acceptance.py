@@ -146,7 +146,8 @@ def test_criterion_6_homogeneity_and_translation(ref_grid, ref_pair,
 
 
 def test_criterion_7_evolver_certification(ref_grid):
-    lapl = dz.build_laplacian(ref_grid)
+    bg = gs.Background(ref_grid)
+    lapl = bg.lapl
     W = gs.sample_w(ref_grid).astype(complex)
     failures = []
 
@@ -154,7 +155,7 @@ def test_criterion_7_evolver_certification(ref_grid):
     e0 = 0.14029086451248082
     cfg = ev.EvolverConfig(dt=1e-3, t_span=(0.0, 10.0 / e0), sample_every=1.0,
                            linear_step="cayley")
-    trace = ev.evolve(W, cfg, ref_grid, lapl=lapl)
+    trace = ev.evolve(W, cfg, bg)
     dist = float(np.nanmax(trace.h1_dist))
     if not (trace.termination["status"] == "completed" and dist <= 1e-4):
         failures.append("modulated distance %.3e > 1e-4 (termination: %s); the "
@@ -222,8 +223,8 @@ def test_criterion_9_w_plus_behavior(tmp_path):
     assert checks["blowup-time-stable"]["shift"] <= 0.05
 
 
-def test_criterion_10_series_vs_direct_nonlinearity(ref_grid, ref_pair,
-                                                    ref_near):
+def test_criterion_10_series_vs_direct_nonlinearity(ref_grid, ref_blocks,
+                                                    ref_pair, ref_near):
     near = ref_near[3]
     table = sb.pz_coefficients(2.0, 3)
     rate = 4 * ref_pair.e0  # dropped orders decay at (k+1) e0
@@ -231,7 +232,7 @@ def test_criterion_10_series_vs_direct_nonlinearity(ref_grid, ref_pair,
     ts = t0 + np.linspace(1.0, 25.0, 7)
     diffs = []
     for t in ts:
-        direct = sb.eval_r(sb.perturbation(near, t), ref_grid)
+        direct = sb.eval_r(sb.perturbation(near, t), ref_blocks)
         series = sb.series_reconstruction(near, table, t)
         diffs.append(dz.l2_norm(direct - series, ref_grid, interior=True))
     diffs = np.array(diffs)

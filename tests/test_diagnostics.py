@@ -45,13 +45,13 @@ def _dist2_at(u, mu, grid):
     return dz.kinetic_sq(u - np.exp(1j * th) * Wm, grid)
 
 
-def test_fit_modulation_distance_is_the_direct_minimum(grid, lapl):
+def test_fit_modulation_distance_is_the_direct_minimum(grid, background):
     # W plus a bump; a scaled W focused past the amplitude threshold
     # (max|u| ~ 98 > 10 max W); a field far from the family
     cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 2.5), linear_step="cayley",
                            track_modulation=False)
-    focused = ev.evolve((1.8 * gs.sample_w(grid)).astype(complex), cfg, grid,
-                        lapl=lapl).final_state
+    focused = ev.evolve((1.8 * gs.sample_w(grid)).astype(complex), cfg,
+                        background).final_state
     fields = [gs.w_family(0.0, 1.0, grid) + 0.01 * np.exp(-(grid.r - 8) ** 2),
               focused,
               np.exp(-(grid.r / 3) ** 2) * (1 + 0.8j * np.cos(grid.r))]
@@ -76,7 +76,7 @@ def test_fit_modulation_flags_bracket_edge(grid):
     assert fit.mu == pytest.approx(3.0, abs=1e-6)
 
 
-def test_fit_modulation_refits_past_the_seeded_bracket_edge(grid, lapl):
+def test_fit_modulation_refits_past_the_seeded_bracket_edge(grid, background):
     # a focusing 1.8 W leaves the amplitude-seeded bracket from t ~ 2.44; the
     # refit past the hit edge reports what a wide bracket finds, and the
     # trace records that fit
@@ -86,12 +86,12 @@ def test_fit_modulation_refits_past_the_seeded_bracket_edge(grid, lapl):
         return ev.EvolverConfig(dt=0.005, t_span=(0.0, t_end), sample_every=0.05,
                                 linear_step="cayley", track_modulation=track)
 
-    trace = ev.evolve(u0, config(30.0, True), grid, lapl=lapl)
+    trace = ev.evolve(u0, config(30.0, True), background)
     hits = 0
     for t, mu, dist in zip(trace.times, trace.mu, trace.h1_dist):
         if t < 2.44:
             continue
-        u = ev.evolve(u0, config(t, False), grid, lapl=lapl).final_state
+        u = ev.evolve(u0, config(t, False), background).final_state
         fit = dg.fit_modulation(u, grid)
         if not fit.diagnostics["at_bracket_edge"]:
             continue
@@ -147,10 +147,10 @@ def test_rate_fit_recovers_random_rates(rate, logc):
 # ---------------------------------------------------------------------------
 # trace-level diagnostics on synthetic traces
 
-def _trace(grid, times, kinetic, energy=None, h1_dist=None, status="completed",
-           horizon=np.inf):
+def _trace(background, times, kinetic, energy=None, h1_dist=None,
+           status="completed", horizon=np.inf):
     cfg = ev.EvolverConfig(dt=0.01, t_span=(times[0], times[-1]))
-    tr = ev.EvolutionTrace(grid, cfg)
+    tr = ev.EvolutionTrace(background, cfg)
     tr.times = list(times)
     tr.kinetic = list(kinetic)
     tr.energy = list(energy if energy is not None else np.ones_like(times))
@@ -164,72 +164,72 @@ def _trace(grid, times, kinetic, energy=None, h1_dist=None, status="completed",
     return tr
 
 
-def test_kinetic_dichotomy_sides(grid):
+def test_kinetic_dichotomy_sides(grid, background):
     kin_w = np.sqrt(dz.kinetic_sq(gs.sample_w(grid), grid))
     t = np.linspace(0, 5, 11)
-    side, viol = dg.kinetic_dichotomy(_trace(grid, t, 0.9 * kin_w * np.ones(11)),
-                                      grid)
+    side, viol = dg.kinetic_dichotomy(
+        _trace(background, t, 0.9 * kin_w * np.ones(11)))
     assert side == "below" and viol == []
-    side, viol = dg.kinetic_dichotomy(_trace(grid, t, 1.1 * kin_w * np.ones(11)),
-                                      grid)
+    side, viol = dg.kinetic_dichotomy(
+        _trace(background, t, 1.1 * kin_w * np.ones(11)))
     assert side == "above" and viol == []
     kin = 1.1 * kin_w * np.ones(11)
     kin[4] = 0.9 * kin_w
-    side, viol = dg.kinetic_dichotomy(_trace(grid, t, kin), grid)
+    side, viol = dg.kinetic_dichotomy(_trace(background, t, kin))
     assert side == "mixed" and viol == [t[4]]
-    side, _ = dg.kinetic_dichotomy(_trace(grid, t, kin_w * np.ones(11)), grid)
+    side, _ = dg.kinetic_dichotomy(_trace(background, t, kin_w * np.ones(11)))
     assert side == "at"
 
 
-def test_classify_blowup(grid):
+def test_classify_blowup(background):
     t = np.linspace(0, 3, 7)
-    tr = _trace(grid, t, np.ones(7), status="blowup-detected")
-    rep = dg.classify(tr, grid)
+    tr = _trace(background, t, np.ones(7), status="blowup-detected")
+    rep = dg.classify(tr)
     assert rep.regime == "blowup"
     assert rep.details["termination"]["status"] == "blowup-detected"
 
 
-def test_classify_converges_to_w(grid):
+def test_classify_converges_to_w(grid, background):
     kin_w = np.sqrt(dz.kinetic_sq(gs.sample_w(grid), grid))
     t = np.linspace(0, 30, 61)
     dist = 2.0 * np.exp(-0.14 * t)
     # keep the proxy ratio away from the scattering threshold
     K = kin_w * np.ones_like(t)
     E = 0.2 * K ** 2
-    tr = _trace(grid, t, 0.99 * K, energy=E, h1_dist=dist)
-    rep = dg.classify(tr, grid)
+    tr = _trace(background, t, 0.99 * K, energy=E, h1_dist=dist)
+    rep = dg.classify(tr)
     assert rep.regime == "converges-to-W"
     assert rep.rate.rate == pytest.approx(0.14, rel=0.05)
 
 
-def test_classify_scattering_proxy(grid):
+def test_classify_scattering_proxy(background):
     t = np.linspace(0, 20, 41)
     K = np.ones_like(t)
     ratio = 0.6 * np.exp(-0.5 * t)  # crosses 0.05 around t ~ 5
     E = 0.5 * K ** 2 * (1 - ratio)
-    tr = _trace(grid, t, K, energy=E, horizon=50.0)
-    rep = dg.classify(tr, grid)
+    tr = _trace(background, t, K, energy=E, horizon=50.0)
+    rep = dg.classify(tr)
     assert rep.regime == "scattering-proxy"
     assert rep.details["proxy_reached_t"] < 6.0
 
 
-def test_classify_respects_reflection_horizon(grid):
+def test_classify_respects_reflection_horizon(background):
     t = np.linspace(0, 20, 41)
     K = np.ones_like(t)
     ratio = 0.6 * np.exp(-0.5 * t)
     E = 0.5 * K ** 2 * (1 - ratio)
-    tr = _trace(grid, t, K, energy=E, horizon=2.0)
-    rep = dg.classify(tr, grid)
+    tr = _trace(background, t, K, energy=E, horizon=2.0)
+    rep = dg.classify(tr)
     assert rep.regime == "undetermined"
     assert rep.details.get("proxy_after_horizon") is True
 
 
-def test_classify_undetermined(grid):
+def test_classify_undetermined(background):
     t = np.linspace(0, 10, 21)
     K = np.ones_like(t)
     E = 0.2 * K ** 2  # ratio fixed at 0.6, no distance data
-    tr = _trace(grid, t, K, energy=E)
-    rep = dg.classify(tr, grid)
+    tr = _trace(background, t, K, energy=E)
+    rep = dg.classify(tr)
     assert rep.regime == "undetermined"
     out = rep.as_dict()
     assert out["regime"] == "undetermined"

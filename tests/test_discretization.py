@@ -140,15 +140,6 @@ def test_kinetic_is_laplacian_quadratic_form(grid, lapl, rng):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_dirichlet_bc_differs_only_on_boundary_row(grid):
-    tail = dz.build_laplacian(grid, bc="tail")
-    diri = dz.build_laplacian(grid, bc="dirichlet")
-    assert np.array_equal(tail.di[:-1], diri.di[:-1])
-    assert tail.di[-1] != diri.di[-1]
-    with pytest.raises(ValueError):
-        dz.build_laplacian(grid, bc="neumann")
-
-
 def test_matrix_agrees_with_apply(grid, lapl, rng):
     u = rng.standard_normal(grid.nnodes)
     assert np.allclose(lapl.matrix() @ u, lapl.apply(u), rtol=1e-13, atol=1e-13)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from nlslab import cli
 from nlslab import discretization as dz
 from nlslab import experiments as ex
+from nlslab import ground_state as gs
 
 SMALL_GRID = {"d": 6, "r_max": 40.0, "n": 800}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_validate_config_accepts_defaults():
@@ -39,6 +42,82 @@ def test_validate_config_reports_field_paths():
     errs = ex.validate_config({"scenario": "ground-state",
                                "evolver": {"dt": -1}})
     assert any("evolver.dt" in e for e in errs)
+
+
+def test_validate_config_rejects_unknown_keys():
+    # a key no pipeline of the scenario reads, at the top level or inside
+    # grid, series, evolver, initial or ranges
+    cases = [
+        ({"scenario": "ground-state", "evolvr": {}}, "evolvr"),
+        ({"scenario": "spectrum", "grid": dict(SMALL_GRID, m=1)}, "grid.m"),
+        ({"scenario": "sweep", "ranges": {"n": [800]},
+          "grid": {"r_max": 40.0, "n": 800}}, "grid.n"),
+        ({"scenario": "spectrum", "series": {"k": 2}}, "series"),
+        ({"scenario": "evolve-near-solution", "series": {"k": 3, "a": 2.0}},
+         "series.a"),
+        ({"scenario": "evolve-near-solution", "evolver": {"t_span": [0, 1]}},
+         "evolver.t_span"),
+        ({"scenario": "classify-custom",
+          "initial": {"kind": "scaled-w", "factor": 1.8, "facter": 2.0}},
+         "initial.facter"),
+        ({"scenario": "sweep", "ranges": {"k": [1], "j": [2]}}, "ranges.j"),
+    ]
+    for cfg, path in cases:
+        assert ex.validate_config(cfg) == ["%s: unknown key" % path], cfg
+
+
+def test_unknown_key_fails_before_a_run_directory(tmp_path, capsys):
+    cfg = {"scenario": "ground-state", "grid": dict(SMALL_GRID), "evolvr": {}}
+    out = tmp_path / "runs"
+    with pytest.raises(ex.ConfigError) as exc:
+        ex.run(cfg, out_dir=str(out))
+    assert exc.value.errors == ["evolvr: unknown key"]
+    rc = cli.main(["ground-state", "--config", _write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == 2
+    assert "evolvr: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_documented_and_benchmark_configs_validate(monkeypatch):
+    with open(os.path.join(ROOT, "README.md")) as f:
+        examples = re.findall(r"```json\n(.*?)```", f.read(), re.S)
+    assert len(examples) == 3
+    for text in examples:
+        assert ex.validate_config(json.loads(text)) == [], text
+    # the config each benchmark workload hands to ex.run, at both scales
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import workloads
+    seen = []
+    monkeypatch.setattr(ex, "run", lambda cfg, **kw: seen.append(cfg))
+    for name in workloads.NAMES:
+        for smoke in (False, True):
+            workloads.call(name, workloads.params(name, 1, smoke=smoke), "", ex)
+    assert len(seen) == 6
+    for cfg in seen:
+        assert ex.validate_config(cfg) == [], cfg
+
+
+def test_one_sample_w_per_grid(tmp_path, monkeypatch):
+    # W is sampled once per grid a run builds: build-series samples its grid
+    # and the coarse grid of the spectrum's shift sweep, classify-custom its
+    # grid, and every later layer reads W off that background
+    grids = []
+    sample_w = gs.sample_w
+
+    def counted(grid):
+        grids.append(grid)
+        return sample_w(grid)
+
+    monkeypatch.setattr(gs, "sample_w", counted)
+    ex.run({"scenario": "build-series", "grid": dict(SMALL_GRID)},
+           out_dir=str(tmp_path))
+    assert grids == [dz.build_grid(**SMALL_GRID), dz.build_grid(6, 40.0, 400)]
+    del grids[:]
+    ex.run({"scenario": "classify-custom", "grid": dict(SMALL_GRID),
+            "initial": {"kind": "scaled-w", "factor": 1.8},
+            "evolver": {"dt": 0.01, "t_span": [0.0, 1.0]}}, out_dir=str(tmp_path))
+    assert grids == [dz.build_grid(**SMALL_GRID)]
 
 
 def test_config_hash_is_canonical():

@@ -48,15 +48,15 @@ def test_expansion_reconstructs_p():
     assert err < 1e-6  # remainder ~ |z|^7
 
 
-def test_eval_r_is_quadratically_small(grid):
+def test_eval_r_is_quadratically_small(grid, background):
     # i R(v) strips the constant and linear parts, so ||R(eps v)|| = O(eps^2)
     v = gs.sample_w(grid) * (0.3 + 0.2j)
-    n1 = np.max(np.abs(sb.eval_r(1e-3 * v, grid)))
-    n2 = np.max(np.abs(sb.eval_r(2e-3 * v, grid)))
+    n1 = np.max(np.abs(sb.eval_r(1e-3 * v, background)))
+    n2 = np.max(np.abs(sb.eval_r(2e-3 * v, background)))
     assert n2 / n1 == pytest.approx(4.0, rel=1e-2)
 
 
-def test_eval_gamma_is_the_derivative_of_the_nonlinearity(grid):
+def test_eval_gamma_is_the_derivative_of_the_nonlinearity(grid, background):
     # Gamma(v) = d/deps [ |W+eps v|^{p_c-1}(W+eps v) ] at eps = 0
     pc = gs.critical_exponent(grid.d)
     W = gs.sample_w(grid)
@@ -68,7 +68,7 @@ def test_eval_gamma_is_the_derivative_of_the_nonlinearity(grid):
         return np.abs(u) ** (pc - 1) * u
 
     fd = (nl(h) - nl(-h)) / (2 * h)
-    assert np.max(np.abs(sb.eval_gamma(v, grid) - fd)) < 1e-7
+    assert np.max(np.abs(sb.eval_gamma(v, background) - fd)) < 1e-7
 
 
 def test_series_reconstruction_matches_direct_remainder(grid, pair, blocks, near2):
@@ -77,7 +77,7 @@ def test_series_reconstruction_matches_direct_remainder(grid, pair, blocks, near
     table = sb.pz_coefficients(blocks.p_c, 4)
     t = 18.0
     v = sb.perturbation(near2, t)
-    direct = sb.eval_r(v, grid)
+    direct = sb.eval_r(v, blocks)
     series = sb.series_reconstruction(near2, table, t)
     miss = dz.l2_norm(direct - series, grid, interior=True)
     assert miss < 10 * np.exp(-3 * pair.e0 * t) * dz.l2_norm(direct, grid,
@@ -89,7 +89,7 @@ def test_solve_profile_satisfies_block_equations(grid, pair, blocks):
     #   L_plus f + j e0 g = -Re F,   L_minus g - j e0 f = -Im F
     table = sb.pz_coefficients(blocks.p_c, 3)
     profiles = [None, 1.0 * pair.y_plus]
-    F = sb.order_forcing(2, profiles, table, grid)
+    F = sb.order_forcing(2, profiles, table, blocks)
     phi, cond = sb.solve_profile(2, F, pair, blocks)
     f, g = phi.real, phi.imag
     je0 = 2 * pair.e0
@@ -111,7 +111,7 @@ def test_solve_profile_reports_block_conditioning(grid, pair, blocks):
     profiles = [None, 1.0 * pair.y_plus]
     N = grid.nnodes
     for j in (2, 3, 4):
-        F = sb.order_forcing(j, profiles, table, grid)
+        F = sb.order_forcing(j, profiles, table, blocks)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             phi, cond = sb.solve_profile(j, F, pair, blocks)
@@ -127,7 +127,7 @@ def test_solve_profile_warns_at_resonance(grid, pair, blocks):
     # with the rate halved, 2 * e0 hits the eigenvalue e0 of the eigen-block;
     # the second call, served from the memo, warns too
     table = sb.pz_coefficients(blocks.p_c, 3)
-    F = sb.order_forcing(2, [None, pair.y_plus], table, grid)
+    F = sb.order_forcing(2, [None, pair.y_plus], table, blocks)
     half = ls.EigenPair(pair.e0 / 2, pair.y1, pair.y2)
     for _ in range(2):
         with pytest.warns(UserWarning, match="near-singular"):
@@ -153,7 +153,7 @@ def test_solve_profile_memoizes_the_inverse_norm(monkeypatch, grid, pair):
     blocks = ls.build_blocks(grid)
     calls = _counting_estimator(monkeypatch)
     table = sb.pz_coefficients(blocks.p_c, 3)
-    F = sb.order_forcing(2, [None, pair.y_plus], table, grid)
+    F = sb.order_forcing(2, [None, pair.y_plus], table, blocks)
     phi, cond = sb.solve_profile(2, F, pair, blocks)
     phi2, cond2 = sb.solve_profile(2, F, pair, blocks)
     assert len(calls) == 1
@@ -168,7 +168,7 @@ def test_solve_profile_memo_under_threads(monkeypatch, grid, pair):
     blocks = ls.build_blocks(grid)
     calls = _counting_estimator(monkeypatch, delay=0.05)
     table = sb.pz_coefficients(blocks.p_c, 3)
-    F = sb.order_forcing(2, [None, pair.y_plus], table, grid)
+    F = sb.order_forcing(2, [None, pair.y_plus], table, blocks)
     pairs = [pair, ls.EigenPair(0.9 * pair.e0, pair.y1, pair.y2)] * 3
     start = threading.Barrier(len(pairs))
 
@@ -226,9 +226,9 @@ def test_residual_norms_reject_non_finite_values(grid, pair, blocks):
 def test_order_forcing_requires_lower_profiles(grid, pair, blocks):
     table = sb.pz_coefficients(blocks.p_c, 3)
     with pytest.raises(ValueError):
-        sb.order_forcing(3, [None, pair.y_plus, None], table, grid)
+        sb.order_forcing(3, [None, pair.y_plus, None], table, blocks)
     with pytest.raises(ValueError):
-        sb.order_forcing(1, [None], table, grid)
+        sb.order_forcing(1, [None], table, blocks)
 
 
 def test_residual_rate_k1(grid, pair, blocks):
