@@ -23,7 +23,6 @@ r^{-(d-2)} through a ghost node (a diagonal-only modification).  The chain
 builds this operator once per grid, in ground_state.Background.
 """
 
-import io
 import json
 import math
 
@@ -260,16 +259,20 @@ def save_field(path, u, grid):
             f.write("%.17g,%.17g,%.17g\n" % (ri, ui.real, ui.imag))
 
 
-def load_field(path):
-    """Read a field snapshot; returns (values, grid)."""
+def field_grid(path):
+    """The grid of a field snapshot, read from its header line alone."""
     with open(path) as f:
         header = f.readline()
-        if not header.startswith("#"):
-            raise ValueError("missing field header in %s" % (path,))
-        meta = dict(tok.split("=") for tok in header[1:].split())
-        body = f.read()
-    data = np.loadtxt(io.StringIO(body), delimiter=",", skiprows=1)
-    grid = build_grid(int(meta["d"]), float(meta["r_max"]), int(meta["n"]))
+    if not header.startswith("#"):
+        raise ValueError("missing field header in %s" % (path,))
+    meta = dict(tok.split("=") for tok in header[1:].split())
+    return build_grid(int(meta["d"]), float(meta["r_max"]), int(meta["n"]))
+
+
+def load_field(path):
+    """Read a field snapshot; returns (values, grid)."""
+    grid = field_grid(path)
+    data = np.loadtxt(path, delimiter=",", skiprows=2)
     if data.shape[0] != grid.nnodes:
         raise ValueError("row count does not match header grid in %s" % (path,))
     return data[:, 1] + 1j * data[:, 2], grid

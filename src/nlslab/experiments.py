@@ -3,8 +3,8 @@
 Configs are JSON (versioned schema).  Each run writes into an append-only
 directory named by the content hash of its config, containing the declared
 outputs plus a manifest.json echoing the config, library versions, wall
-time (a sweep adds the seconds of its spectra and of its cells under
-"timings"), an output index, and the pass/fail record of every embedded check.
+time (a sweep adds the seconds of its spectra and unit series and of its
+cells under "timings"), an output index, and the pass/fail record of every embedded check.
 Numerics are deterministic (fixed iteration orders), so rerunning a config
 reproduces every output but the manifest byte-for-byte.  A config holds
 only keys its scenario's pipeline reads (_READS).  A pipeline builds one
@@ -49,6 +49,11 @@ _READS = {
     "sweep": {"grid": ("r_max",), "ranges": ("d", "n", "k", "a")},
 }
 SCENARIOS = tuple(_READS)
+# the values a key takes, in any section and in each entry of ranges: the
+# least integer allowed, or "positive" or "finite" for a real number
+_WANT = {"d": 3, "n": 16, "k": 1, "r_max": "positive", "a": "finite",
+         "factor": "finite", "seed_t0": "finite", "backward_span": "positive",
+         "departure_floor": "positive", "dt": "positive", "sample_every": "positive"}
 
 
 class ConfigError(ValueError):
@@ -79,21 +84,30 @@ def validate_config(cfg):
     g = cfg.get("grid", DEFAULT_GRID)
     if scen == "sweep":  # r_max only: d and n come from the ranges
         g = dict(DEFAULT_GRID, **g)
-    for key, typ in (("d", int), ("r_max", (int, float)), ("n", int)):
-        if key not in g:
-            errors.append("grid.%s: missing" % key)
-        elif not isinstance(g[key], typ) or isinstance(g[key], bool):
-            errors.append("grid.%s: expected %s, got %r" % (key, typ, g[key]))
-    if not errors:
-        if g["d"] < 3:
-            errors.append("grid.d: must be >= 3")
-        if g["r_max"] <= 0:
-            errors.append("grid.r_max: must be positive")
-        if g["n"] < 16:
-            errors.append("grid.n: must be >= 16")
-    k = cfg.get("series", {}).get("k", 3)
-    if not isinstance(k, int) or k < 1:
-        errors.append("series.k: expected integer >= 1, got %r" % (k,))
+    errors += ["grid.%s: missing" % key for key in _GRID if key not in g]
+    values = [("grid." + key, key, val) for key, val in g.items()]
+    values += [(key, key, val) for key, val in cfg.items() if key in _WANT]
+    for sec in ("series", "initial", "evolver"):
+        values += [(sec + "." + key, key, val)
+                   for key, val in cfg.get(sec, {}).items() if key in _WANT]
+    if scen == "sweep" and "ranges" not in cfg:
+        errors.append("ranges: expected an object with parameter lists")
+    for key, vals in cfg.get("ranges", {}).items():
+        if not isinstance(vals, list) or not vals:
+            errors.append("ranges.%s: expected a nonempty list" % key)
+        else:
+            values += [("ranges.%s[%d]" % (key, i), key, val) for i, val in enumerate(vals)]
+    for path, key, val in values:
+        want = _WANT[key]
+        if isinstance(want, int) and not (isinstance(val, int) and _number(val) and val >= want):
+            errors.append("%s: expected integer >= %d, got %r" % (path, want, val))
+        elif isinstance(want, str) and not (_number(val) and (want == "finite" or val > 0)):
+            errors.append("%s: expected a %s number, got %r" % (path, want, val))
+    ecfg = cfg.get("evolver", {})
+    span = ecfg.get("t_span", (0.0, 1.0))
+    if not (isinstance(span, (list, tuple)) and len(span) == 2 and all(map(_number, span))):
+        errors.append("evolver.t_span: expected [t0, t1], two finite numbers, got %r"
+                      % (span,))
     if cfg.get("sign", -1) not in (1, -1):
         errors.append("sign: expected +1 or -1, got %r" % (cfg["sign"],))
     init = cfg.get("initial", {})
@@ -102,16 +116,18 @@ def validate_config(cfg):
                       % (init.get("kind"),))
     elif init.get("kind") == "scaled-w" and "factor" not in init:
         errors.append("initial.factor: missing")
-    elif init.get("kind") == "field" and "path" not in init:
-        errors.append("initial.path: missing")
-    if scen == "sweep" and "ranges" not in cfg:
-        errors.append("ranges: expected an object with parameter lists")
-    for key, vals in cfg.get("ranges", {}).items():
-        if not isinstance(vals, list) or not vals:
-            errors.append("ranges.%s: expected a nonempty list" % key)
-    ecfg = cfg.get("evolver", {})
-    if "dt" in ecfg and (not isinstance(ecfg["dt"], (int, float)) or ecfg["dt"] <= 0):
-        errors.append("evolver.dt: expected positive number, got %r" % (ecfg["dt"],))
+    elif init.get("kind") == "field" and not isinstance(init.get("path"), str):
+        errors.append("initial.path: expected a file path, got %r" % (init.get("path"),))
+    elif init.get("kind") == "field" and not errors:
+        try:
+            fgrid = dz.field_grid(init["path"])
+        except (OSError, ValueError, KeyError) as exc:
+            errors.append("initial.path: %s: %s" % (type(exc).__name__, exc))
+        else:
+            grid = _grid_from(cfg)
+            if fgrid != grid:
+                errors.append("initial.path: field grid %r does not match config "
+                              "grid %r" % (fgrid, grid))
     if "linear_step" in ecfg and ecfg["linear_step"] not in ev.LINEAR_STEPS:
         errors.append("evolver.linear_step: expected one of %s, got %r"
                       % (list(ev.LINEAR_STEPS), ecfg["linear_step"]))
@@ -122,6 +138,11 @@ def validate_config(cfg):
         except ValueError as exc:
             errors.append("evolver.linear_step: %s" % exc)
     return errors
+
+
+def _number(val):
+    """A finite real number, given as an int or a float (not a bool)."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and -np.inf < val < np.inf
 
 
 def config_hash(cfg):
@@ -282,16 +303,12 @@ def _run_wpm(cfg, rundir):
 
 
 def _run_classify(cfg, rundir):
-    grid = _grid_from(cfg)
     init = cfg["initial"]
-    bg = gs.Background(grid)
+    bg = gs.Background(_grid_from(cfg))
     if init["kind"] == "scaled-w":
         u0 = init["factor"] * bg.W.astype(complex)
     else:
-        u0, fgrid = dz.load_field(init["path"])
-        if fgrid != grid:
-            raise ConfigError(["initial.path: field grid %r does not match "
-                               "config grid %r" % (fgrid, grid)])
+        u0 = dz.load_field(init["path"])[0]  # on the config grid: validated
     ecfg = cfg.get("evolver", {})
     config = _evolver_config(ecfg, tuple(ecfg.get("t_span", (0.0, 20.0))))
     trace = ev.evolve(u0, config, bg)
@@ -311,22 +328,35 @@ def _run_sweep(cfg, rundir, workers=1):
     aa = ranges.get("a", [1.0])
     r_max = cfg.get("grid", {}).get("r_max", DEFAULT_GRID["r_max"])
 
-    # shared precomputations per (d, n); the blocks' memo is filled by the cells
+    # per (d, n): the spectrum and one a = 1 series at the largest k.  A cell
+    # scales its prefix by Phi_j^a = a^j Phi_j^1 (acceptance criterion 6 checks
+    # this against the direct solve) and still evaluates its own PDE residual.
+    # Grids of one d share the memoized coarse shift of the spectrum.
     t0 = _time.perf_counter()
-    spectra = {(d, n): _spectrum(dz.build_grid(d, r_max, n)) for d in ds for n in ns}
+    units, failures = {}, {}
+    for d in ds:
+        for n in ns:
+            blocks, pair = _spectrum(dz.build_grid(d, r_max, n))
+            try:
+                units[(d, n)] = sb.build_near_solution(max(ks), 1.0, pair, blocks)
+            except Exception as exc:  # recorded for each of the grid's cells
+                failures.update(dict.fromkeys([(d, n, k, a) for k in ks for a in aa],
+                                              "%s: %s" % (type(exc).__name__, exc)))
 
     def cell(params):
         d, n, k, a = params
-        blocks, pair = spectra[(d, n)]
-        near = sb.build_near_solution(k, a, pair, blocks)
+        unit = units[(d, n)]
+        profiles = [None] + [a ** j * unit.profiles[j] for j in range(1, k + 1)]
+        near = sb.NearSolution(unit.background, k, a, unit.e0, profiles,
+                               {j: unit.conditioning[j] for j in range(2, k + 1)})
         report = sb.residual_rate(near)
-        return {"d": d, "n": n, "k": k, "a": a, "e0": pair.e0,
+        return {"d": d, "n": n, "k": k, "a": a, "e0": unit.e0,
                 "t_k": report.t_k, "rate": report.rate,
-                "rate_target": (k + 1) * pair.e0}
+                "rate_target": (k + 1) * unit.e0}
 
     t1 = _time.perf_counter()
-    cells = [(d, n, k, a) for d in ds for n in ns for k in ks for a in aa]
-    rows, failures = {}, {}
+    cells = [(d, n, k, a) for d, n in units for k in ks for a in aa]
+    rows = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         futs = {pool.submit(cell, c): c for c in cells}
         for fut in concurrent.futures.as_completed(futs):

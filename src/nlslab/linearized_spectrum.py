@@ -29,7 +29,7 @@ B - s I with the single factorization of A_s, which certifies the eigenpair
 to near round-off.
 """
 
-import threading
+import functools
 
 import numpy as np
 from scipy.linalg import lapack
@@ -45,19 +45,13 @@ MAX_ITER = 40
 
 class LinearizedBlocks(gs.Background):
     """The pair (L_plus, L_minus) on a grid, extending the grid's background,
-    which the blocks then serve as for the series, evolver and classifier.
-
-    inverse_norms memoizes ||A_s^{-1}||_1 per shift s for the series profiles;
-    hold memo_lock while reading or filling it.
-    """
+    which the blocks then serve as for the series, evolver and classifier."""
 
     def __init__(self, grid):
         super().__init__(grid)
         T = self.lapl.matrix()
         self.L_plus = (T + diags(self.p_c * self.pot)).tocsc()
         self.L_minus = (T + diags(self.pot)).tocsc()
-        self.inverse_norms = {}
-        self.memo_lock = threading.Lock()
 
 
 def build_blocks(grid):
@@ -113,12 +107,13 @@ class EigenPair:
         return self.y1 + 1j * self.y2
 
 
+@functools.cache
 def _coarse_shift(d, r_max, n):
     """Coarse-grid estimate sqrt(-lambda) of e0, with lambda the most negative
     eigenvalue of L_minus L_plus from a dense sweep on n cells.
 
     Anchors the fine-grid inverse iteration away from truncated-continuum
-    artifacts.
+    artifacts.  Memoized: grids sharing d, r_max and n here run it once.
     """
     blocks = LinearizedBlocks(dz.build_grid(d, r_max, n))
     lam = np.linalg.eigvals((blocks.L_minus @ blocks.L_plus).toarray())

@@ -22,10 +22,8 @@ solved as it stands (no Schur complement, which would square the condition
 number of the Laplacian) with the banded LU of linearized_spectrum.factor_block,
 the same factorization the eigenmode is computed with.  The reported
 conditioning needs ||A_s^{-1}||_1, whose estimate costs ten times the profile
-solve; it depends only on the grid and s = j e0, so it is estimated once per
-LinearizedBlocks and s and memoized there (the factorization itself is redone
-per call: holding the LU factors would cost more memory than refactoring
-costs time).
+solve; no scenario solves one grid at one s = j e0 twice (a sweep scales one
+unit-amplitude series, Phi_j^a = a^j Phi_j^1), so it is not memoized.
 
 The residual eps_k = (i d/dt + Lap) W_k^a + |W_k^a|^{p_c-1} W_k^a is linear in
 the profiles except for its last term:
@@ -217,23 +215,16 @@ def solve_profile(j, forcing, pair, blocks):
     eigenvalues are +-e0; so absent resonance the smallest singular value of
     A_j is ~ (j - 1) e0.  A warning fires, on every call, when the estimated
     smallest singular value drops far below that baseline, i.e. when j*e0
-    comes close to the discrete spectrum.  The inverse norm is estimated once
-    per (blocks, j e0) and memoized on blocks.
+    comes close to the discrete spectrum.
     """
     if j < 2:
         raise ValueError("solve_profile needs j >= 2; Phi_1 = a * Y_plus")
     e0 = pair.e0
-    s = j * e0
-    solve, norm_a = ls.factor_block(blocks, s)
+    solve, norm_a = ls.factor_block(blocks, j * e0)
     # complex storage is exactly the interleaved (Re, Im) layout
     rhs = (-np.asarray(forcing, dtype=complex)).view(float)
     phi = solve(rhs).view(complex)
-    # the lock is held through the estimate, so a concurrent cell waits for
-    # it instead of repeating it
-    with blocks.memo_lock:
-        inv_norm = blocks.inverse_norms.get(s)
-        if inv_norm is None:
-            inv_norm = blocks.inverse_norms[s] = _inverse_onenorm(solve, rhs.size)
+    inv_norm = _inverse_onenorm(solve, rhs.size)
     sigma_min_est = 1.0 / inv_norm
     baseline = (j - 1) * e0
     if sigma_min_est < 0.01 * baseline:

@@ -11,6 +11,8 @@ from nlslab import cli
 from nlslab import discretization as dz
 from nlslab import experiments as ex
 from nlslab import ground_state as gs
+from nlslab import linearized_spectrum as ls
+from nlslab import series_builder as sb
 
 SMALL_GRID = {"d": 6, "r_max": 40.0, "n": 800}
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -110,6 +112,7 @@ def test_one_sample_w_per_grid(tmp_path, monkeypatch):
         return sample_w(grid)
 
     monkeypatch.setattr(gs, "sample_w", counted)
+    ls._coarse_shift.cache_clear()  # an earlier test may have swept this coarse grid
     ex.run({"scenario": "build-series", "grid": dict(SMALL_GRID)},
            out_dir=str(tmp_path))
     assert grids == [dz.build_grid(**SMALL_GRID), dz.build_grid(6, 40.0, 400)]
@@ -156,6 +159,61 @@ def test_bad_evolver_options_fail_before_a_run_directory(tmp_path):
     # the scenarios that never evolve ignore the cap
     assert ex.validate_config({"scenario": "spectrum", "grid": cfg["grid"],
                                "evolver": {"linear_step": "exact"}}) == []
+
+
+def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
+    # each wrong value is reported under its field path, before any output
+    sweep = {"scenario": "sweep", "grid": {"r_max": 40.0}}
+    wpm = {"scenario": "evolve-near-solution", "grid": dict(SMALL_GRID)}
+    scaled = {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
+              "initial": {"kind": "scaled-w", "factor": 1.8}}
+    cases = [
+        (dict(sweep, ranges={"k": [1, "2"]}), "ranges.k[1]: expected integer >= 1"),
+        (dict(sweep, ranges={"a": ["x"]}), "ranges.a[0]: expected a finite number"),
+        (dict(sweep, ranges={"a": [1.0, float("nan")]}), "ranges.a[1]:"),
+        (dict(sweep, ranges={"n": [400.5]}), "ranges.n[0]: expected integer >= 16"),
+        (dict(sweep, ranges={"n": [8]}), "ranges.n[0]: expected integer >= 16"),
+        (dict(sweep, ranges={"d": [True]}), "ranges.d[0]: expected integer >= 3"),
+        (dict(sweep, ranges={"k": [0]}), "ranges.k[0]: expected integer >= 1"),
+        (dict(scaled, initial={"kind": "scaled-w", "factor": "big"}),
+         "initial.factor: expected a finite number"),
+        (dict(wpm, seed_t0="early"), "seed_t0: expected a finite number"),
+        (dict(wpm, backward_span=-1.0), "backward_span: expected a positive number"),
+        (dict(wpm, departure_floor=0), "departure_floor: expected a positive number"),
+        (dict(wpm, evolver={"sample_every": 0.0}),
+         "evolver.sample_every: expected a positive number"),
+        (dict(scaled, evolver={"t_span": [0.0, "20"]}), "evolver.t_span: expected"),
+        (dict(scaled, evolver={"t_span": [20.0]}), "evolver.t_span: expected"),
+        ({"scenario": "build-series", "series": {"a": "one"}},
+         "series.a: expected a finite number"),
+    ]
+    out = tmp_path / "runs"
+    for cfg, msg in cases:
+        with pytest.raises(ex.ConfigError) as exc:
+            ex.run(cfg, out_dir=str(out))
+        assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith(msg), cfg
+    rc = cli.main(["sweep", "--config", _write_cfg(tmp_path, cases[0][0]),
+                   "--out", str(out)])
+    assert rc == 2
+    assert "ranges.k[1]:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_field_on_another_grid_fails_before_a_run_directory(tmp_path, capsys):
+    grid = dz.build_grid(6, 40.0, 400)
+    path = str(tmp_path / "init.csv")
+    dz.save_field(path, gs.sample_w(grid).astype(complex), grid)
+    cfg = {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
+           "initial": {"kind": "field", "path": path}}
+    out = tmp_path / "runs"
+    rc = cli.main(["classify", "--config", _write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == 2
+    assert ("initial.path: field grid %r does not match config grid %r"
+            % (grid, dz.build_grid(**SMALL_GRID))) in capsys.readouterr().err
+    assert not out.exists()
+    cfg["initial"]["path"] = str(tmp_path / "missing.csv")
+    assert ex.validate_config(cfg)[0].startswith("initial.path: FileNotFoundError")
 
 
 def test_cli_rejects_bad_evolver_option(tmp_path, capsys):
@@ -289,6 +347,65 @@ def test_sweep_aggregate_independent_of_workers(tmp_path):
             texts.append(f.read())
     assert texts[0] == texts[1]
     assert texts[0].count(b"\n") == 7
+
+
+def test_sweep_rows_match_direct_cells(tmp_path):
+    # each cell scales the grid's unit series by a^j; a direct per-cell solve
+    # differs from it by round-off only
+    cfg = {"ranges": {"d": [6], "n": [800], "k": [1, 2, 3],
+                      "a": [1.0, -1.0, 1.6, -1.6]}, "grid": {"r_max": 40.0}}
+    manifest = ex.sweep(cfg, out_dir=str(tmp_path), workers=2)
+    assert manifest["ok"]
+    rows = np.loadtxt(os.path.join(manifest["run_dir"], "aggregate.csv"),
+                      delimiter=",", skiprows=1)
+    assert rows.shape == (12, 8)
+    blocks = ls.build_blocks(dz.build_grid(**SMALL_GRID))
+    pair = ls.ground_mode(blocks)
+    for d, n, k, a, e0, t_k, rate, target in rows:
+        report = sb.residual_rate(sb.build_near_solution(int(k), a, pair, blocks))
+        assert e0 == pair.e0
+        assert abs(t_k - report.t_k) <= 1e-12 * max(1.0, abs(report.t_k)), (k, a)
+        assert abs(rate - report.rate) <= 1e-9 * report.rate, (k, a)
+
+
+def test_sweep_solves_one_series_and_one_coarse_sweep(tmp_path, monkeypatch):
+    # one unit series per grid (k_max - 1 profile solves), and the two grids
+    # of one (d, r_max) share one dense coarse-shift eigensolve
+    solves, sweeps = [], []
+    solve_profile, eigvals = sb.solve_profile, np.linalg.eigvals
+    monkeypatch.setattr(sb, "solve_profile",
+                        lambda j, *args: solves.append(j) or solve_profile(j, *args))
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: sweeps.append(a.shape) or eigvals(a))
+    ls._coarse_shift.cache_clear()
+    cfg = {"ranges": {"d": [6], "n": [800, 1200], "k": [1, 3], "a": [1.0, -1.5]},
+           "grid": {"r_max": 40.0}}
+    manifest = ex.sweep(cfg, out_dir=str(tmp_path), workers=2)
+    assert manifest["ok"]
+    assert sorted(solves) == [2, 2, 3, 3]
+    assert sweeps == [(401, 401)]
+
+
+def test_sweep_records_a_failed_unit_series_for_each_cell(tmp_path, monkeypatch):
+    build = sb.build_near_solution
+
+    def failing(k, a, pair, blocks):
+        if blocks.grid.n == 400:
+            raise RuntimeError("no series here")
+        return build(k, a, pair, blocks)
+
+    monkeypatch.setattr(sb, "build_near_solution", failing)
+    cfg = {"ranges": {"d": [6], "n": [400, 800], "k": [1, 2], "a": [1.0, -1.0]},
+           "grid": {"r_max": 40.0}}
+    manifest = ex.sweep(cfg, out_dir=str(tmp_path), workers=2)
+    assert manifest["checks"]["all-cells-completed"]["failed_cells"] == 4
+    with open(os.path.join(manifest["run_dir"], "failures.json")) as f:
+        failures = json.load(f)
+    assert failures == {str((6, 400, k, a)): "RuntimeError: no series here"
+                        for k in (1, 2) for a in (1.0, -1.0)}
+    rows = np.loadtxt(os.path.join(manifest["run_dir"], "aggregate.csv"),
+                      delimiter=",", skiprows=1)
+    assert rows.shape == (4, 8) and set(rows[:, 1]) == {800.0}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,5 @@
 """Nonlinearity expansion and the exponential near-solution recursion."""
 
-import concurrent.futures
-import sys
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -125,67 +121,13 @@ def test_solve_profile_reports_block_conditioning(grid, pair, blocks):
 
 def test_solve_profile_warns_at_resonance(grid, pair, blocks):
     # with the rate halved, 2 * e0 hits the eigenvalue e0 of the eigen-block;
-    # the second call, served from the memo, warns too
+    # every call warns
     table = sb.pz_coefficients(blocks.p_c, 3)
     F = sb.order_forcing(2, [None, pair.y_plus], table, blocks)
     half = ls.EigenPair(pair.e0 / 2, pair.y1, pair.y2)
     for _ in range(2):
         with pytest.warns(UserWarning, match="near-singular"):
             sb.solve_profile(2, F, half, blocks)
-
-
-def _counting_estimator(monkeypatch, delay=0.0):
-    calls = []
-    estimate = sb._inverse_onenorm
-
-    def counted(solve, n):
-        calls.append(n)
-        time.sleep(delay)  # widens the window in which a second caller could enter
-        return estimate(solve, n)
-
-    monkeypatch.setattr(sb, "_inverse_onenorm", counted)
-    return calls
-
-
-def test_solve_profile_memoizes_the_inverse_norm(monkeypatch, grid, pair):
-    # ||A_s^{-1}||_1 is estimated once per (blocks, s) and equals a fresh
-    # estimate of the same matrix
-    blocks = ls.build_blocks(grid)
-    calls = _counting_estimator(monkeypatch)
-    table = sb.pz_coefficients(blocks.p_c, 3)
-    F = sb.order_forcing(2, [None, pair.y_plus], table, blocks)
-    phi, cond = sb.solve_profile(2, F, pair, blocks)
-    phi2, cond2 = sb.solve_profile(2, F, pair, blocks)
-    assert len(calls) == 1
-    assert np.array_equal(phi, phi2)
-    solve, norm_a = ls.factor_block(blocks, 2 * pair.e0)
-    assert cond2 == cond == norm_a * sb._inverse_onenorm(solve, 2 * grid.nnodes)
-
-
-def test_solve_profile_memo_under_threads(monkeypatch, grid, pair):
-    # more threads than cores, released together and switching often: each s
-    # is estimated once and every call reports the same conditioning
-    blocks = ls.build_blocks(grid)
-    calls = _counting_estimator(monkeypatch, delay=0.05)
-    table = sb.pz_coefficients(blocks.p_c, 3)
-    F = sb.order_forcing(2, [None, pair.y_plus], table, blocks)
-    pairs = [pair, ls.EigenPair(0.9 * pair.e0, pair.y1, pair.y2)] * 3
-    start = threading.Barrier(len(pairs))
-
-    def call(p):
-        start.wait(timeout=60)
-        return sb.solve_profile(2, F, p, blocks)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(pairs)) as pool:
-            futs = [pool.submit(call, p) for p in pairs]
-            conds = [f.result(timeout=120)[1] for f in futs]
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(calls) == 2
-    assert set(conds[0::2]) == {conds[0]} and set(conds[1::2]) == {conds[1]}
 
 
 def test_batched_residual_matches_per_time_oracle(grid, pair, blocks):
