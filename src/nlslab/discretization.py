@@ -27,7 +27,6 @@ import json
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 
 def angular_measure(d):
@@ -216,6 +215,7 @@ def tail_kinetic_sq(c1, c2, grid):
     def dens(s):
         return ((d - 2) * c1 * s ** -(d - 1) + d * c2 * s ** -(d + 1)) ** 2 * s ** (d - 1)
 
+    from scipy.integrate import quad
     val, _ = quad(dens, R, np.inf)
     return om * val
 
@@ -227,6 +227,7 @@ def tail_lp(c1, c2, p, grid):
     def dens(s):
         return abs(c1 * s ** -(d - 2) + c2 * s ** -d) ** p * s ** (d - 1)
 
+    from scipy.integrate import quad
     val, _ = quad(dens, R, np.inf)
     return om * val
 

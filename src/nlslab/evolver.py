@@ -191,6 +191,10 @@ def evolve(u0, config, bg):
     and a boundary-amplitude monitor flagging actual boundary activity.
     Adjacent nonlinear half-steps are merged (see the module docstring);
     samples, the blowup test and final_state see the true state.
+    The step and sample counts are |t1 - t0| / dt and sample_every / dt
+    rounded, so a span off the step grid ends up to dt/2 from t1.  Scenario
+    configs reject such spans; the forward horizon evolve-near-solution
+    computes from e0 keeps this rounding.
     """
     grid = bg.grid
     u = np.asarray(u0, dtype=complex).copy()

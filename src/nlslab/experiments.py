@@ -3,8 +3,12 @@
 Configs are JSON (versioned schema).  Each run writes into an append-only
 directory named by the content hash of its config, containing the declared
 outputs plus a manifest.json echoing the config, library versions, wall
-time (a sweep adds the seconds of its spectra and unit series and of its
-cells under "timings"), an output index, and the pass/fail record of every embedded check.
+time, stage seconds under "timings" (a sweep's spectra and unit series and
+its cells; evolve-near-solution's spectrum, series, and forward and backward
+evolution, the backward blowup refinement included; classify-custom's
+evolution), an output index, and the pass/fail record of every embedded check.
+The spans an evolving scenario steps through (classify-custom's t_span,
+sample_every, backward_span) must be whole numbers of steps of dt.
 Numerics are deterministic (fixed iteration orders), so rerunning a config
 reproduces every output but the manifest byte-for-byte.  A config holds
 only keys its scenario's pipeline reads (_READS).  A pipeline builds one
@@ -54,6 +58,10 @@ SCENARIOS = tuple(_READS)
 _WANT = {"d": 3, "n": 16, "k": 1, "r_max": "positive", "a": "finite",
          "factor": "finite", "seed_t0": "finite", "backward_span": "positive",
          "departure_floor": "positive", "dt": "positive", "sample_every": "positive"}
+_EVOLVER = {"dt": 0.01, "sample_every": 0.5, "linear_step": "cayley",
+            "track_modulation": True}
+_T_SPAN = (0.0, 20.0)  # classify-custom
+_BACKWARD_SPAN = 120.0  # evolve-near-solution
 
 
 class ConfigError(ValueError):
@@ -131,13 +139,29 @@ def validate_config(cfg):
     if "linear_step" in ecfg and ecfg["linear_step"] not in ev.LINEAR_STEPS:
         errors.append("evolver.linear_step: expected one of %s, got %r"
                       % (list(ev.LINEAR_STEPS), ecfg["linear_step"]))
-    if (scen in ("evolve-near-solution", "classify-custom") and not errors
-            and ecfg.get("linear_step") == "exact"):
-        try:
-            ev.check_exact_size(cfg.get("grid", DEFAULT_GRID)["n"])
-        except ValueError as exc:
-            errors.append("evolver.linear_step: %s" % exc)
+    if scen in ("evolve-near-solution", "classify-custom") and not errors:
+        if ecfg.get("linear_step") == "exact":
+            try:
+                ev.check_exact_size(cfg.get("grid", DEFAULT_GRID)["n"])
+            except ValueError as exc:
+                errors.append("evolver.linear_step: %s" % exc)
+        errors += _whole_steps(scen, cfg, ecfg)
     return errors
+
+
+def _whole_steps(scen, cfg, ecfg):
+    """Errors for the spans of an evolving scenario that are not whole
+    numbers of steps of dt (within 1e-9 relative)."""
+    dt = ecfg.get("dt", _EVOLVER["dt"])
+    spans = {"evolver.sample_every:": ecfg.get("sample_every", _EVOLVER["sample_every"])}
+    if scen == "classify-custom":
+        t0, t1 = ecfg.get("t_span", _T_SPAN)
+        spans["evolver.t_span: length"] = abs(t1 - t0)
+    else:
+        spans["backward_span:"] = cfg.get("backward_span", _BACKWARD_SPAN)
+    return ["%s %r is not a whole number of steps of dt = %r" % (what, span, dt)
+            for what, span in spans.items()
+            if abs(span / dt - round(span / dt)) > 1e-9 * (span / dt)]
 
 
 def _number(val):
@@ -163,8 +187,7 @@ def _grid_from(cfg):
 
 def _evolver_config(ecfg, t_span, **overrides):
     """EvolverConfig from a config's "evolver" object and scenario defaults."""
-    kw = {"dt": 0.01, "sample_every": 0.5, "linear_step": "cayley",
-          "track_modulation": True}
+    kw = dict(_EVOLVER)
     kw.update({key: ecfg[key] for key in kw if key in ecfg}, **overrides)
     return ev.EvolverConfig(t_span=t_span, **kw)
 
@@ -176,7 +199,8 @@ def _spectrum(grid):
 
 
 # ---------------------------------------------------------------------------
-# scenario pipelines (each returns (outputs, checks); paths relative to run dir)
+# scenario pipelines (each returns (outputs, checks, timings); paths relative
+# to the run dir, timings in seconds and empty when the manifest carries none)
 
 def _run_ground_state(cfg, rundir):
     grid = _grid_from(cfg)
@@ -194,7 +218,7 @@ def _run_ground_state(cfg, rundir):
     })
     checks = {"pohozaev-identity": {"passed": gap <= 1e-6, "value": gap,
                                     "tolerance": 1e-6}}
-    return ["w.csv", "ground_state.json"], checks
+    return ["w.csv", "ground_state.json"], checks, {}
 
 
 def _run_spectrum(cfg, rundir):
@@ -206,7 +230,7 @@ def _run_spectrum(cfg, rundir):
         "block-residual": {"passed": pair.residual <= 1e-8,
                            "value": pair.residual, "tolerance": 1e-8},
     }
-    return ["eigenpair.csv", "eigenpair.json"], checks
+    return ["eigenpair.csv", "eigenpair.json"], checks, {}
 
 
 def _run_build_series(cfg, rundir):
@@ -224,7 +248,7 @@ def _run_build_series(cfg, rundir):
                                 "target": target, "relative_error": rel}}
     outputs = ["near_solution/manifest.json"]
     outputs += ["near_solution/profile_%d.csv" % j for j in range(1, k + 1)]
-    return outputs, checks
+    return outputs, checks, {}
 
 
 def _run_wpm(cfg, rundir):
@@ -233,16 +257,19 @@ def _run_wpm(cfg, rundir):
     series = cfg.get("series", {})
     k = series.get("k", 3)
     ecfg = cfg.get("evolver", {})
-    dt = ecfg.get("dt", 0.01)
+    dt = ecfg.get("dt", _EVOLVER["dt"])
     seed_t0 = cfg.get("seed_t0", -10.5)
     eta = cfg.get("departure_floor", 1e-3)
-    backward_span = cfg.get("backward_span", 120.0)
+    backward_span = cfg.get("backward_span", _BACKWARD_SPAN)
 
+    t0 = _time.perf_counter()
     blocks, pair = _spectrum(grid)
     ls.save_eigenpair(os.path.join(rundir, "eigenpair"), pair, grid)
+    t1 = _time.perf_counter()
     near = sb.build_near_solution(k, float(sign), pair, blocks)
     sb.save_near_solution(os.path.join(rundir, "near_solution"), near)
     u0 = sb.assemble(near, seed_t0)
+    timings = {"spectrum_s": t1 - t0, "series_s": _time.perf_counter() - t1}
 
     # forward horizon: stop before the unstable mode amplifies floor-level
     # noise into departure; d0 e^{-e0 t} meets eta e^{+e0 t} at
@@ -251,14 +278,18 @@ def _run_wpm(cfg, rundir):
     t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / eta)
 
     fwd_cfg = _evolver_config(ecfg, (seed_t0, seed_t0 + t_fwd), track_modulation=True)
+    t0 = _time.perf_counter()
     trace_f = ev.evolve(u0, fwd_cfg, blocks)
+    timings["forward_s"] = _time.perf_counter() - t0
     trace_f.save(os.path.join(rundir, "trace_forward.csv"),
                  os.path.join(rundir, "trace_forward.json"))
     rep_f = dg.classify(trace_f)
 
     bwd_span = (seed_t0, seed_t0 - backward_span)
     bwd_cfg = _evolver_config(ecfg, bwd_span, track_modulation=False)
+    t0 = _time.perf_counter()
     trace_b = ev.evolve(u0, bwd_cfg, blocks)
+    timings["backward_s"] = _time.perf_counter() - t0
     trace_b.save(os.path.join(rundir, "trace_backward.csv"),
                  os.path.join(rundir, "trace_backward.json"))
     rep_b = dg.classify(trace_b)
@@ -284,7 +315,9 @@ def _run_wpm(cfg, rundir):
         if rep_b.regime == "blowup" and cfg.get("refine_blowup", True):
             t_star = trace_b.termination["t_star"]
             fine = _evolver_config(ecfg, bwd_span, dt=dt / 2, track_modulation=False)
+            t0 = _time.perf_counter()
             trace_b2 = ev.evolve(u0, fine, blocks)
+            timings["backward_s"] += _time.perf_counter() - t0
             t_star2 = trace_b2.termination.get("t_star", float("nan"))
             shift = abs(t_star2 - t_star) / abs(t_star - seed_t0)
             checks["blowup-time-stable"] = {
@@ -299,7 +332,7 @@ def _run_wpm(cfg, rundir):
     outputs = ["eigenpair.csv", "eigenpair.json", "trace_forward.csv",
                "trace_forward.json", "trace_backward.csv", "trace_backward.json",
                "report.json"]
-    return outputs, checks
+    return outputs, checks, timings
 
 
 def _run_classify(cfg, rundir):
@@ -310,14 +343,16 @@ def _run_classify(cfg, rundir):
     else:
         u0 = dz.load_field(init["path"])[0]  # on the config grid: validated
     ecfg = cfg.get("evolver", {})
-    config = _evolver_config(ecfg, tuple(ecfg.get("t_span", (0.0, 20.0))))
+    config = _evolver_config(ecfg, tuple(ecfg.get("t_span", _T_SPAN)))
+    t0 = _time.perf_counter()
     trace = ev.evolve(u0, config, bg)
+    timings = {"evolve_s": _time.perf_counter() - t0}
     trace.save(os.path.join(rundir, "trace.csv"), os.path.join(rundir, "trace.json"))
     report = dg.classify(trace)
     dz.save_json(os.path.join(rundir, "report.json"), report.as_dict())
     checks = {"classified": {"passed": report.regime != "undetermined",
                              "value": report.regime}}
-    return ["trace.csv", "trace.json", "report.json"], checks
+    return ["trace.csv", "trace.json", "report.json"], checks, timings
 
 
 def _run_sweep(cfg, rundir, workers=1):
@@ -402,11 +437,10 @@ def run(cfg, out_dir=".", workers=1, check=False):
     rundir = os.path.join(out_dir, "%s-%s" % (scen, config_hash(cfg)))
     os.makedirs(rundir, exist_ok=True)
     t0 = _time.time()
-    timings = None
     if scen == "sweep":
         outputs, checks, timings = _run_sweep(cfg, rundir, workers=workers)
     else:
-        outputs, checks = _PIPELINES[scen](cfg, rundir)
+        outputs, checks, timings = _PIPELINES[scen](cfg, rundir)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg,
@@ -417,7 +451,7 @@ def run(cfg, out_dir=".", workers=1, check=False):
         "checks": checks,
         "ok": all(c["passed"] for c in checks.values()) if checks else True,
     }
-    if timings is not None:
+    if timings:
         manifest["timings"] = timings
     dz.save_json(os.path.join(rundir, "manifest.json"), manifest)
     if check and not manifest["ok"]:

@@ -39,12 +39,15 @@ nonlinearity and the norms along rows.
 
 W, p_c, the potential W^{p_c-1} and the Laplacian come from the blocks, the
 ground_state.Background the profiles are solved on; a NearSolution keeps it.
+
+The validity start t_k is found by a port of scipy's C brentq (inverse
+quadratic, secant or bisection steps, Brent 1973, ch. 4; xtol = 2e-12,
+rtol = 4 eps): bit-identical to it without importing scipy.optimize.
 """
 
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import discretization as dz
 from . import ground_state as gs
@@ -336,9 +339,41 @@ def validity_start(near):
         lo -= 20.0
     while excess(hi) > 0 and hi < 400:
         hi += 20.0
-    if excess(lo) < 0 or excess(hi) > 0:
+    if not excess(lo) >= 0 >= excess(hi):
         raise RuntimeError("could not bracket the validity start t_k")
-    return brentq(excess, lo, hi)
+    return _brentq(excess, lo, hi)
+
+
+def _brentq(f, xpre, xcur, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """scipy's C brentq (BSD): a root of f, which changes sign between xpre and xcur."""
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return float(xpre)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return float(xcur)
+        short = False  # a short interpolated step, else bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("root search did not converge in %d iterations" % maxiter)
 
 
 class ResidualReport:

@@ -1,8 +1,11 @@
 """Modulation fitting, rate estimation, and trace classification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from nlslab import diagnostics as dg
 from nlslab import discretization as dz
@@ -64,6 +67,56 @@ def test_fit_modulation_distance_is_the_direct_minimum(grid, background):
         assert d2 == pytest.approx(direct, rel=1e-12)
         for mu in (fit.mu * (1 - 1e-5), fit.mu * (1 + 1e-5)):
             assert _dist2_at(u, mu, grid) >= d2
+
+
+def _scipy_bounded(func, bounds):
+    res = minimize_scalar(func, bounds=bounds, method="bounded",
+                          options={"xatol": 1e-10})
+    return float(res.x), int(res.nfev)
+
+
+def test_bounded_min_matches_scipy_on_a_smooth_battery():
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        c = rng.uniform(-3.0, 3.0, 4)
+        lo = rng.uniform(-5.0, 1.0)
+        bounds = (lo, lo + rng.uniform(0.01, 10.0))
+        fs = [lambda x: (1 + c[1] ** 2) * (x - c[0]) ** 2 + c[2],
+              lambda x: math.cos(c[0] * x) + 0.1 * (x - c[1]) ** 2,
+              lambda x: abs(x - c[0]) ** 1.5 + c[3] * math.sin(x),
+              lambda x: math.exp(c[1] * x) - c[2] * x]
+        f = fs[i % len(fs)]
+        x, (fx, tag), nfev = dg._bounded_min(lambda x: (f(x), "at %r" % x), *bounds)
+        assert (x, nfev) == _scipy_bounded(f, bounds)
+        assert fx == f(x) and tag == "at %r" % x
+
+
+def test_fit_modulation_search_matches_scipy(grid, background, monkeypatch):
+    # the three fields of the direct-minimum test: scipy's search on the
+    # fit's own objective picks the same mu with the same number of evaluations
+    searches = []
+    port = dg._bounded_min
+
+    def spy(func, a, b):
+        searches.append((func, a, b))
+        return port(func, a, b)
+    monkeypatch.setattr(dg, "_bounded_min", spy)
+    cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 2.5), linear_step="cayley",
+                           track_modulation=False)
+    focused = ev.evolve((1.8 * gs.sample_w(grid)).astype(complex), cfg,
+                        background).final_state
+    fields = [gs.w_family(0.0, 1.0, grid) + 0.01 * np.exp(-(grid.r - 8) ** 2),
+              focused,
+              np.exp(-(grid.r / 3) ** 2) * (1 + 0.8j * np.cos(grid.r))]
+    for u in fields:
+        fit = dg.fit_modulation(u, grid)
+        func, a, b = searches[-1]
+        assert [a, b] == fit.diagnostics["bracket"]
+        mu, nfev = _scipy_bounded(lambda m: func(m)[0], (a, b))
+        assert (fit.mu, fit.diagnostics["nfev"]) == (mu, nfev)
+        d2, th = func(mu)
+        assert (fit.distance, fit.theta) == (np.sqrt(d2), th)
+    assert len(searches) == 3
 
 
 def test_fit_modulation_flags_bracket_edge(grid):

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,3 +230,23 @@ def test_json_round_trip(tmp_path):
     obj = {"d": 6, "vals": [1.0, 2.5], "nested": {"ok": True}}
     dz.save_json(path, obj)
     assert dz.load_json(path) == obj
+
+
+def test_import_leaves_scipy_optimize_and_integrate_unloaded():
+    # a fresh process: importing the package loads neither; a tail-corrected
+    # norm still works and loads scipy.integrate only then
+    code = "\n".join([
+        "import sys",
+        "import nlslab",
+        "from nlslab import discretization as dz, ground_state as gs",
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))",
+        "g = dz.build_grid(6, 40.0, 400)",
+        "print(gs.kinetic_norm(gs.sample_w(g), g, tail='powerlaw') > 0)",
+        "print('scipy.integrate' in sys.modules)",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["[]", "True", "True"]

@@ -199,6 +199,43 @@ def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spans_off_the_step_grid_fail_before_a_run_directory(tmp_path, capsys):
+    # t_span, sample_every (default 0.5 included) and backward_span must be
+    # whole numbers of steps of dt
+    wpm = {"scenario": "evolve-near-solution", "grid": dict(SMALL_GRID)}
+    scaled = {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
+              "initial": {"kind": "scaled-w", "factor": 1.8}}
+    cases = [
+        (dict(scaled, evolver={"t_span": [0.0, 20.005]}),
+         "evolver.t_span: length 20.005 is not a whole number of steps of dt = 0.01"),
+        (dict(scaled, evolver={"dt": 0.02, "t_span": [1.0, -0.01]}),
+         "evolver.t_span: length 1.01 is not a whole number of steps of dt = 0.02"),
+        (dict(scaled, evolver={"sample_every": 0.015}),
+         "evolver.sample_every: 0.015 is not a whole number of steps of dt = 0.01"),
+        (dict(wpm, evolver={"dt": 0.3}),
+         "evolver.sample_every: 0.5 is not a whole number of steps of dt = 0.3"),
+        (dict(wpm, backward_span=100.005),
+         "backward_span: 100.005 is not a whole number of steps of dt = 0.01"),
+        (dict(wpm, evolver={"dt": 0.002}, backward_span=0.001),
+         "backward_span: 0.001 is not a whole number of steps of dt = 0.002"),
+    ]
+    out = tmp_path / "runs"
+    for cfg, msg in cases:
+        with pytest.raises(ex.ConfigError) as exc:
+            ex.run(cfg, out_dir=str(out))
+        assert exc.value.errors == [msg], cfg
+    rc = cli.main(["classify", "--config", _write_cfg(tmp_path, cases[0][0]),
+                   "--out", str(out)])
+    assert rc == 2
+    assert cases[0][1] in capsys.readouterr().err
+    assert not out.exists()
+    # spans that divide evenly, up to round-off, pass
+    for cfg in (dict(scaled, evolver={"dt": 0.01, "t_span": [0.0, 0.3], "sample_every": 0.07}),
+                dict(scaled, evolver={"dt": 0.005, "t_span": [0.0, 30.0]}),
+                dict(wpm, evolver={"dt": 0.1, "sample_every": 0.3}, backward_span=0.7)):
+        assert ex.validate_config(cfg) == [], cfg
+
+
 def test_field_on_another_grid_fails_before_a_run_directory(tmp_path, capsys):
     grid = dz.build_grid(6, 40.0, 400)
     path = str(tmp_path / "init.csv")
@@ -304,6 +341,7 @@ def test_classify_run_blowup(tmp_path):
                        "track_modulation": False}}
     manifest = ex.run(cfg, out_dir=str(tmp_path))
     assert manifest["checks"]["classified"]["value"] == "blowup"
+    assert set(manifest["timings"]) == {"evolve_s"}
     report = dz.load_json(os.path.join(manifest["run_dir"], "report.json"))
     assert report["regime"] == "blowup"
 
@@ -319,6 +357,20 @@ def test_classify_run_from_field_file(tmp_path):
                        "track_modulation": False}}
     manifest = ex.run(cfg, out_dir=str(tmp_path))
     assert manifest["checks"]["classified"]["value"] == "scattering-proxy"
+
+
+def test_wpm_manifest_times_its_stages(tmp_path):
+    # the stage seconds go to the manifest only: no output file carries them
+    cfg = {"scenario": "evolve-near-solution", "grid": dict(SMALL_GRID),
+           "series": {"k": 1}, "backward_span": 2.0}
+    manifest = ex.run(cfg, out_dir=str(tmp_path))
+    assert set(manifest["timings"]) == {"spectrum_s", "series_s", "forward_s",
+                                        "backward_s"}
+    assert all(v >= 0 for v in manifest["timings"].values())
+    outputs = _output_bytes(manifest["run_dir"])
+    del outputs["manifest.json"]
+    assert not any(key.encode() in data for key in manifest["timings"]
+                   for data in outputs.values())
 
 
 def test_sweep_run(tmp_path):

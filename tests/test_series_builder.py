@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from nlslab import discretization as dz
 from nlslab import ground_state as gs
@@ -198,6 +199,43 @@ def test_validity_start_shifts_with_amplitude(pair, blocks):
     assert t3 - t1 == pytest.approx(np.log(3.0) / pair.e0, abs=1e-8)
     n0 = sb.build_near_solution(1, 0.0, pair, blocks)
     assert sb.validity_start(n0) == -np.inf
+
+
+def test_brentq_port_matches_scipy_on_cubics():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(400):
+        r0, r1, r2 = np.sort(rng.uniform(-5.0, 5.0, 3))
+        s = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 10.0)
+
+        def f(x):
+            return s * (x - r0) * (x - r1) * (x - r2)
+        lo, hi = rng.uniform(-6.0, r0), rng.uniform(r0, r1)
+        if f(lo) * f(hi) < 0:
+            assert sb._brentq(f, lo, hi) == brentq(f, lo, hi)
+            checked += 1
+    assert checked > 300
+
+
+def test_validity_start_matches_scipy_brentq(pair, blocks, monkeypatch):
+    # the ported root on the validity start's own bracket, for every order
+    # and amplitude a sweep cell uses
+    brackets = []
+    port = sb._brentq
+
+    def spy(f, lo, hi):
+        brackets.append((f, lo, hi))
+        return port(f, lo, hi)
+    monkeypatch.setattr(sb, "_brentq", spy)
+    unit = sb.build_near_solution(4, 1.0, pair, blocks)
+    for k in (1, 2, 3, 4):
+        for a in (1.0, -1.0, 1.6, -1.6):
+            profiles = [None] + [a ** j * unit.profiles[j] for j in range(1, k + 1)]
+            near = sb.NearSolution(blocks, k, a, unit.e0, profiles)
+            t_k = sb.validity_start(near)
+            f, lo, hi = brackets[-1]
+            assert t_k == brentq(f, lo, hi)
+    assert len(brackets) == 16
 
 
 def test_homogeneity_coarse(grid, pair, blocks):
