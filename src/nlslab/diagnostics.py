@@ -94,7 +94,7 @@ def fit_modulation(u, grid, mu_bounds=None):
                                       "at_bracket_edge": bool(edge)})
 
 
-def _bounded_min(func, a, b, xatol=1e-10, maxfun=500):
+def _bounded_min(func, a, b):
     """scipy's bounded Brent minimizer (BSD): (x, func(x), nfev) for func(x)[0] on [a, b]."""
     fulc = nfc = xf = a + _GOLDEN * (b - a)
     rat = e = 0.0
@@ -103,9 +103,8 @@ def _bounded_min(func, a, b, xatol=1e-10, maxfun=500):
     fu, num = math.inf, 1
     while True:
         xm = 0.5 * (a + b)
-        tol1 = math.sqrt(2.2e-16) * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if not abs(xf - xm) > tol2 - 0.5 * (b - a) or num >= maxfun:
+        tol1 = math.sqrt(2.2e-16) * abs(xf) + 1e-10 / 3.0  # xatol = 1e-10
+        if not abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a) or num >= 500:
             break
         golden = True
         if abs(e) > tol1:  # try a parabolic step
@@ -118,7 +117,7 @@ def _bounded_min(func, a, b, xatol=1e-10, maxfun=500):
             if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
                 golden = False
                 rat = (p + 0.0) / q
-                if xf + rat - a < tol2 or b - (xf + rat) < tol2:
+                if xf + rat - a < 2.0 * tol1 or b - (xf + rat) < 2.0 * tol1:
                     rat = -tol1 if xm - xf < 0 else tol1
         if golden:
             e = (a if xf >= xm else b) - xf
@@ -136,7 +135,7 @@ def _bounded_min(func, a, b, xatol=1e-10, maxfun=500):
                 fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
-    if num >= maxfun or math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+    if num >= 500 or math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
         raise RuntimeError("modulation scale search on [%r, %r] failed" % (a, b))
     return xf, best, num
 

@@ -18,6 +18,7 @@ background per grid and passes it through series, evolution and classification.
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import time as _time
 
@@ -159,9 +160,12 @@ def _whole_steps(scen, cfg, ecfg):
         spans["evolver.t_span: length"] = abs(t1 - t0)
     else:
         spans["backward_span:"] = cfg.get("backward_span", _BACKWARD_SPAN)
-    return ["%s %r is not a whole number of steps of dt = %r" % (what, span, dt)
-            for what, span in spans.items()
-            if abs(span / dt - round(span / dt)) > 1e-9 * (span / dt)]
+    errors = []
+    for what, span in spans.items():
+        n = span / dt
+        if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * n:
+            errors.append("%s %r is not a whole number of steps of dt = %r" % (what, span, dt))
+    return errors
 
 
 def _number(val):

@@ -344,20 +344,20 @@ def validity_start(near):
     return _brentq(excess, lo, hi)
 
 
-def _brentq(f, xpre, xcur, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
+def _brentq(f, xpre, xcur):
     """scipy's C brentq (BSD): a root of f, which changes sign between xpre and xcur."""
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0:
         return float(xpre)
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (2e-12 + 2.0 ** -50 * abs(xcur)) / 2  # xtol = 2e-12, rtol = 4 eps
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return float(xcur)
@@ -373,7 +373,7 @@ def _brentq(f, xpre, xcur, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise RuntimeError("root search did not converge in %d iterations" % maxiter)
+    raise RuntimeError("root search did not converge in 100 iterations")
 
 
 class ResidualReport:

@@ -211,6 +211,8 @@ def test_criterion_8_w_minus_behavior(tmp_path):
                  "backward-scatters"):
         assert checks[name]["passed"], (name, checks[name])
     assert checks["kinetic-side"]["value"] == "below"
+    assert set(manifest["timings"]) == {"spectrum_s", "series_s", "forward_s",
+                                        "backward_s"}
 
 
 def test_criterion_9_w_plus_behavior(tmp_path):

@@ -218,12 +218,17 @@ def test_spans_off_the_step_grid_fail_before_a_run_directory(tmp_path, capsys):
          "backward_span: 100.005 is not a whole number of steps of dt = 0.01"),
         (dict(wpm, evolver={"dt": 0.002}, backward_span=0.001),
          "backward_span: 0.001 is not a whole number of steps of dt = 0.002"),
+        (dict(scaled, evolver={"t_span": [-1e308, 1e308]}),
+         "evolver.t_span: length inf is not a whole number of steps of dt = 0.01"),
+        (dict(wpm, evolver={"dt": 1e-320, "sample_every": 1.0}),
+         ["evolver.sample_every: 1.0 is not a whole number of steps of dt = 1e-320",
+          "backward_span: 120.0 is not a whole number of steps of dt = 1e-320"]),
     ]
     out = tmp_path / "runs"
     for cfg, msg in cases:
         with pytest.raises(ex.ConfigError) as exc:
             ex.run(cfg, out_dir=str(out))
-        assert exc.value.errors == [msg], cfg
+        assert exc.value.errors == ([msg] if isinstance(msg, str) else msg), cfg
     rc = cli.main(["classify", "--config", _write_cfg(tmp_path, cases[0][0]),
                    "--out", str(out)])
     assert rc == 2
@@ -357,20 +362,6 @@ def test_classify_run_from_field_file(tmp_path):
                        "track_modulation": False}}
     manifest = ex.run(cfg, out_dir=str(tmp_path))
     assert manifest["checks"]["classified"]["value"] == "scattering-proxy"
-
-
-def test_wpm_manifest_times_its_stages(tmp_path):
-    # the stage seconds go to the manifest only: no output file carries them
-    cfg = {"scenario": "evolve-near-solution", "grid": dict(SMALL_GRID),
-           "series": {"k": 1}, "backward_span": 2.0}
-    manifest = ex.run(cfg, out_dir=str(tmp_path))
-    assert set(manifest["timings"]) == {"spectrum_s", "series_s", "forward_s",
-                                        "backward_s"}
-    assert all(v >= 0 for v in manifest["timings"].values())
-    outputs = _output_bytes(manifest["run_dir"])
-    del outputs["manifest.json"]
-    assert not any(key.encode() in data for key in manifest["timings"]
-                   for data in outputs.values())
 
 
 def test_sweep_run(tmp_path):
