@@ -66,7 +66,7 @@ def main(argv=None):
         if args.command in ("classify", "sweep"):
             print("%s requires --config" % args.command, file=sys.stderr)
             return 2
-        cfg = {"scenario": scenario, "schema_version": ex.SCHEMA_VERSION}
+        cfg = {}
     cfg.setdefault("scenario", scenario)
     if cfg["scenario"] != scenario:
         print("config scenario %r does not match subcommand %r"

@@ -35,6 +35,8 @@ import numpy as np
 from . import ground_state as gs
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# the classification thresholds, echoed in every report
+THRESHOLDS = {"proxy_threshold": 0.05, "dist_tol": 0.25, "floor": 1e-3, "deadband": 1e-6}
 
 
 class ModulationFit:
@@ -181,16 +183,17 @@ def rate_fit(times, distances, floor):
                    t.size, flags)
 
 
-def kinetic_dichotomy(trace, deadband=1e-6):
+def kinetic_dichotomy(trace):
     """Side of ||grad u(t)|| vs ||grad W|| along a trace.
 
     Returns (side, violations): side in {"below", "above", "at", "mixed"}
-    within a relative dead-band; violations lists the sample times on the
-    minority side when the sign is not constant.
+    within the relative dead-band THRESHOLDS["deadband"]; violations lists the
+    sample times on the minority side when the sign is not constant.
     """
     kin_w = gs.kinetic_norm(trace.background.W, trace.background.grid)
     t = np.asarray(trace.times)
     rel = (np.asarray(trace.kinetic) - kin_w) / kin_w
+    deadband = THRESHOLDS["deadband"]
     sign = np.where(rel > deadband, 1, np.where(rel < -deadband, -1, 0))
     if np.all(sign == 0):
         return "at", []
@@ -224,18 +227,17 @@ class ClassificationReport:
         return out
 
 
-def classify(trace, proxy_threshold=0.05, dist_tol=0.25, floor=1e-3,
-             deadband=1e-6):
+def classify(trace):
     """Sort a trace into blowup / converges-to-W / scattering-proxy / undetermined.
 
     converges-to-W: the modulated H1-dot distance decays (positive fitted rate
-    over the pre-departure window, trimmed at the distance minimum) down to
-    below dist_tol.  scattering-proxy: the potential/kinetic ratio falls below
-    proxy_threshold before the recorded reflection horizon.
+    over the pre-departure window, trimmed at the distance minimum, above
+    10x floor) down to below dist_tol.  scattering-proxy: the potential/kinetic
+    ratio falls below proxy_threshold before the recorded reflection horizon.
+    The thresholds are THRESHOLDS.
     """
-    side, viol = kinetic_dichotomy(trace, deadband=deadband)
-    thresholds = {"proxy_threshold": proxy_threshold, "dist_tol": dist_tol,
-                  "floor": floor, "deadband": deadband}
+    side, viol = kinetic_dichotomy(trace)
+    thresholds = dict(THRESHOLDS)
     details = {"kinetic_violations": viol,
                "termination": dict(trace.termination)}
 
@@ -254,16 +256,16 @@ def classify(trace, proxy_threshold=0.05, dist_tol=0.25, floor=1e-3,
         details["dist_min_t"] = float(t[imin])
         if imin >= 4:
             try:
-                fit = rate_fit(t[:imin + 1], dd[:imin + 1], floor)
+                fit = rate_fit(t[:imin + 1], dd[:imin + 1], THRESHOLDS["floor"])
             except ValueError:
                 fit = None
         if (fit is not None and fit.rate > 0 and "non-decaying" not in fit.flags
-                and dd[imin] < dist_tol):
+                and dd[imin] < THRESHOLDS["dist_tol"]):
             return ClassificationReport("converges-to-W", side, rate=fit,
                                         thresholds=thresholds, details=details)
 
     ratio = trace.potential_ratio()
-    below = np.nonzero(ratio < proxy_threshold)[0]
+    below = np.nonzero(ratio < THRESHOLDS["proxy_threshold"])[0]
     if below.size:
         t_reach = float(t[below[0]])
         details["proxy_reached_t"] = t_reach

@@ -25,6 +25,7 @@ builds this operator once per grid, in ground_state.Background.
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -232,20 +233,11 @@ def tail_lp(c1, c2, p, grid):
     return om * val
 
 
-def _derivative(u, grid, order):
-    out = np.asarray(u, dtype=complex if np.iscomplexobj(u) else float)
-    for _ in range(order):
-        out = np.gradient(out, grid.h)
-    return out
-
-
-def weighted_sup_norm(u, j, m_der, grid):
-    """sup_r |<r>^j D^{m_der} u| over the grid nodes (m_der <= 2)."""
-    if m_der > 2:
-        raise ValueError("derivative order %d not supported (max 2)" % (m_der,))
+def weighted_sup_norm(u, j, grid):
+    """sup_r |<r>^j u| over the grid nodes."""
     u = _check_grid(u, grid)
     jap = np.sqrt(1.0 + grid.r ** 2)
-    return float(np.max(np.abs(jap ** j * _derivative(u, grid, m_der))))
+    return float(np.max(np.abs(jap ** j * u)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +272,24 @@ def load_field(path):
 
 
 def save_json(path, obj):
+    """Write obj as indented, key-sorted JSON.  The text goes to a temporary
+    file in the same directory, which then replaces path, so a dump that fails
+    leaves any earlier file at path whole and no temporary file behind."""
     def _default(o):
         if isinstance(o, np.generic):
             return o.item()
         raise TypeError("cannot serialize %r" % (type(o),))
 
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, default=_default)
-        f.write("\n")
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    f = open(tmp, "w")
+    try:
+        with f:
+            json.dump(obj, f, indent=2, sort_keys=True, default=_default)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_json(path):

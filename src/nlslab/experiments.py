@@ -1,21 +1,25 @@
 """Experiment orchestration: scenario configs, canonical runs, sweeps.
 
-Configs are JSON (versioned schema).  Each run writes into an append-only
-directory named by the content hash of its config, containing the declared
-outputs plus a manifest.json echoing the config, library versions, wall
-time, stage seconds under "timings" (a sweep's spectra and unit series and
-its cells; evolve-near-solution's spectrum, series, and forward and backward
+Configs are JSON (versioned schema).  One table, _KEYS, gives each key's
+check and default; normalize() checks a config against it, fills in the
+defaults, and rejects every key its scenario's pipeline does not read
+(_READS).  Each run writes into an append-only directory named by the content
+hash of the filled-in config (an implicit default and the same default
+written out share a directory), containing the declared outputs plus a
+manifest.json echoing the filled-in config, library versions, wall time,
+stage seconds under "timings" (a sweep's spectra and unit series and its
+cells; evolve-near-solution's spectrum, series, and forward and backward
 evolution, the backward blowup refinement included; classify-custom's
 evolution), an output index, and the pass/fail record of every embedded check.
 The spans an evolving scenario steps through (classify-custom's t_span,
 sample_every, backward_span) must be whole numbers of steps of dt.
 Numerics are deterministic (fixed iteration orders), so rerunning a config
-reproduces every output but the manifest byte-for-byte.  A config holds
-only keys its scenario's pipeline reads (_READS).  A pipeline builds one
+reproduces every output but the manifest byte-for-byte.  A pipeline builds one
 background per grid and passes it through series, evolution and classification.
 """
 
 import concurrent.futures
+import copy
 import hashlib
 import json
 import math
@@ -34,35 +38,44 @@ from . import series_builder as sb
 
 SCHEMA_VERSION = 1
 
-DEFAULT_GRID = {"d": 6, "r_max": 60.0, "n": 6000}
-
-# what each scenario's pipeline reads besides _COMMON: key -> the keys of its
-# object, or None for a value.  Scenarios that never evolve still accept (and
-# check) an evolver object.
-_GRID = ("d", "r_max", "n")
-_COMMON = {"scenario": None, "schema_version": None,
-           "evolver": ("dt", "t_span", "sample_every", "linear_step", "track_modulation")}
-_READS = {
-    "ground-state": {"grid": _GRID},
-    "spectrum": {"grid": _GRID},
-    "build-series": {"grid": _GRID, "series": ("k", "a")},
-    "evolve-near-solution": {
-        "grid": _GRID, "series": ("k",), "evolver": ("dt", "sample_every", "linear_step"),
-        **dict.fromkeys(("sign", "seed_t0", "departure_floor", "backward_span",
-                         "refine_blowup"))},
-    "classify-custom": {"grid": _GRID, "initial": ("kind", "factor", "path")},
-    "sweep": {"grid": ("r_max",), "ranges": ("d", "n", "k", "a")},
-}
+# the paths each scenario's pipeline reads.  Scenarios that never evolve still
+# accept (check and fill) an evolver object.
+_GRID = ("grid.d", "grid.r_max", "grid.n")
+_STEP = ("evolver.dt", "evolver.sample_every", "evolver.linear_step")
+_EVOLVER = _STEP + ("evolver.t_span", "evolver.track_modulation")
+_READS = {scen: ("scenario", "schema_version") + paths for scen, paths in {
+    "ground-state": _GRID + _EVOLVER,
+    "spectrum": _GRID + _EVOLVER,
+    "build-series": _GRID + ("series.k", "series.a") + _EVOLVER,
+    "evolve-near-solution": _GRID + ("series.k",) + _STEP + (
+        "sign", "seed_t0", "departure_floor", "backward_span", "refine_blowup"),
+    "classify-custom": _GRID + ("initial.kind", "initial.factor", "initial.path") + _EVOLVER,
+    "sweep": ("grid.r_max", "ranges.d", "ranges.n", "ranges.k", "ranges.a") + _EVOLVER,
+}.items()}
 SCENARIOS = tuple(_READS)
-# the values a key takes, in any section and in each entry of ranges: the
-# least integer allowed, or "positive" or "finite" for a real number
-_WANT = {"d": 3, "n": 16, "k": 1, "r_max": "positive", "a": "finite",
-         "factor": "finite", "seed_t0": "finite", "backward_span": "positive",
-         "departure_floor": "positive", "dt": "positive", "sample_every": "positive"}
-_EVOLVER = {"dt": 0.01, "sample_every": 0.5, "linear_step": "cayley",
-            "track_modulation": True}
-_T_SPAN = (0.0, 20.0)  # classify-custom
-_BACKWARD_SPAN = 120.0  # evolve-near-solution
+# path -> (check, default); a key without a default is required, a section's
+# default fills it when it is absent (so a given grid must be complete), and
+# initial.factor and initial.path are required by the initial.kind that reads
+# them (_KIND_READS).  A check is the least integer allowed, "positive" or
+# "finite" for a real number, "span" for [t0, t1], bool, str for a file path,
+# dict for a section, or a tuple of the allowed values; a ranges entry is a
+# nonempty list of values that each pass its check.
+_KEYS = {
+    "scenario": (SCENARIOS,), "schema_version": ((SCHEMA_VERSION,), SCHEMA_VERSION),
+    "grid": (dict, {"d": 6, "r_max": 60.0, "n": 6000}),
+    "grid.d": (3,), "grid.r_max": ("positive",), "grid.n": (16,),
+    "series": (dict, {}), "series.k": (1, 3), "series.a": ("finite", 1.0),
+    "evolver": (dict, {}), "evolver.dt": ("positive", 0.01),
+    "evolver.sample_every": ("positive", 0.5), "evolver.linear_step": (ev.LINEAR_STEPS, "cayley"),
+    "evolver.t_span": ("span", [0.0, 20.0]), "evolver.track_modulation": (bool, True),
+    "sign": ((1, -1), -1), "seed_t0": ("finite", -10.5), "departure_floor": ("positive", 1e-3),
+    "backward_span": ("positive", 120.0), "refine_blowup": (bool, True),
+    "initial": (dict,), "initial.kind": (("scaled-w", "field"),),
+    "initial.factor": ("finite",), "initial.path": (str,),
+    "ranges": (dict,), "ranges.d": (3, [6]), "ranges.n": (16, [6000]),
+    "ranges.k": (1, [3]), "ranges.a": ("finite", [1.0]),
+}
+_KIND_READS = (("scaled-w", "initial.factor"), ("field", "initial.path"))
 
 
 class ConfigError(ValueError):
@@ -71,100 +84,114 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join("  %s" % e for e in self.errors))
 
 
-def validate_config(cfg):
-    """Return a list of error strings with field paths (empty when valid).
-    Unknown keys and sections that are not objects are reported first, alone."""
+def normalize(cfg):
+    """Check a config against _KEYS and fill in its defaults: returns (the
+    filled-in config, a list of error strings with field paths, empty when
+    valid).  Unknown keys and sections that are not objects are reported
+    first, alone."""
     if not isinstance(cfg, dict):
-        return ["config: expected a JSON object"]
-    scen = cfg.get("scenario")
-    if scen not in SCENARIOS:
-        return ["scenario: expected one of %s, got %r" % (list(SCENARIOS), scen)]
-    errors, reads = [], dict(_COMMON, **_READS[scen])
-    for key, val in cfg.items():
-        if key not in reads:
-            errors.append("%s: unknown key" % key)
-        elif reads[key] is not None and not isinstance(val, dict):
-            errors.append("%s: expected an object" % key)
-        elif reads[key] is not None:
-            errors += ["%s.%s: unknown key" % (key, sub)
-                       for sub in val if sub not in reads[key]]
+        return cfg, ["config: expected a JSON object"]
+    errors = _check("scenario", SCENARIOS, cfg.get("scenario"))
     if errors:
-        return errors
-    g = cfg.get("grid", DEFAULT_GRID)
-    if scen == "sweep":  # r_max only: d and n come from the ranges
-        g = dict(DEFAULT_GRID, **g)
-    errors += ["grid.%s: missing" % key for key in _GRID if key not in g]
-    values = [("grid." + key, key, val) for key, val in g.items()]
-    values += [(key, key, val) for key, val in cfg.items() if key in _WANT]
-    for sec in ("series", "initial", "evolver"):
-        values += [(sec + "." + key, key, val)
-                   for key, val in cfg.get(sec, {}).items() if key in _WANT]
-    if scen == "sweep" and "ranges" not in cfg:
-        errors.append("ranges: expected an object with parameter lists")
-    for key, vals in cfg.get("ranges", {}).items():
-        if not isinstance(vals, list) or not vals:
-            errors.append("ranges.%s: expected a nonempty list" % key)
+        return cfg, errors
+    scen = cfg["scenario"]
+    reads = _READS[scen]
+    sections = {path.split(".")[0] for path in reads if "." in path}
+    for key, val in cfg.items():
+        if key not in reads and key not in sections:
+            errors.append("%s: unknown key" % key)
+        elif key in sections:
+            errors += _check(key, dict, val) or [
+                "%s.%s: unknown key" % (key, sub) for sub in val if "%s.%s" % (key, sub) not in reads]
+    if errors:
+        return cfg, errors
+    out = {key: dict(val) if key in sections else val for key, val in cfg.items()}
+    for sec in sorted(sections - set(out)):
+        if len(_KEYS[sec]) == 1:
+            errors.append("%s: missing" % sec)
         else:
-            values += [("ranges.%s[%d]" % (key, i), key, val) for i, val in enumerate(vals)]
-    for path, key, val in values:
-        want = _WANT[key]
-        if isinstance(want, int) and not (isinstance(val, int) and _number(val) and val >= want):
-            errors.append("%s: expected integer >= %d, got %r" % (path, want, val))
-        elif isinstance(want, str) and not (_number(val) and (want == "finite" or val > 0)):
-            errors.append("%s: expected a %s number, got %r" % (path, want, val))
-    ecfg = cfg.get("evolver", {})
-    span = ecfg.get("t_span", (0.0, 1.0))
-    if not (isinstance(span, (list, tuple)) and len(span) == 2 and all(map(_number, span))):
-        errors.append("evolver.t_span: expected [t0, t1], two finite numbers, got %r"
-                      % (span,))
-    if cfg.get("sign", -1) not in (1, -1):
-        errors.append("sign: expected +1 or -1, got %r" % (cfg["sign"],))
-    init = cfg.get("initial", {})
-    if scen == "classify-custom" and init.get("kind") not in ("scaled-w", "field"):
-        errors.append("initial.kind: expected 'scaled-w' or 'field', got %r"
-                      % (init.get("kind"),))
-    elif init.get("kind") == "scaled-w" and "factor" not in init:
-        errors.append("initial.factor: missing")
-    elif init.get("kind") == "field" and not isinstance(init.get("path"), str):
-        errors.append("initial.path: expected a file path, got %r" % (init.get("path"),))
-    elif init.get("kind") == "field" and not errors:
+            out[sec] = {key: val for key, val in _KEYS[sec][1].items()
+                        if "%s.%s" % (sec, key) in reads}
+    for path in reads:
+        sec, _, key = path.rpartition(".")
+        obj = out.get(sec) if sec else out
+        if obj is None:  # a missing section, reported above
+            continue
+        if key not in obj and len(_KEYS[path]) > 1:
+            obj[key] = copy.deepcopy(_KEYS[path][1])
+        elif key not in obj:
+            kinds = [kind for kind, read in _KIND_READS if read == path]
+            if not kinds or obj.get("kind") in kinds:
+                errors.append("%s: missing" % path)
+            continue
+        want, val = _KEYS[path][0], obj[key]
+        if sec != "ranges":
+            errors += _check(path, want, val)
+        elif not (isinstance(val, list) and val):
+            errors.append("%s: expected a nonempty list" % path)
+        else:
+            for i, item in enumerate(val):
+                errors += _check("%s[%d]" % (path, i), want, item)
+    if errors:
+        return out, errors
+    if out.get("initial", {}).get("kind") == "field":
         try:
-            fgrid = dz.field_grid(init["path"])
+            fgrid = dz.field_grid(out["initial"]["path"])
         except (OSError, ValueError, KeyError) as exc:
             errors.append("initial.path: %s: %s" % (type(exc).__name__, exc))
         else:
-            grid = _grid_from(cfg)
+            grid = dz.build_grid(**out["grid"])
             if fgrid != grid:
                 errors.append("initial.path: field grid %r does not match config "
                               "grid %r" % (fgrid, grid))
-    if "linear_step" in ecfg and ecfg["linear_step"] not in ev.LINEAR_STEPS:
-        errors.append("evolver.linear_step: expected one of %s, got %r"
-                      % (list(ev.LINEAR_STEPS), ecfg["linear_step"]))
     if scen in ("evolve-near-solution", "classify-custom") and not errors:
-        if ecfg.get("linear_step") == "exact":
+        if out["evolver"]["linear_step"] == "exact":
             try:
-                ev.check_exact_size(cfg.get("grid", DEFAULT_GRID)["n"])
+                ev.check_exact_size(out["grid"]["n"])
             except ValueError as exc:
                 errors.append("evolver.linear_step: %s" % exc)
-        errors += _whole_steps(scen, cfg, ecfg)
-    return errors
+        errors += _whole_steps(out)
+    return out, errors
 
 
-def _whole_steps(scen, cfg, ecfg):
+def validate_config(cfg):
+    """Return a list of error strings with field paths (empty when valid)."""
+    return normalize(cfg)[1]
+
+
+def _check(where, want, val):
+    """[the error for val at the field path where] when val fails the check
+    want (see _KEYS), else []."""
+    if isinstance(want, tuple):
+        ok, what = any(type(val) is type(v) and val == v for v in want), "one of %s" % list(want)
+    elif isinstance(want, int):
+        ok, what = isinstance(val, int) and _number(val) and val >= want, "integer >= %d" % want
+    elif want in ("positive", "finite"):
+        ok, what = _number(val) and (want == "finite" or val > 0), "a %s number" % want
+    elif want == "span":
+        ok = isinstance(val, (list, tuple)) and len(val) == 2 and all(map(_number, val))
+        what = "[t0, t1], two finite numbers"
+    else:
+        ok = isinstance(val, want)
+        what = {bool: "true or false", str: "a file path", dict: "an object"}[want]
+    return [] if ok else ["%s: expected %s, got %r" % (where, what, val)]
+
+
+def _whole_steps(cfg):
     """Errors for the spans of an evolving scenario that are not whole
     numbers of steps of dt (within 1e-9 relative)."""
-    dt = ecfg.get("dt", _EVOLVER["dt"])
-    spans = {"evolver.sample_every:": ecfg.get("sample_every", _EVOLVER["sample_every"])}
-    if scen == "classify-custom":
-        t0, t1 = ecfg.get("t_span", _T_SPAN)
-        spans["evolver.t_span: length"] = abs(t1 - t0)
-    else:
-        spans["backward_span:"] = cfg.get("backward_span", _BACKWARD_SPAN)
+    ecfg = cfg["evolver"]
+    spans = {"evolver.sample_every:": ecfg["sample_every"]}
+    if "t_span" in ecfg:
+        spans["evolver.t_span: length"] = abs(ecfg["t_span"][1] - ecfg["t_span"][0])
+    if "backward_span" in cfg:
+        spans["backward_span:"] = cfg["backward_span"]
     errors = []
     for what, span in spans.items():
-        n = span / dt
+        n = span / ecfg["dt"]
         if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * n:
-            errors.append("%s %r is not a whole number of steps of dt = %r" % (what, span, dt))
+            errors.append("%s %r is not a whole number of steps of dt = %r"
+                          % (what, span, ecfg["dt"]))
     return errors
 
 
@@ -174,26 +201,18 @@ def _number(val):
 
 
 def config_hash(cfg):
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    """Hash of the filled-in config, so that an implicit default and the same
+    default written out hash alike; raises ConfigError for an invalid config."""
+    filled, errors = normalize(cfg)
+    if errors:
+        raise ConfigError(errors)
+    canon = json.dumps(filled, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
 def _versions():
     import scipy
     return {"nlslab": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
-
-
-def _grid_from(cfg):
-    g = dict(DEFAULT_GRID)
-    g.update(cfg.get("grid", {}))
-    return dz.build_grid(g["d"], g["r_max"], g["n"])
-
-
-def _evolver_config(ecfg, t_span, **overrides):
-    """EvolverConfig from a config's "evolver" object and scenario defaults."""
-    kw = dict(_EVOLVER)
-    kw.update({key: ecfg[key] for key in kw if key in ecfg}, **overrides)
-    return ev.EvolverConfig(t_span=t_span, **kw)
 
 
 def _spectrum(grid):
@@ -207,7 +226,7 @@ def _spectrum(grid):
 # to the run dir, timings in seconds and empty when the manifest carries none)
 
 def _run_ground_state(cfg, rundir):
-    grid = _grid_from(cfg)
+    grid = dz.build_grid(**cfg["grid"])
     W = gs.sample_w(grid)
     refine = grid.n % 2 == 0
     kin = gs.kinetic_norm(W, grid, tail="powerlaw", refine=refine)
@@ -226,7 +245,7 @@ def _run_ground_state(cfg, rundir):
 
 
 def _run_spectrum(cfg, rundir):
-    grid = _grid_from(cfg)
+    grid = dz.build_grid(**cfg["grid"])
     blocks, pair = _spectrum(grid)
     ls.save_eigenpair(os.path.join(rundir, "eigenpair"), pair, grid)
     checks = {
@@ -238,12 +257,9 @@ def _run_spectrum(cfg, rundir):
 
 
 def _run_build_series(cfg, rundir):
-    grid = _grid_from(cfg)
-    series = cfg.get("series", {})
-    k = series.get("k", 3)
-    a = series.get("a", 1.0)
-    blocks, pair = _spectrum(grid)
-    near = sb.build_near_solution(k, a, pair, blocks)
+    k = cfg["series"]["k"]
+    blocks, pair = _spectrum(dz.build_grid(**cfg["grid"]))
+    near = sb.build_near_solution(k, cfg["series"]["a"], pair, blocks)
     report = sb.residual_rate(near)
     sb.save_near_solution(os.path.join(rundir, "near_solution"), near, report)
     target = (k + 1) * pair.e0
@@ -256,21 +272,14 @@ def _run_build_series(cfg, rundir):
 
 
 def _run_wpm(cfg, rundir):
-    grid = _grid_from(cfg)
-    sign = cfg.get("sign", -1)
-    series = cfg.get("series", {})
-    k = series.get("k", 3)
-    ecfg = cfg.get("evolver", {})
-    dt = ecfg.get("dt", _EVOLVER["dt"])
-    seed_t0 = cfg.get("seed_t0", -10.5)
-    eta = cfg.get("departure_floor", 1e-3)
-    backward_span = cfg.get("backward_span", _BACKWARD_SPAN)
+    grid = dz.build_grid(**cfg["grid"])
+    sign, seed_t0, ecfg = cfg["sign"], cfg["seed_t0"], cfg["evolver"]
 
     t0 = _time.perf_counter()
     blocks, pair = _spectrum(grid)
     ls.save_eigenpair(os.path.join(rundir, "eigenpair"), pair, grid)
     t1 = _time.perf_counter()
-    near = sb.build_near_solution(k, float(sign), pair, blocks)
+    near = sb.build_near_solution(cfg["series"]["k"], float(sign), pair, blocks)
     sb.save_near_solution(os.path.join(rundir, "near_solution"), near)
     u0 = sb.assemble(near, seed_t0)
     timings = {"spectrum_s": t1 - t0, "series_s": _time.perf_counter() - t1}
@@ -279,20 +288,19 @@ def _run_wpm(cfg, rundir):
     # noise into departure; d0 e^{-e0 t} meets eta e^{+e0 t} at
     # (1/(2 e0)) ln(d0/eta), kept with a safety factor
     d0 = dz.h1_distance(u0, blocks.W.astype(complex), grid)
-    t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / eta)
+    t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / cfg["departure_floor"])
 
-    fwd_cfg = _evolver_config(ecfg, (seed_t0, seed_t0 + t_fwd), track_modulation=True)
+    fwd = ev.EvolverConfig(t_span=(seed_t0, seed_t0 + t_fwd), track_modulation=True, **ecfg)
     t0 = _time.perf_counter()
-    trace_f = ev.evolve(u0, fwd_cfg, blocks)
+    trace_f = ev.evolve(u0, fwd, blocks)
     timings["forward_s"] = _time.perf_counter() - t0
     trace_f.save(os.path.join(rundir, "trace_forward.csv"),
                  os.path.join(rundir, "trace_forward.json"))
     rep_f = dg.classify(trace_f)
 
-    bwd_span = (seed_t0, seed_t0 - backward_span)
-    bwd_cfg = _evolver_config(ecfg, bwd_span, track_modulation=False)
+    bwd = dict(ecfg, t_span=(seed_t0, seed_t0 - cfg["backward_span"]), track_modulation=False)
     t0 = _time.perf_counter()
-    trace_b = ev.evolve(u0, bwd_cfg, blocks)
+    trace_b = ev.evolve(u0, ev.EvolverConfig(**bwd), blocks)
     timings["backward_s"] = _time.perf_counter() - t0
     trace_b.save(os.path.join(rundir, "trace_backward.csv"),
                  os.path.join(rundir, "trace_backward.json"))
@@ -316,9 +324,9 @@ def _run_wpm(cfg, rundir):
     else:
         checks["backward-blowup"] = {
             "passed": rep_b.regime == "blowup", "value": rep_b.regime}
-        if rep_b.regime == "blowup" and cfg.get("refine_blowup", True):
+        if rep_b.regime == "blowup" and cfg["refine_blowup"]:
             t_star = trace_b.termination["t_star"]
-            fine = _evolver_config(ecfg, bwd_span, dt=dt / 2, track_modulation=False)
+            fine = ev.EvolverConfig(**dict(bwd, dt=ecfg["dt"] / 2))
             t0 = _time.perf_counter()
             trace_b2 = ev.evolve(u0, fine, blocks)
             timings["backward_s"] += _time.perf_counter() - t0
@@ -341,15 +349,13 @@ def _run_wpm(cfg, rundir):
 
 def _run_classify(cfg, rundir):
     init = cfg["initial"]
-    bg = gs.Background(_grid_from(cfg))
+    bg = gs.Background(dz.build_grid(**cfg["grid"]))
     if init["kind"] == "scaled-w":
         u0 = init["factor"] * bg.W.astype(complex)
     else:
         u0 = dz.load_field(init["path"])[0]  # on the config grid: validated
-    ecfg = cfg.get("evolver", {})
-    config = _evolver_config(ecfg, tuple(ecfg.get("t_span", _T_SPAN)))
     t0 = _time.perf_counter()
-    trace = ev.evolve(u0, config, bg)
+    trace = ev.evolve(u0, ev.EvolverConfig(**cfg["evolver"]), bg)
     timings = {"evolve_s": _time.perf_counter() - t0}
     trace.save(os.path.join(rundir, "trace.csv"), os.path.join(rundir, "trace.json"))
     report = dg.classify(trace)
@@ -360,12 +366,8 @@ def _run_classify(cfg, rundir):
 
 
 def _run_sweep(cfg, rundir, workers=1):
-    ranges = cfg.get("ranges", {})
-    ds = ranges.get("d", [6])
-    ns = ranges.get("n", [DEFAULT_GRID["n"]])
-    ks = ranges.get("k", [3])
-    aa = ranges.get("a", [1.0])
-    r_max = cfg.get("grid", {}).get("r_max", DEFAULT_GRID["r_max"])
+    ds, ns, ks, aa = (cfg["ranges"][key] for key in ("d", "n", "k", "a"))
+    r_max = cfg["grid"]["r_max"]
 
     # per (d, n): the spectrum and one a = 1 series at the largest k.  A cell
     # scales its prefix by Phi_j^a = a^j Phi_j^1 (acceptance criterion 6 checks
@@ -434,7 +436,7 @@ def run(cfg, out_dir=".", workers=1, check=False):
 
     Raises ConfigError before creating any output when the config is invalid.
     """
-    errors = validate_config(cfg)
+    cfg, errors = normalize(cfg)
     if errors:
         raise ConfigError(errors)
     scen = cfg["scenario"]
@@ -471,18 +473,11 @@ def canonical_wpm(d, sign, out_dir=".", **overrides):
     Builds spectrum -> series (k=3) -> seeds the near solution -> evolves
     forward (to the pre-departure horizon) and backward -> classifies both
     directions, checking the expected forward convergence, kinetic side, and
-    backward scattering/blowup behavior.
+    backward scattering/blowup behavior.  Every other key takes its _KEYS
+    default; a sign other than +1 or -1 raises ConfigError (a ValueError).
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1, got %r" % (sign,))
-    cfg = {
-        "scenario": "evolve-near-solution",
-        "schema_version": SCHEMA_VERSION,
-        "grid": {"d": d, "r_max": DEFAULT_GRID["r_max"], "n": DEFAULT_GRID["n"]},
-        "sign": sign,
-        "series": {"k": 3},
-        "evolver": {"dt": 0.01, "sample_every": 0.5},
-    }
+    cfg = {"scenario": "evolve-near-solution", "sign": sign,
+           "grid": dict(_KEYS["grid"][1], d=d)}
     for key, val in overrides.items():
         if isinstance(val, dict) and isinstance(cfg.get(key), dict):
             cfg[key].update(val)
@@ -492,7 +487,4 @@ def canonical_wpm(d, sign, out_dir=".", **overrides):
 
 
 def sweep(cfg, out_dir=".", workers=1):
-    cfg = dict(cfg)
-    cfg.setdefault("scenario", "sweep")
-    cfg.setdefault("schema_version", SCHEMA_VERSION)
-    return run(cfg, out_dir=out_dir, workers=workers)
+    return run(dict({"scenario": "sweep"}, **cfg), out_dir=out_dir, workers=workers)

@@ -327,12 +327,17 @@ def series_reconstruction(near, table, t):
 
 
 def validity_start(near):
-    """t_k: the smallest t with max_x |v_k(t,x)| / W(x) <= 1/2."""
+    """t_k: the smallest t with max_x |v_k(t,x)| / W(x) <= 1/2.  The bracket
+    search, its check and the root search share their evaluations, so no time
+    is evaluated twice."""
     if near.a == 0:
         return -np.inf
+    seen = {}
 
     def excess(t):
-        return np.max(np.abs(perturbation(near, t)) / near.W) - 0.5
+        if t not in seen:
+            seen[t] = np.max(np.abs(perturbation(near, t)) / near.W) - 0.5
+        return seen[t]
 
     lo, hi = -10.0, 10.0
     while excess(lo) < 0 and lo > -400:
@@ -398,27 +403,22 @@ class ResidualReport:
                 "window": list(self.window), "floor": self.floor, "t_k": self.t_k}
 
 
-def residual_rate(near, t_window=None, n_samples=121, span=60.0, sup_weight=2):
+def residual_rate(near):
     """Fit the decay rate of ||eps_k(t)||_{L^2} over the above-floor window.
 
-    The window starts at t_k (smallness max|v_k|/W <= 1/2) and is trimmed to
-    samples at least 10x above the static-equation discretization floor.
-    Norms are interior weighted L^2; a weighted-sup variant <r>^sup_weight is
-    fitted alongside.
+    121 samples span [t_k, t_k + 60], starting at t_k (smallness
+    max|v_k|/W <= 1/2); the window is trimmed to samples at least 10x above
+    the static-equation discretization floor.  Norms are interior weighted
+    L^2; a weighted-sup variant <r>^2 is fitted alongside.
     """
     grid, bg = near.grid, near.background
     lap_w = bg.lapl.apply(near.W)
     floor_field = lap_w + near.W ** bg.p_c
     floor = dz.l2_norm(floor_field, grid, interior=True)
-    sup_floor = dz.weighted_sup_norm(floor_field, sup_weight, 0, grid)
+    sup_floor = dz.weighted_sup_norm(floor_field, 2, grid)
     t_k = validity_start(near)
-    if t_window is None:
-        ts = np.linspace(t_k, t_k + span, n_samples)
-    else:
-        ts = np.linspace(t_window[0], t_window[1], n_samples)
-        if ts[0] < t_k - 1e-9:
-            raise ValueError("fit window starts before the smallness time t_k=%.3f" % t_k)
-    l2s, sups = _residual_norms(near, ts, sup_weight, lap_w)
+    ts = np.linspace(t_k, t_k + 60.0, 121)
+    l2s, sups = _residual_norms(near, ts, 2, lap_w)
     mask = l2s > 10 * floor
     if mask.sum() < 5:
         raise RuntimeError("fit window empty after floor filtering "
@@ -447,7 +447,8 @@ def residual_rate(near, t_window=None, n_samples=121, span=60.0, sup_weight=2):
 # bundle persistence
 
 def save_near_solution(dirpath, near, report=None):
-    """Write the near-solution bundle: per-profile CSVs plus a JSON manifest."""
+    """Write the near-solution bundle: per-profile CSVs plus a JSON manifest
+    (t_k taken from the residual report when one is given)."""
     import os
     os.makedirs(dirpath, exist_ok=True)
     for j in range(1, near.k + 1):
@@ -456,7 +457,7 @@ def save_near_solution(dirpath, near, report=None):
     manifest = {
         "d": near.grid.d, "r_max": near.grid.r_max, "n": near.grid.n,
         "k": near.k, "a": near.a, "e0": near.e0,
-        "t_k": validity_start(near),
+        "t_k": validity_start(near) if report is None else report.t_k,
         "conditioning": {str(j): c for j, c in near.conditioning.items()},
     }
     if report is not None:

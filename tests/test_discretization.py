@@ -97,10 +97,8 @@ def test_weighted_sup_norm_oracle(grid):
     from scipy.optimize import minimize_scalar
     res = minimize_scalar(lambda s: -np.sqrt(1 + s ** 2) * gaussian(s),
                           bounds=(0, 5), method="bounded")
-    assert dz.weighted_sup_norm(gaussian(grid.r), 1, 0, grid) == \
+    assert dz.weighted_sup_norm(gaussian(grid.r), 1, grid) == \
         pytest.approx(-res.fun, rel=1e-6)
-    with pytest.raises(ValueError):
-        dz.weighted_sup_norm(gaussian(grid.r), 1, 3, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +228,15 @@ def test_json_round_trip(tmp_path):
     obj = {"d": 6, "vals": [1.0, 2.5], "nested": {"ok": True}}
     dz.save_json(path, obj)
     assert dz.load_json(path) == obj
+
+
+def test_failed_json_dump_leaves_the_old_file(tmp_path):
+    path = os.path.join(tmp_path, "meta.json")
+    dz.save_json(path, {"d": 6})
+    with pytest.raises(TypeError):
+        dz.save_json(path, {"d": 7, "bad": object()})
+    assert dz.load_json(path) == {"d": 6}
+    assert os.listdir(tmp_path) == ["meta.json"]
 
 
 def test_import_leaves_scipy_optimize_and_integrate_unloaded():

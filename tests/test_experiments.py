@@ -100,6 +100,85 @@ def test_documented_and_benchmark_configs_validate(monkeypatch):
         assert ex.validate_config(cfg) == [], cfg
 
 
+def test_config_table_is_consistent():
+    # every default passes its own check (a section's default, key by key),
+    # and the table holds exactly the paths some scenario reads and their sections
+    for path, (want, *default) in ex._KEYS.items():
+        if not default:
+            continue
+        values = [(want, val) for val in default[0]] if path.startswith("ranges.") else \
+            [(want, default[0])]
+        if want is dict:
+            values += [(ex._KEYS["%s.%s" % (path, key)][0], val) for key, val in default[0].items()]
+        assert values
+        for check, val in values:
+            assert ex._check(path, check, val) == [], path
+    read = {path for paths in ex._READS.values() for path in paths}
+    assert read <= set(ex._KEYS)
+    assert set(ex._KEYS) == read | {path.split(".")[0] for path in read if "." in path}
+
+
+def test_config_hash_fills_in_defaults():
+    # an implicit default and the same default written out share a run directory
+    written = {"scenario": "evolve-near-solution", "schema_version": 1,
+               "grid": {"d": 6, "r_max": 60.0, "n": 6000}, "series": {"k": 3},
+               "evolver": {"dt": 0.01, "sample_every": 0.5, "linear_step": "cayley"},
+               "sign": -1, "seed_t0": -10.5, "departure_floor": 1e-3,
+               "backward_span": 120.0, "refine_blowup": True}
+    assert ex.normalize({"scenario": "evolve-near-solution"}) == (written, [])
+    assert ex.config_hash({"scenario": "evolve-near-solution"}) == ex.config_hash(written)
+
+
+def test_normalize_is_idempotent():
+    cfgs = [{"scenario": scen} for scen in ("ground-state", "spectrum", "build-series",
+                                             "evolve-near-solution")]
+    cfgs += [{"scenario": "classify-custom", "grid": dict(SMALL_GRID),
+              "initial": {"kind": "scaled-w", "factor": 1.8},
+              "evolver": {"dt": 0.005, "t_span": [0.0, 30.0]}},
+             {"scenario": "sweep", "grid": {"r_max": 40.0}, "ranges": {"k": [1, 2]}}]
+    for cfg in cfgs:
+        given = json.loads(json.dumps(cfg))
+        filled, errors = ex.normalize(cfg)
+        assert errors == [] and cfg == given  # the given config is left as it was
+        assert ex.normalize(filled) == (filled, [])
+        assert ex.config_hash(filled) == ex.config_hash(cfg)
+
+
+def test_wrongly_typed_values_exit_2_before_a_run_directory(tmp_path, capsys):
+    # values that a truthiness or equality test would let through
+    wpm = {"scenario": "evolve-near-solution", "grid": dict(SMALL_GRID)}
+    cases = [
+        ("classify", {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
+                      "initial": {"kind": "scaled-w", "factor": 1.8},
+                      "evolver": {"track_modulation": "false"}},
+         "evolver.track_modulation: expected true or false, got 'false'"),
+        ("wpm", dict(wpm, refine_blowup="no"), "refine_blowup: expected true or false, got 'no'"),
+        ("ground-state", {"scenario": "ground-state", "schema_version": 7},
+         "schema_version: expected one of [1], got 7"),
+        ("wpm", dict(wpm, sign=True), "sign: expected one of [1, -1], got True"),
+    ]
+    out = tmp_path / "runs"
+    for command, cfg, msg in cases:
+        rc = cli.main([command, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2, cfg
+        assert capsys.readouterr().err == "invalid config:\n  %s\n" % msg
+    assert not out.exists()
+
+
+def test_build_series_finds_t_k_once(tmp_path, monkeypatch):
+    # 13 times on the way to t_k (the bracket search, its check and the root
+    # search share their evaluations) and the two ends of the fitted window
+    times = []
+    perturbation = sb.perturbation
+    monkeypatch.setattr(sb, "perturbation",
+                        lambda near, t: times.append(t) or perturbation(near, t))
+    manifest = ex.run({"scenario": "build-series", "grid": dict(SMALL_GRID)},
+                      out_dir=str(tmp_path))
+    assert len(times) == 15
+    meta = dz.load_json(os.path.join(manifest["run_dir"], "near_solution", "manifest.json"))
+    assert meta["t_k"] == meta["residual_report"]["t_k"]
+
+
 def test_one_sample_w_per_grid(tmp_path, monkeypatch):
     # W is sampled once per grid a run builds: build-series samples its grid
     # and the coarse grid of the spectrum's shift sweep, classify-custom its

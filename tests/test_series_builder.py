@@ -153,8 +153,8 @@ def test_batched_residual_matches_per_time_oracle(grid, pair, blocks):
             terms[1:] += np.abs(L.lo[1:]) * a[:-1]
             assert abs(l2 - dz.l2_norm(eps, grid, interior=True)) \
                 <= 1e-12 * dz.l2_norm(terms, grid, interior=True)
-            assert abs(sup - dz.weighted_sup_norm(eps, 2, 0, grid)) \
-                <= 1e-12 * dz.weighted_sup_norm(terms, 2, 0, grid)
+            assert abs(sup - dz.weighted_sup_norm(eps, 2, grid)) \
+                <= 1e-12 * dz.weighted_sup_norm(terms, 2, grid)
 
 
 def test_residual_norms_reject_non_finite_values(grid, pair, blocks):
