@@ -44,7 +44,9 @@ def build_parser():
         p.add_argument("--config", default=None, help="JSON scenario config")
         p.add_argument("--out", default="runs", help="output root directory")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker cap for sweep cells")
+                       help="worker cap for sweep cells; the cells call BLAS, so "
+                            "with more than one worker set OPENBLAS_NUM_THREADS=1, "
+                            "or the BLAS threads oversubscribe the cores")
         p.add_argument("--check", action="store_true",
                        help="fail (exit 1) when embedded acceptance checks fail")
         if name == "wpm":

@@ -124,22 +124,20 @@ class DiscreteLaplacian:
         di[n] = -(a[n - 1] + (1.0 - beta) * a_out) / V[n]
         self.lo, self.di, self.up = lo, di, up
 
-    def apply(self, u):
-        u = _check_grid(u, self.grid)
-        out = self.di * u
-        out = out.astype(u.dtype if np.iscomplexobj(u) else float)
-        out[:-1] = out[:-1] + self.up[:-1] * u[1:]
-        out[1:] = out[1:] + self.lo[1:] * u[:-1]
+    def apply(self, u, v=None):
+        """(Lap + diag v) u for a field u or each column of a matrix u (v = None:
+        Lap u).  Each entry sums lower, diagonal (di + v) and upper term in
+        that order, so a matrix gives its columns' products bit for bit."""
+        u = np.asarray(u)
+        if u.shape[:1] != (self.grid.nnodes,):
+            raise ValueError("field shape %r does not match grid with %d nodes"
+                             % (u.shape, self.grid.nnodes))
+        col = (-1,) + (1,) * (u.ndim - 1)
+        lo, up = self.lo.reshape(col), self.up.reshape(col)
+        out = (self.di if v is None else self.di + v).reshape(col) * u
+        out[1:] = lo[1:] * u[:-1] + out[1:]
+        out[:-1] += up[:-1] * u[1:]
         return out
-
-    def matrix(self):
-        """Sparse CSC matrix of the operator."""
-        from scipy.sparse import diags
-        return diags([self.lo[1:], self.di, self.up[:-1]], [-1, 0, 1], format="csc")
-
-
-def build_laplacian(grid):
-    return DiscreteLaplacian(grid)
 
 
 def integrate(u, grid):

@@ -38,9 +38,10 @@ EXACT_MAX_BYTES = 2 ** 30
 
 
 class EvolverConfig:
-    def __init__(self, dt=1e-3, t_span=(0.0, 10.0), linear_step="exact",
-                 amp_factor=10.0, grad_factor=10.0, sample_every=0.5,
-                 track_modulation=True):
+    """One evolution's settings; the scenarios fill them from experiments._KEYS."""
+
+    def __init__(self, *, dt, t_span, linear_step, sample_every, track_modulation,
+                 amp_factor=10.0, grad_factor=10.0):
         if linear_step not in LINEAR_STEPS:
             raise ValueError("unknown linear step %r" % (linear_step,))
         if not dt > 0:
@@ -104,7 +105,7 @@ def _rotate(u, s, m2, pexp):
     return e
 
 
-def make_stepper(lapl, dt, linear_step="exact"):
+def make_stepper(lapl, dt, linear_step):
     """Build the Strang step u -> N(dt/2) L(dt) N(dt/2) u for a signed dt.
 
     step_fn(u, lead=0.5, trail=0.5, m2=None) applies N(lead*dt), L(dt),

@@ -216,9 +216,8 @@ def _versions():
 
 
 def _spectrum(grid):
-    blocks = ls.build_blocks(grid)
-    pair = ls.ground_mode(blocks)
-    return blocks, pair
+    bg = gs.Background(grid)
+    return bg, ls.ground_mode(bg)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +245,7 @@ def _run_ground_state(cfg, rundir):
 
 def _run_spectrum(cfg, rundir):
     grid = dz.build_grid(**cfg["grid"])
-    blocks, pair = _spectrum(grid)
+    bg, pair = _spectrum(grid)
     ls.save_eigenpair(os.path.join(rundir, "eigenpair"), pair, grid)
     checks = {
         "e0-positive": {"passed": pair.e0 > 0, "value": pair.e0},
@@ -258,8 +257,8 @@ def _run_spectrum(cfg, rundir):
 
 def _run_build_series(cfg, rundir):
     k = cfg["series"]["k"]
-    blocks, pair = _spectrum(dz.build_grid(**cfg["grid"]))
-    near = sb.build_near_solution(k, cfg["series"]["a"], pair, blocks)
+    bg, pair = _spectrum(dz.build_grid(**cfg["grid"]))
+    near = sb.build_near_solution(k, cfg["series"]["a"], pair, bg)
     report = sb.residual_rate(near)
     sb.save_near_solution(os.path.join(rundir, "near_solution"), near, report)
     target = (k + 1) * pair.e0
@@ -276,10 +275,10 @@ def _run_wpm(cfg, rundir):
     sign, seed_t0, ecfg = cfg["sign"], cfg["seed_t0"], cfg["evolver"]
 
     t0 = _time.perf_counter()
-    blocks, pair = _spectrum(grid)
+    bg, pair = _spectrum(grid)
     ls.save_eigenpair(os.path.join(rundir, "eigenpair"), pair, grid)
     t1 = _time.perf_counter()
-    near = sb.build_near_solution(cfg["series"]["k"], float(sign), pair, blocks)
+    near = sb.build_near_solution(cfg["series"]["k"], float(sign), pair, bg)
     sb.save_near_solution(os.path.join(rundir, "near_solution"), near)
     u0 = sb.assemble(near, seed_t0)
     timings = {"spectrum_s": t1 - t0, "series_s": _time.perf_counter() - t1}
@@ -287,12 +286,12 @@ def _run_wpm(cfg, rundir):
     # forward horizon: stop before the unstable mode amplifies floor-level
     # noise into departure; d0 e^{-e0 t} meets eta e^{+e0 t} at
     # (1/(2 e0)) ln(d0/eta), kept with a safety factor
-    d0 = dz.h1_distance(u0, blocks.W.astype(complex), grid)
+    d0 = dz.h1_distance(u0, bg.W.astype(complex), grid)
     t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / cfg["departure_floor"])
 
     fwd = ev.EvolverConfig(t_span=(seed_t0, seed_t0 + t_fwd), track_modulation=True, **ecfg)
     t0 = _time.perf_counter()
-    trace_f = ev.evolve(u0, fwd, blocks)
+    trace_f = ev.evolve(u0, fwd, bg)
     timings["forward_s"] = _time.perf_counter() - t0
     trace_f.save(os.path.join(rundir, "trace_forward.csv"),
                  os.path.join(rundir, "trace_forward.json"))
@@ -300,7 +299,7 @@ def _run_wpm(cfg, rundir):
 
     bwd = dict(ecfg, t_span=(seed_t0, seed_t0 - cfg["backward_span"]), track_modulation=False)
     t0 = _time.perf_counter()
-    trace_b = ev.evolve(u0, ev.EvolverConfig(**bwd), blocks)
+    trace_b = ev.evolve(u0, ev.EvolverConfig(**bwd), bg)
     timings["backward_s"] = _time.perf_counter() - t0
     trace_b.save(os.path.join(rundir, "trace_backward.csv"),
                  os.path.join(rundir, "trace_backward.json"))
@@ -328,7 +327,7 @@ def _run_wpm(cfg, rundir):
             t_star = trace_b.termination["t_star"]
             fine = ev.EvolverConfig(**dict(bwd, dt=ecfg["dt"] / 2))
             t0 = _time.perf_counter()
-            trace_b2 = ev.evolve(u0, fine, blocks)
+            trace_b2 = ev.evolve(u0, fine, bg)
             timings["backward_s"] += _time.perf_counter() - t0
             t_star2 = trace_b2.termination.get("t_star", float("nan"))
             shift = abs(t_star2 - t_star) / abs(t_star - seed_t0)
@@ -377,9 +376,9 @@ def _run_sweep(cfg, rundir, workers=1):
     units, failures = {}, {}
     for d in ds:
         for n in ns:
-            blocks, pair = _spectrum(dz.build_grid(d, r_max, n))
+            bg, pair = _spectrum(dz.build_grid(d, r_max, n))
             try:
-                units[(d, n)] = sb.build_near_solution(max(ks), 1.0, pair, blocks)
+                units[(d, n)] = sb.build_near_solution(max(ks), 1.0, pair, bg)
             except Exception as exc:  # recorded for each of the grid's cells
                 failures.update(dict.fromkeys([(d, n, k, a) for k in ks for a in aa],
                                               "%s: %s" % (type(exc).__name__, exc)))

@@ -81,7 +81,7 @@ class Background:
         self.W = sample_w(grid)
         self.p_c = critical_exponent(grid.d)
         self.pot = self.W ** (self.p_c - 1)
-        self.lapl = dz.build_laplacian(grid)
+        self.lapl = dz.DiscreteLaplacian(grid)
 
 
 def kinetic_norm(u, grid, tail="none", refine=False):

@@ -11,7 +11,9 @@ with the eigenmode relations  L_minus y2 = e0 y1  and  -L_plus y1 = e0 y2,
 i.e. (y1, y2) is an eigenvector of the block operator
 B (y1, y2) = (L_minus y2, -L_plus y1) with eigenvalue e0.  The
 unstable/stable pair is Y_plus = y1 + i y2 (rate +e0) and its conjugate
-Y_minus (rate -e0).
+Y_minus (rate -e0).  Both blocks are the ground_state.Background's Laplacian
+bands with c W^{p_c - 1} on the diagonal, applied as lapl.apply(y, c pot);
+no other copy of them is kept.
 
 Every fine-grid solve goes through one factorization: the block matrix
 
@@ -33,7 +35,6 @@ import functools
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.sparse import diags
 
 from . import discretization as dz
 from . import ground_state as gs
@@ -43,43 +44,33 @@ TOL = 1e-10       # block residual, relative to e0, that ends the inverse iterat
 MAX_ITER = 40
 
 
-class LinearizedBlocks(gs.Background):
-    """The pair (L_plus, L_minus) on a grid, extending the grid's background,
-    which the blocks then serve as for the series, evolver and classifier."""
-
-    def __init__(self, grid):
-        super().__init__(grid)
-        T = self.lapl.matrix()
-        self.L_plus = (T + diags(self.p_c * self.pot)).tocsc()
-        self.L_minus = (T + diags(self.pot)).tocsc()
-
-
 def build_blocks(grid):
-    return LinearizedBlocks(grid)
+    """The ground_state.Background of grid, whose lapl and pot give L_plus and L_minus."""
+    return gs.Background(grid)
 
 
-def _block_band(blocks, s):
+def _block_band(bg, s):
     """A_s on interleaved unknowns, in the LAPACK band storage dgbtrf expects
     (kl = ku = 2, two extra rows on top for the fill-in of partial pivoting):
     entry A[i, c] sits at ab[4 + i - c, c]."""
-    Lp, Lm = blocks.L_plus, blocks.L_minus
-    ab = np.zeros((7, 2 * blocks.grid.nnodes))
-    ab[4, 0::2], ab[4, 1::2] = Lp.diagonal(), Lm.diagonal()
-    ab[2, 2::2], ab[2, 3::2] = Lp.diagonal(1), Lm.diagonal(1)
-    ab[6, 0:-2:2], ab[6, 1:-2:2] = Lp.diagonal(-1), Lm.diagonal(-1)
+    lapl = bg.lapl
+    ab = np.zeros((7, 2 * bg.grid.nnodes))
+    ab[4, 0::2], ab[4, 1::2] = lapl.di + bg.p_c * bg.pot, lapl.di + bg.pot
+    ab[2, 2::2] = ab[2, 3::2] = lapl.up[:-1]
+    ab[6, 0:-2:2] = ab[6, 1:-2:2] = lapl.lo[1:]
     ab[3, 1::2] = s    # y1-row i, column y2_i
     ab[5, 0::2] = -s   # y2-row i, column y1_i
     return ab
 
 
-def factor_block(blocks, s):
+def factor_block(bg, s):
     """Banded LU of A_s = [[L_plus, s I], [-s I, L_minus]].
 
     Returns (solve, ||A_s||_1), where solve(x, trans=0) returns A_s^{-1} x
     (trans=1: A_s^{-T} x) for x on interleaved unknowns, one vector or the
     columns of a matrix.
     """
-    ab = _block_band(blocks, s)
+    ab = _block_band(bg, s)
     norm_a = float(np.abs(ab[2:]).sum(axis=0).max())
     lu, piv, info = lapack.dgbtrf(ab, 2, 2)
     if info != 0:
@@ -115,8 +106,9 @@ def _coarse_shift(d, r_max, n):
     Anchors the fine-grid inverse iteration away from truncated-continuum
     artifacts.  Memoized: grids sharing d, r_max and n here run it once.
     """
-    blocks = LinearizedBlocks(dz.build_grid(d, r_max, n))
-    lam = np.linalg.eigvals((blocks.L_minus @ blocks.L_plus).toarray())
+    bg = gs.Background(dz.build_grid(d, r_max, n))
+    L_plus = bg.lapl.apply(np.eye(bg.grid.nnodes), bg.p_c * bg.pot)
+    lam = np.linalg.eigvals(bg.lapl.apply(L_plus, bg.pot))
     real = lam[np.abs(lam.imag) < 1e-8 * np.abs(lam.real).max()].real
     neg = real[real < 0]
     if neg.size == 0:
@@ -126,7 +118,7 @@ def _coarse_shift(d, r_max, n):
     return float(np.sqrt(-neg.min()))
 
 
-def ground_mode(blocks):
+def ground_mode(bg):
     """Compute (e0, Y_plus) for the linearized operator.
 
     Inverse iteration on B - s I from the coarse-grid shift s, each step one
@@ -136,9 +128,10 @@ def ground_mode(blocks):
     grows like ||B||_1 ~ 1/h^2 and passes TOL e0 on fine grids (measured
     ||B z - e0 z|| / ||B||_1 = 1.3-2.1e-17 at d = 6, n = 6000 to 48000).
     """
-    grid = blocks.grid
+    grid, lapl = bg.grid, bg.lapl
     s = _coarse_shift(grid.d, grid.r_max, min(N_COARSE, grid.n))
-    solve, norm_a = factor_block(blocks, s)
+    solve, norm_a = factor_block(bg, s)
+    pot_plus = bg.p_c * bg.pot
     # each column of |A_s| sums to that of |B| plus s
     floor = np.finfo(float).eps * (norm_a - s)
     # complex storage y1 + i y2 is exactly the interleaved layout
@@ -147,7 +140,7 @@ def ground_mode(blocks):
     for _ in range(MAX_ITER):
         y = solve((1j * y).view(float)).view(complex)
         y /= np.linalg.norm(y)
-        By = blocks.L_minus @ y.imag - 1j * (blocks.L_plus @ y.real)
+        By = lapl.apply(y.imag, bg.pot) - 1j * lapl.apply(y.real, pot_plus)
         e0 = float(np.vdot(y, By).real)
         res = np.linalg.norm(By - e0 * y)
         # converged, and no longer gaining a digit per step (round-off floor)
@@ -170,19 +163,19 @@ def ground_mode(blocks):
     pair = EigenPair(e0, y1, y2,
                      normalization={"norm": "h1dot", "value": 1.0,
                                     "sign": "y1(0) > 0"})
-    pair.residual = eigen_residual(blocks, pair)
+    pair.residual = eigen_residual(bg, pair)
     return pair
 
 
-def eigen_residual(blocks, pair):
+def eigen_residual(bg, pair):
     """Relative block residual max(||L_minus y2 - e0 y1||, ||L_plus y1 + e0 y2||) / ||pair||.
 
     Norms are weighted L^2 over the interior nodes (the boundary row carries
     the modified stencil).
     """
-    grid = blocks.grid
-    r1 = blocks.L_minus @ pair.y2 - pair.e0 * pair.y1
-    r2 = blocks.L_plus @ pair.y1 + pair.e0 * pair.y2
+    grid = bg.grid
+    r1 = bg.lapl.apply(pair.y2, bg.pot) - pair.e0 * pair.y1
+    r2 = bg.lapl.apply(pair.y1, bg.p_c * bg.pot) + pair.e0 * pair.y2
     scale = np.sqrt(dz.l2_norm(pair.y1, grid, interior=True) ** 2
                     + dz.l2_norm(pair.y2, grid, interior=True) ** 2)
     return max(dz.l2_norm(r1, grid, interior=True),

@@ -37,7 +37,7 @@ evaluated together, in row chunks of at most CHUNK_BYTES: one
 (samples x k)(k x nodes) product for u, one for the linear part, then the
 nonlinearity and the norms along rows.
 
-W, p_c, the potential W^{p_c-1} and the Laplacian come from the blocks, the
+W, p_c, the potential W^{p_c-1} and the Laplacian come from bg, the
 ground_state.Background the profiles are solved on; a NearSolution keeps it.
 
 The validity start t_k is found by a port of scipy's C brentq (inverse
@@ -206,7 +206,7 @@ def _inverse_onenorm(solve, n, t=3, itmax=5):
     return est
 
 
-def solve_profile(j, forcing, pair, blocks):
+def solve_profile(j, forcing, pair, bg):
     """Solve the order-j resolvent system for Phi_j (2N block form).
 
     Solves A_j (f, g) = (-Re F_j, -Im F_j) with
@@ -223,7 +223,7 @@ def solve_profile(j, forcing, pair, blocks):
     if j < 2:
         raise ValueError("solve_profile needs j >= 2; Phi_1 = a * Y_plus")
     e0 = pair.e0
-    solve, norm_a = ls.factor_block(blocks, j * e0)
+    solve, norm_a = ls.factor_block(bg, j * e0)
     # complex storage is exactly the interleaved (Re, Im) layout
     rhs = (-np.asarray(forcing, dtype=complex)).view(float)
     phi = solve(rhs).view(complex)
@@ -250,19 +250,19 @@ class NearSolution:
         self.conditioning = conditioning or {}
 
 
-def build_near_solution(k, a, pair, blocks):
+def build_near_solution(k, a, pair, bg):
     """Run the order-by-order recursion up to order k with Phi_1 = a * Y_plus."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = pz_coefficients(blocks.p_c, max(k, 2))
+    table = pz_coefficients(bg.p_c, max(k, 2))
     profiles = [None, a * pair.y_plus]
     conditioning = {}
     for j in range(2, k + 1):
-        F = order_forcing(j, profiles, table, blocks)
-        phi, cond = solve_profile(j, F, pair, blocks)
+        F = order_forcing(j, profiles, table, bg)
+        phi, cond = solve_profile(j, F, pair, bg)
         profiles.append(phi)
         conditioning[j] = cond
-    return NearSolution(blocks, k, a, pair.e0, profiles, conditioning=conditioning)
+    return NearSolution(bg, k, a, pair.e0, profiles, conditioning=conditioning)
 
 
 def perturbation(near, t):

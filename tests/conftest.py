@@ -18,23 +18,18 @@ def grid():
 
 
 @pytest.fixture(scope="session")
-def lapl(grid):
-    return dz.build_laplacian(grid)
-
-
-@pytest.fixture(scope="session")
 def background(grid):
     return gs.Background(grid)
 
 
 @pytest.fixture(scope="session")
-def blocks(grid):
-    return ls.build_blocks(grid)
+def lapl(background):
+    return background.lapl
 
 
 @pytest.fixture(scope="session")
-def pair(blocks):
-    return ls.ground_mode(blocks)
+def pair(background):
+    return ls.ground_mode(background)
 
 
 @pytest.fixture()

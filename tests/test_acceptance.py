@@ -27,24 +27,24 @@ def ref_grid():
 
 
 @pytest.fixture(scope="module")
-def ref_blocks(ref_grid):
-    return ls.build_blocks(ref_grid)
+def ref_bg(ref_grid):
+    return gs.Background(ref_grid)
 
 
 @pytest.fixture(scope="module")
-def ref_pair(ref_blocks):
-    return ls.ground_mode(ref_blocks)
+def ref_pair(ref_bg):
+    return ls.ground_mode(ref_bg)
 
 
 @pytest.fixture(scope="module")
-def ref_near(ref_pair, ref_blocks):
-    return {k: sb.build_near_solution(k, 1.0, ref_pair, ref_blocks)
+def ref_near(ref_pair, ref_bg):
+    return {k: sb.build_near_solution(k, 1.0, ref_pair, ref_bg)
             for k in (1, 2, 3, 4)}
 
 
 def _static_residual(n):
     g = dz.build_grid(D, R_MAX, n)
-    L = dz.build_laplacian(g)
+    L = dz.DiscreteLaplacian(g)
     W = gs.sample_w(g)
     pc = gs.critical_exponent(D)
     res = L.apply(W) + W ** pc
@@ -86,24 +86,24 @@ def test_criterion_3_sharp_sobolev_extremality(ref_grid):
         assert abs(q - q0) / q0 <= 10 * eps ** 2
 
 
-def test_criterion_4_eigenpair_certification(ref_grid, ref_blocks, ref_pair):
+def test_criterion_4_eigenpair_certification(ref_grid, ref_bg, ref_pair):
     assert ref_pair.e0 > 0
     assert ref_pair.residual <= 1e-8
 
     # stability to 4 significant digits (relative shift <= 5e-4)
-    pair_n = ls.ground_mode(ls.build_blocks(dz.build_grid(D, R_MAX, 2 * N)))
+    pair_n = ls.ground_mode(gs.Background(dz.build_grid(D, R_MAX, 2 * N)))
     assert abs(pair_n.e0 - ref_pair.e0) / ref_pair.e0 <= 5e-4
-    pair_r = ls.ground_mode(ls.build_blocks(dz.build_grid(D, 2 * R_MAX, 2 * N)))
+    pair_r = ls.ground_mode(gs.Background(dz.build_grid(D, 2 * R_MAX, 2 * N)))
     assert abs(pair_r.e0 - ref_pair.e0) / ref_pair.e0 <= 5e-4
 
     # kernel relations at order 2
     def kernel_residuals(n):
         g = dz.build_grid(D, R_MAX, n)
-        b = ls.build_blocks(g)
+        b = gs.Background(g)
         lw = gs.scaling_generator(D, g.r)
-        rm = dz.l2_norm(b.L_minus @ b.W, g, interior=True) \
+        rm = dz.l2_norm(b.lapl.apply(b.W, b.pot), g, interior=True) \
             / dz.l2_norm(b.W ** b.p_c, g, interior=True)
-        rp = dz.l2_norm(b.L_plus @ lw, g, interior=True) \
+        rp = dz.l2_norm(b.lapl.apply(lw, b.p_c * b.pot), g, interior=True) \
             / dz.l2_norm(b.p_c * b.W ** (b.p_c - 1) * lw, g, interior=True)
         return rm, rp
 
@@ -124,9 +124,9 @@ def test_criterion_5_rate_ladder(ref_pair, ref_near):
 
 
 def test_criterion_6_homogeneity_and_translation(ref_grid, ref_pair,
-                                                 ref_blocks, ref_near):
+                                                 ref_bg, ref_near):
     a = 1.7
-    near_a = sb.build_near_solution(4, a, ref_pair, ref_blocks)
+    near_a = sb.build_near_solution(4, a, ref_pair, ref_bg)
     for j in range(1, 5):
         ref = a ** j * ref_near[4].profiles[j]
         rel = dz.l2_norm(near_a.profiles[j] - ref, ref_grid) \
@@ -134,8 +134,8 @@ def test_criterion_6_homogeneity_and_translation(ref_grid, ref_pair,
         assert rel <= 1e-10, "profile %d homogeneity error %.3e" % (j, rel)
 
     # W_k^a(t) = W_k^{sgn a}(t - ln|a|/e0) for both signs
-    near_m1 = sb.build_near_solution(4, -1.0, ref_pair, ref_blocks)
-    near_ma = sb.build_near_solution(4, -a, ref_pair, ref_blocks)
+    near_m1 = sb.build_near_solution(4, -1.0, ref_pair, ref_bg)
+    near_ma = sb.build_near_solution(4, -a, ref_pair, ref_bg)
     shift = np.log(a) / ref_pair.e0
     for t in (8.0, 16.0, 30.0):
         err_p = np.max(np.abs(sb.assemble(near_a, t)
@@ -154,7 +154,7 @@ def test_criterion_7_evolver_certification(ref_grid):
     # clause 1 + 2: stationary-W run over [0, 10/e0]
     e0 = 0.14029086451248082
     cfg = ev.EvolverConfig(dt=1e-3, t_span=(0.0, 10.0 / e0), sample_every=1.0,
-                           linear_step="cayley")
+                           linear_step="cayley", track_modulation=True)
     trace = ev.evolve(W, cfg, bg)
     dist = float(np.nanmax(trace.h1_dist))
     if not (trace.termination["status"] == "completed" and dist <= 1e-4):
@@ -225,7 +225,7 @@ def test_criterion_9_w_plus_behavior(tmp_path):
     assert checks["blowup-time-stable"]["shift"] <= 0.05
 
 
-def test_criterion_10_series_vs_direct_nonlinearity(ref_grid, ref_blocks,
+def test_criterion_10_series_vs_direct_nonlinearity(ref_grid, ref_bg,
                                                     ref_pair, ref_near):
     near = ref_near[3]
     table = sb.pz_coefficients(2.0, 3)
@@ -234,7 +234,7 @@ def test_criterion_10_series_vs_direct_nonlinearity(ref_grid, ref_blocks,
     ts = t0 + np.linspace(1.0, 25.0, 7)
     diffs = []
     for t in ts:
-        direct = sb.eval_r(sb.perturbation(near, t), ref_blocks)
+        direct = sb.eval_r(sb.perturbation(near, t), ref_bg)
         series = sb.series_reconstruction(near, table, t)
         diffs.append(dz.l2_norm(direct - series, ref_grid, interior=True))
     diffs = np.array(diffs)

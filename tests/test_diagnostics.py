@@ -52,7 +52,7 @@ def test_fit_modulation_distance_is_the_direct_minimum(grid, background):
     # W plus a bump; a scaled W focused past the amplitude threshold
     # (max|u| ~ 98 > 10 max W); a field far from the family
     cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 2.5), linear_step="cayley",
-                           track_modulation=False)
+                           sample_every=0.5, track_modulation=False)
     focused = ev.evolve((1.8 * gs.sample_w(grid)).astype(complex), cfg,
                         background).final_state
     fields = [gs.w_family(0.0, 1.0, grid) + 0.01 * np.exp(-(grid.r - 8) ** 2),
@@ -102,7 +102,7 @@ def test_fit_modulation_search_matches_scipy(grid, background, monkeypatch):
         return port(func, a, b)
     monkeypatch.setattr(dg, "_bounded_min", spy)
     cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 2.5), linear_step="cayley",
-                           track_modulation=False)
+                           sample_every=0.5, track_modulation=False)
     focused = ev.evolve((1.8 * gs.sample_w(grid)).astype(complex), cfg,
                         background).final_state
     fields = [gs.w_family(0.0, 1.0, grid) + 0.01 * np.exp(-(grid.r - 8) ** 2),
@@ -202,7 +202,8 @@ def test_rate_fit_recovers_random_rates(rate, logc):
 
 def _trace(background, times, kinetic, energy=None, h1_dist=None,
            status="completed", horizon=np.inf):
-    cfg = ev.EvolverConfig(dt=0.01, t_span=(times[0], times[-1]))
+    cfg = ev.EvolverConfig(dt=0.01, t_span=(times[0], times[-1]), linear_step="exact",
+                           sample_every=0.5, track_modulation=True)
     tr = ev.EvolutionTrace(background, cfg)
     tr.times = list(times)
     tr.kinetic = list(kinetic)

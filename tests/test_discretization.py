@@ -115,7 +115,7 @@ def test_laplacian_second_order_on_gaussian():
     errs = []
     for n in (400, 800, 1600):
         g = dz.build_grid(6, 40.0, n)
-        L = dz.build_laplacian(g)
+        L = dz.DiscreteLaplacian(g)
         res = L.apply(gaussian(g.r)) - gaussian_radial_laplacian(g.r, g.d)
         errs.append(np.max(np.abs(res[:-1])))
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -140,9 +140,23 @@ def test_kinetic_is_laplacian_quadratic_form(grid, lapl, rng):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_matrix_agrees_with_apply(grid, lapl, rng):
-    u = rng.standard_normal(grid.nnodes)
-    assert np.allclose(lapl.matrix() @ u, lapl.apply(u), rtol=1e-13, atol=1e-13)
+def test_apply_agrees_with_dense_tridiagonal(grid, lapl, rng):
+    # (Lap + diag v) built densely from the bands; a matrix of columns gives
+    # its columns' products bit for bit (the coarse shift applies L_minus to
+    # the dense L_plus)
+    N = grid.nnodes
+    u = rng.standard_normal(N)
+    U = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
+    for v in (None, rng.standard_normal(N)):
+        T = (np.diag(lapl.lo[1:], -1) + np.diag(lapl.di + (0 if v is None else v))
+             + np.diag(lapl.up[:-1], 1))
+        tol = 1e-14 * np.abs(T).sum(axis=1).max()
+        assert np.max(np.abs(lapl.apply(u, v) - T @ u)) <= tol * np.max(np.abs(u))
+        assert np.max(np.abs(lapl.apply(U, v) - T @ U)) <= tol * np.max(np.abs(U))
+        cols = np.stack([lapl.apply(U[:, j], v) for j in range(U.shape[1])], axis=1)
+        assert np.array_equal(lapl.apply(U, v), cols)
+    with pytest.raises(ValueError):
+        lapl.apply(np.ones((N - 1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +254,15 @@ def test_failed_json_dump_leaves_the_old_file(tmp_path):
 
 
 def test_import_leaves_scipy_optimize_and_integrate_unloaded():
-    # a fresh process: importing the package loads neither; a tail-corrected
-    # norm still works and loads scipy.integrate only then
+    # a fresh process: importing the package loads none of scipy.optimize,
+    # scipy.integrate and scipy.sparse; a tail-corrected norm still works and
+    # loads scipy.integrate only then
     code = "\n".join([
         "import sys",
         "import nlslab",
         "from nlslab import discretization as dz, ground_state as gs",
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))",
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.sparse')",
+        "             if m in sys.modules))",
         "g = dz.build_grid(6, 40.0, 400)",
         "print(gs.kinetic_norm(gs.sample_w(g), g, tail='powerlaw') > 0)",
         "print('scipy.integrate' in sys.modules)",

@@ -18,13 +18,15 @@ def _mass(u, grid):
 
 
 def test_config_validation():
+    ok = dict(dt=1e-3, t_span=(0.0, 10.0), linear_step="exact", sample_every=0.5,
+              track_modulation=True)
     with pytest.raises(ValueError):
-        ev.EvolverConfig(linear_step="pade")
+        ev.EvolverConfig(**dict(ok, linear_step="pade"))
     with pytest.raises(ValueError):
-        ev.EvolverConfig(dt=-0.1)
+        ev.EvolverConfig(**dict(ok, dt=-0.1))
     with pytest.raises(ValueError):
-        ev.EvolverConfig(amp_factor=0.5)
-    cfg = ev.EvolverConfig(dt=0.01, t_span=(0, 1))
+        ev.EvolverConfig(**dict(ok, amp_factor=0.5))
+    cfg = ev.EvolverConfig(**dict(ok, dt=0.01, t_span=(0, 1)))
     assert cfg.as_dict()["dt"] == 0.01
 
 
@@ -52,7 +54,7 @@ def test_time_reversal(grid, lapl, u0, linear_step):
 def test_gauge_equivariance(grid, lapl, u0):
     # the flow commutes with constant phase rotations
     alpha = 0.8
-    stp = ev.make_stepper(lapl, 0.01)
+    stp = ev.make_stepper(lapl, 0.01, linear_step="exact")
     a, b = u0.copy(), (np.exp(1j * alpha) * u0).copy()
     for _ in range(20):
         a, b = stp(a), stp(b)
@@ -71,7 +73,7 @@ def test_linear_substeps_agree_for_small_dt(grid, lapl):
 
 def test_step_doubling_order_two():
     g = dz.build_grid(6, 40.0, 400)
-    L = dz.build_laplacian(g)
+    L = dz.DiscreteLaplacian(g)
     u0 = (0.95 * gs.sample_w(g)).astype(complex)
     T = 0.5
 
@@ -148,7 +150,7 @@ def test_merged_loop_blowup_matches_stepper(grid, lapl, background):
 
 def test_exact_substep_refuses_large_grids():
     # n = 12000: the 12001 x 12001 eigenvector matrix would take 1.15 GB
-    big = dz.build_laplacian(dz.build_grid(6, 60.0, 12000))
+    big = dz.DiscreteLaplacian(dz.build_grid(6, 60.0, 12000))
     with pytest.raises(ValueError, match="n = 12000.*1152192008-byte"):
         ev.make_stepper(big, 0.01, linear_step="exact")
     assert getattr(big, "_eig", None) is None
@@ -159,7 +161,7 @@ def test_exact_substep_refuses_large_grids():
 
 def test_evolve_samples_and_conserves(grid, background, u0):
     cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 2.0), sample_every=0.5,
-                           linear_step="cayley")
+                           linear_step="cayley", track_modulation=True)
     trace = ev.evolve(u0, cfg, background)
     assert trace.termination["status"] == "completed"
     assert trace.times == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
@@ -171,7 +173,7 @@ def test_evolve_samples_and_conserves(grid, background, u0):
 
 def test_evolve_backward_time(grid, background, u0):
     cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, -1.0), sample_every=0.5,
-                           track_modulation=False)
+                           linear_step="exact", track_modulation=False)
     trace = ev.evolve(u0, cfg, background)
     assert trace.termination["status"] == "completed"
     assert trace.times[-1] == pytest.approx(-1.0)
@@ -182,7 +184,7 @@ def test_blowup_detection_brackets_t_star(grid, background):
     # detector must fire at finite time with a one-step bracket
     u0 = (1.8 * gs.sample_w(grid)).astype(complex)
     cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 30.0), sample_every=1.0,
-                           track_modulation=False)
+                           linear_step="exact", track_modulation=False)
     trace = ev.evolve(u0, cfg, background)
     assert trace.termination["status"] == "blowup-detected"
     lo, hi = trace.termination["bracket"]
@@ -194,7 +196,7 @@ def test_trace_counts_fits_on_the_bracket_edge(grid, background):
     # near blowup the amplitude-seeded bracket stops holding the optimum
     u0 = (1.8 * gs.sample_w(grid)).astype(complex)
     cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 30.0), sample_every=0.05,
-                           linear_step="cayley")
+                           linear_step="cayley", track_modulation=True)
     trace = ev.evolve(u0, cfg, background)
     mod = trace.modulation
     assert trace.termination["status"] == "blowup-detected"
@@ -207,7 +209,8 @@ def test_trace_counts_fits_on_the_bracket_edge(grid, background):
 
 def test_stationary_w_stays_near_family(grid, background):
     W = gs.sample_w(grid).astype(complex)
-    cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 5.0), sample_every=1.0)
+    cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 5.0), sample_every=1.0,
+                           linear_step="exact", track_modulation=True)
     trace = ev.evolve(W, cfg, background)
     assert trace.termination["status"] == "completed"
     # the modulated distance is absolute; compare against ||grad W|| ~ 84.5
@@ -216,7 +219,8 @@ def test_stationary_w_stays_near_family(grid, background):
 
 
 def test_evolve_input_validation(grid, background):
-    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.0))
+    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.0), linear_step="exact",
+                           sample_every=0.5, track_modulation=True)
     with pytest.raises(ValueError):
         ev.evolve(np.ones(7, complex), cfg, background)
     bad = np.ones(grid.nnodes, complex)
@@ -226,7 +230,8 @@ def test_evolve_input_validation(grid, background):
 
 
 def test_trace_save_round_trip(tmp_path, grid, background, u0):
-    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.0), sample_every=0.5)
+    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.0), sample_every=0.5,
+                           linear_step="exact", track_modulation=True)
     trace = ev.evolve(u0, cfg, background)
     csv, js = str(tmp_path / "trace.csv"), str(tmp_path / "trace.json")
     trace.save(csv, js)

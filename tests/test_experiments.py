@@ -481,10 +481,10 @@ def test_sweep_rows_match_direct_cells(tmp_path):
     rows = np.loadtxt(os.path.join(manifest["run_dir"], "aggregate.csv"),
                       delimiter=",", skiprows=1)
     assert rows.shape == (12, 8)
-    blocks = ls.build_blocks(dz.build_grid(**SMALL_GRID))
-    pair = ls.ground_mode(blocks)
+    bg = gs.Background(dz.build_grid(**SMALL_GRID))
+    pair = ls.ground_mode(bg)
     for d, n, k, a, e0, t_k, rate, target in rows:
-        report = sb.residual_rate(sb.build_near_solution(int(k), a, pair, blocks))
+        report = sb.residual_rate(sb.build_near_solution(int(k), a, pair, bg))
         assert e0 == pair.e0
         assert abs(t_k - report.t_k) <= 1e-12 * max(1.0, abs(report.t_k)), (k, a)
         assert abs(rate - report.rate) <= 1e-9 * report.rate, (k, a)
@@ -511,10 +511,10 @@ def test_sweep_solves_one_series_and_one_coarse_sweep(tmp_path, monkeypatch):
 def test_sweep_records_a_failed_unit_series_for_each_cell(tmp_path, monkeypatch):
     build = sb.build_near_solution
 
-    def failing(k, a, pair, blocks):
-        if blocks.grid.n == 400:
+    def failing(k, a, pair, bg):
+        if bg.grid.n == 400:
             raise RuntimeError("no series here")
-        return build(k, a, pair, blocks)
+        return build(k, a, pair, bg)
 
     monkeypatch.setattr(sb, "build_near_solution", failing)
     cfg = {"ranges": {"d": [6], "n": [400, 800], "k": [1, 2], "a": [1.0, -1.0]},

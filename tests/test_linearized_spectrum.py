@@ -1,4 +1,8 @@
-"""Linearized blocks and the unstable eigenmode, certified independently."""
+"""Linearized blocks and the unstable eigenmode, certified independently.
+
+L_plus and L_minus are the background's Laplacian plus c W^{p_c-1} on the
+diagonal; their dense form, where a test needs an oracle, is apply on the
+identity, entry for entry the tridiagonal matrix."""
 
 import numpy as np
 import pytest
@@ -11,15 +15,15 @@ from nlslab import linearized_spectrum as ls
 
 def _kernel_residual(n, which):
     g = dz.build_grid(6, 40.0, n)
-    b = ls.build_blocks(g)
+    b = gs.Background(g)
     if which == "minus":
         # L_minus W = Lap W + W^{p_c} = 0 (the static equation)
-        res = b.L_minus @ b.W
+        res = b.lapl.apply(b.W, b.pot)
         scale = dz.l2_norm(b.W ** b.p_c, g, interior=True)
     else:
         # L_plus (Lambda W) = 0 (scaling tangent in the kernel)
         lw = gs.scaling_generator(g.d, g.r)
-        res = b.L_plus @ lw
+        res = b.lapl.apply(lw, b.p_c * b.pot)
         scale = dz.l2_norm(b.p_c * b.W ** (b.p_c - 1) * lw, g, interior=True)
     return dz.l2_norm(res, g, interior=True) / scale
 
@@ -32,10 +36,11 @@ def test_kernel_relations_converge_at_order_2(which):
     assert np.all(np.abs(slopes - 2.0) < 0.3)
 
 
-def test_ground_mode_block_relations(grid, blocks, pair):
+def test_ground_mode_block_relations(grid, background, pair):
     # L_minus y2 = e0 y1 and -L_plus y1 = e0 y2 directly
-    r1 = blocks.L_minus @ pair.y2 - pair.e0 * pair.y1
-    r2 = blocks.L_plus @ pair.y1 + pair.e0 * pair.y2
+    lapl, pot = background.lapl, background.pot
+    r1 = lapl.apply(pair.y2, pot) - pair.e0 * pair.y1
+    r2 = lapl.apply(pair.y1, background.p_c * pot) + pair.e0 * pair.y2
     scale = np.sqrt(dz.l2_norm(pair.y1, grid, interior=True) ** 2
                     + dz.l2_norm(pair.y2, grid, interior=True) ** 2)
     assert dz.l2_norm(r1, grid, interior=True) / scale < 1e-8
@@ -53,10 +58,11 @@ def test_ground_mode_normalization(grid, pair):
 def test_ground_mode_matches_dense_oracle():
     # independent route: dense eigensolve of the full 2N x 2N block system
     g = dz.build_grid(6, 40.0, 300)
-    b = ls.build_blocks(g)
+    b = gs.Background(g)
     pair = ls.ground_mode(b)
-    B = np.block([[np.zeros((g.nnodes, g.nnodes)), b.L_minus.toarray()],
-                  [-b.L_plus.toarray(), np.zeros((g.nnodes, g.nnodes))]])
+    eye = np.eye(g.nnodes)
+    B = np.block([[np.zeros((g.nnodes, g.nnodes)), b.lapl.apply(eye, b.pot)],
+                  [-b.lapl.apply(eye, b.p_c * b.pot), np.zeros((g.nnodes, g.nnodes))]])
     lam = scipy.linalg.eigvals(B)
     real = lam[np.abs(lam.imag) < 1e-6].real
     pos = real[real > 1e-6]
@@ -68,8 +74,8 @@ def test_ground_mode_matches_dense_oracle():
 def test_ground_mode_certifies_fine_grids():
     # the block residual's round-off floor grows like ||B||_1 ~ 1/h^2 and
     # passes 1e-10 e0 near n = 20000; the backward-error stop still certifies
-    ref = ls.ground_mode(ls.build_blocks(dz.build_grid(6, 60.0, 6000)))
-    fine = ls.ground_mode(ls.build_blocks(dz.build_grid(6, 60.0, 24000)))
+    ref = ls.ground_mode(gs.Background(dz.build_grid(6, 60.0, 6000)))
+    fine = ls.ground_mode(gs.Background(dz.build_grid(6, 60.0, 24000)))
     assert fine.residual <= 1e-8
     assert abs(fine.e0 - ref.e0) <= 5e-4
     # e0 at n = 6000 as recorded in bench/reference.json
@@ -83,9 +89,10 @@ def test_eigenmode_decays(grid, pair):
 
 def test_factor_block_matches_dense_solves(rng):
     g = dz.build_grid(6, 40.0, 50)
-    b = ls.build_blocks(g)
+    b = gs.Background(g)
     N, s = g.nnodes, 0.3
-    Lp, Lm, I = b.L_plus.toarray(), b.L_minus.toarray(), np.eye(N)
+    I = np.eye(N)
+    Lp, Lm = b.lapl.apply(I, b.p_c * b.pot), b.lapl.apply(I, b.pot)
     # A_s on interleaved unknowns y1_0, y2_0, y1_1, ...
     A = np.zeros((2 * N, 2 * N))
     A[0::2, 0::2], A[0::2, 1::2] = Lp, s * I

@@ -13,8 +13,8 @@ from nlslab import series_builder as sb
 
 
 @pytest.fixture(scope="module")
-def near2(pair, blocks):
-    return sb.build_near_solution(2, 1.0, pair, blocks)
+def near2(pair, background):
+    return sb.build_near_solution(2, 1.0, pair, background)
 
 
 def test_generalized_binomial_values():
@@ -68,77 +68,80 @@ def test_eval_gamma_is_the_derivative_of_the_nonlinearity(grid, background):
     assert np.max(np.abs(sb.eval_gamma(v, background) - fd)) < 1e-7
 
 
-def test_series_reconstruction_matches_direct_remainder(grid, pair, blocks, near2):
+def test_series_reconstruction_matches_direct_remainder(grid, pair, background, near2):
     # with profiles through order k, sum_j e^{-j e0 t} F_j reproduces
     # i R(v_k(t)) up to the dropped orders O(e^{-(k+1) e0 t})
-    table = sb.pz_coefficients(blocks.p_c, 4)
+    table = sb.pz_coefficients(background.p_c, 4)
     t = 18.0
     v = sb.perturbation(near2, t)
-    direct = sb.eval_r(v, blocks)
+    direct = sb.eval_r(v, background)
     series = sb.series_reconstruction(near2, table, t)
     miss = dz.l2_norm(direct - series, grid, interior=True)
     assert miss < 10 * np.exp(-3 * pair.e0 * t) * dz.l2_norm(direct, grid,
                                                              interior=True)
 
 
-def test_solve_profile_satisfies_block_equations(grid, pair, blocks):
+def test_solve_profile_satisfies_block_equations(grid, pair, background):
     # the banded solution must satisfy the block system it factors
     #   L_plus f + j e0 g = -Re F,   L_minus g - j e0 f = -Im F
-    table = sb.pz_coefficients(blocks.p_c, 3)
+    table = sb.pz_coefficients(background.p_c, 3)
     profiles = [None, 1.0 * pair.y_plus]
-    F = sb.order_forcing(2, profiles, table, blocks)
-    phi, cond = sb.solve_profile(2, F, pair, blocks)
+    F = sb.order_forcing(2, profiles, table, background)
+    phi, cond = sb.solve_profile(2, F, pair, background)
     f, g = phi.real, phi.imag
     je0 = 2 * pair.e0
-    r1 = blocks.L_plus @ f + je0 * g + F.real
-    r2 = blocks.L_minus @ g - je0 * f + F.imag
+    lapl, pot = background.lapl, background.pot
+    r1 = lapl.apply(f, background.p_c * pot) + je0 * g + F.real
+    r2 = lapl.apply(g, pot) - je0 * f + F.imag
     scale = dz.l2_norm(F, grid, interior=True)
     assert dz.l2_norm(r1, grid, interior=True) / scale < 1e-8
     assert dz.l2_norm(r2, grid, interior=True) / scale < 1e-8
     assert cond > 1
     with pytest.raises(ValueError):
-        sb.solve_profile(1, F, pair, blocks)
+        sb.solve_profile(1, F, pair, background)
 
 
-def test_solve_profile_reports_block_conditioning(grid, pair, blocks):
+def test_solve_profile_reports_block_conditioning(grid, pair, background):
     # the reported conditioning is ||A_j||_1 ||A_j^{-1}||_1 of the block
     # system that is solved, estimated from below, the same on every call; no
     # resonance warning fires away from the discrete spectrum
-    table = sb.pz_coefficients(blocks.p_c, 4)
+    table = sb.pz_coefficients(background.p_c, 4)
     profiles = [None, 1.0 * pair.y_plus]
     N = grid.nnodes
+    lapl, pot = background.lapl, background.pot
+    Lp, Lm = lapl.apply(np.eye(N), background.p_c * pot), lapl.apply(np.eye(N), pot)
     for j in (2, 3, 4):
-        F = sb.order_forcing(j, profiles, table, blocks)
+        F = sb.order_forcing(j, profiles, table, background)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            phi, cond = sb.solve_profile(j, F, pair, blocks)
+            phi, cond = sb.solve_profile(j, F, pair, background)
         profiles.append(phi)
-        A = np.block([[blocks.L_plus.toarray(), j * pair.e0 * np.eye(N)],
-                      [-j * pair.e0 * np.eye(N), blocks.L_minus.toarray()]])
+        A = np.block([[Lp, j * pair.e0 * np.eye(N)],
+                      [-j * pair.e0 * np.eye(N), Lm]])
         exact = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
         assert 0.9 * exact <= cond <= exact * (1 + 1e-9), (j, cond, exact)
-        assert sb.solve_profile(j, F, pair, blocks)[1] == cond
+        assert sb.solve_profile(j, F, pair, background)[1] == cond
 
 
-def test_solve_profile_warns_at_resonance(grid, pair, blocks):
+def test_solve_profile_warns_at_resonance(grid, pair, background):
     # with the rate halved, 2 * e0 hits the eigenvalue e0 of the eigen-block;
     # every call warns
-    table = sb.pz_coefficients(blocks.p_c, 3)
-    F = sb.order_forcing(2, [None, pair.y_plus], table, blocks)
+    table = sb.pz_coefficients(background.p_c, 3)
+    F = sb.order_forcing(2, [None, pair.y_plus], table, background)
     half = ls.EigenPair(pair.e0 / 2, pair.y1, pair.y2)
     for _ in range(2):
         with pytest.warns(UserWarning, match="near-singular"):
-            sb.solve_profile(2, F, half, blocks)
+            sb.solve_profile(2, F, half, background)
 
 
-def test_batched_residual_matches_per_time_oracle(grid, pair, blocks):
+def test_batched_residual_matches_per_time_oracle(grid, pair, background):
     # the direct residual per time sample; the two summation orders differ by
     # round-off in the terms that cancel in eps (|Lap| |u| ~ |u| / h^2), so
     # the gap is measured against those terms, not against eps itself
-    pc = blocks.p_c
-    L = blocks.lapl
+    pc = background.p_c
+    L = background.lapl
     for k in (1, 2, 3, 4):
-        near = sb.build_near_solution(k, 1.0, pair, blocks)
+        near = sb.build_near_solution(k, 1.0, pair, background)
         t_k = sb.validity_start(near)
         ts = np.linspace(t_k, t_k + 60.0, 45)
         assert len(ts) > sb.CHUNK_BYTES // (16 * grid.nnodes)  # several chunks
@@ -157,25 +160,25 @@ def test_batched_residual_matches_per_time_oracle(grid, pair, blocks):
                 <= 1e-12 * dz.weighted_sup_norm(terms, 2, grid)
 
 
-def test_residual_norms_reject_non_finite_values(grid, pair, blocks):
-    near = sb.build_near_solution(1, 1.0, pair, blocks)
+def test_residual_norms_reject_non_finite_values(grid, pair, background):
+    near = sb.build_near_solution(1, 1.0, pair, background)
     near.profiles[1] = near.profiles[1].copy()
     near.profiles[1][5] = np.inf
     with np.errstate(all="ignore"), \
             pytest.raises(ValueError, match="non-finite residual"):
-        sb._residual_norms(near, np.array([0.0, 1.0]), 2, blocks.lapl.apply(near.W))
+        sb._residual_norms(near, np.array([0.0, 1.0]), 2, background.lapl.apply(near.W))
 
 
-def test_order_forcing_requires_lower_profiles(grid, pair, blocks):
-    table = sb.pz_coefficients(blocks.p_c, 3)
+def test_order_forcing_requires_lower_profiles(grid, pair, background):
+    table = sb.pz_coefficients(background.p_c, 3)
     with pytest.raises(ValueError):
-        sb.order_forcing(3, [None, pair.y_plus, None], table, blocks)
+        sb.order_forcing(3, [None, pair.y_plus, None], table, background)
     with pytest.raises(ValueError):
-        sb.order_forcing(1, [None], table, blocks)
+        sb.order_forcing(1, [None], table, background)
 
 
-def test_residual_rate_k1(grid, pair, blocks):
-    near = sb.build_near_solution(1, 1.0, pair, blocks)
+def test_residual_rate_k1(grid, pair, background):
+    near = sb.build_near_solution(1, 1.0, pair, background)
     report = sb.residual_rate(near)
     target = 2 * pair.e0
     assert abs(report.rate - target) / target < 0.10
@@ -183,21 +186,21 @@ def test_residual_rate_k1(grid, pair, blocks):
     assert report.window[0] >= report.t_k - 1e-9
 
 
-def test_residual_rate_k2_exceeds_k1(grid, pair, blocks, near2):
-    near1 = sb.build_near_solution(1, 1.0, pair, blocks)
+def test_residual_rate_k2_exceeds_k1(grid, pair, background, near2):
+    near1 = sb.build_near_solution(1, 1.0, pair, background)
     r1 = sb.residual_rate(near1)
     r2 = sb.residual_rate(near2)
     assert r2.rate > r1.rate
 
 
-def test_validity_start_shifts_with_amplitude(pair, blocks):
+def test_validity_start_shifts_with_amplitude(pair, background):
     # for k = 1 the perturbation is a e^{-e0 t} Y_plus, so the smallness time
     # shifts by exactly ln(a)/e0
-    n1 = sb.build_near_solution(1, 1.0, pair, blocks)
-    n3 = sb.build_near_solution(1, 3.0, pair, blocks)
+    n1 = sb.build_near_solution(1, 1.0, pair, background)
+    n3 = sb.build_near_solution(1, 3.0, pair, background)
     t1, t3 = sb.validity_start(n1), sb.validity_start(n3)
     assert t3 - t1 == pytest.approx(np.log(3.0) / pair.e0, abs=1e-8)
-    n0 = sb.build_near_solution(1, 0.0, pair, blocks)
+    n0 = sb.build_near_solution(1, 0.0, pair, background)
     assert sb.validity_start(n0) == -np.inf
 
 
@@ -217,7 +220,7 @@ def test_brentq_port_matches_scipy_on_cubics():
     assert checked > 300
 
 
-def test_validity_start_matches_scipy_brentq(pair, blocks, monkeypatch):
+def test_validity_start_matches_scipy_brentq(pair, background, monkeypatch):
     # the ported root on the validity start's own bracket, for every order
     # and amplitude a sweep cell uses
     brackets = []
@@ -227,32 +230,32 @@ def test_validity_start_matches_scipy_brentq(pair, blocks, monkeypatch):
         brackets.append((f, lo, hi))
         return port(f, lo, hi)
     monkeypatch.setattr(sb, "_brentq", spy)
-    unit = sb.build_near_solution(4, 1.0, pair, blocks)
+    unit = sb.build_near_solution(4, 1.0, pair, background)
     for k in (1, 2, 3, 4):
         for a in (1.0, -1.0, 1.6, -1.6):
             profiles = [None] + [a ** j * unit.profiles[j] for j in range(1, k + 1)]
-            near = sb.NearSolution(blocks, k, a, unit.e0, profiles)
+            near = sb.NearSolution(background, k, a, unit.e0, profiles)
             t_k = sb.validity_start(near)
             f, lo, hi = brackets[-1]
             assert t_k == brentq(f, lo, hi)
     assert len(brackets) == 16
 
 
-def test_homogeneity_coarse(grid, pair, blocks):
+def test_homogeneity_coarse(grid, pair, background):
     # Phi_j^a = a^j Phi_j^1 (the recursion is homogeneous in a)
     a = 1.7
-    n1 = sb.build_near_solution(3, 1.0, pair, blocks)
-    na = sb.build_near_solution(3, a, pair, blocks)
+    n1 = sb.build_near_solution(3, 1.0, pair, background)
+    na = sb.build_near_solution(3, a, pair, background)
     for j in range(1, 4):
         ref = a ** j * n1.profiles[j]
         rel = dz.l2_norm(na.profiles[j] - ref, grid) / dz.l2_norm(ref, grid)
         assert rel < 1e-9
 
 
-def test_translation_identity_coarse(grid, pair, blocks, near2):
+def test_translation_identity_coarse(grid, pair, background, near2):
     # W_k^a(t) = W_k^{sgn a}(t - ln|a|/e0)
     a = 1.7
-    na = sb.build_near_solution(2, a, pair, blocks)
+    na = sb.build_near_solution(2, a, pair, background)
     for t in (10.0, 20.0):
         lhs = sb.assemble(na, t)
         rhs = sb.assemble(near2, t - np.log(a) / pair.e0)
@@ -265,7 +268,7 @@ def test_time_derivative_matches_differences(near2):
     assert np.max(np.abs(sb.time_derivative(near2, t) - fd)) < 1e-9
 
 
-def test_near_solution_round_trip(tmp_path, grid, pair, blocks, near2):
+def test_near_solution_round_trip(tmp_path, grid, pair, background, near2):
     report = sb.residual_rate(near2)
     path = str(tmp_path / "bundle")
     sb.save_near_solution(path, near2, report)
