@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 
+from . import discretization as dz
 from . import experiments as ex
 
 _SCENARIO_OF = {
@@ -43,15 +44,16 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON scenario config")
         p.add_argument("--out", default="runs", help="output root directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker cap for sweep cells; the cells call BLAS, so "
-                            "with more than one worker set OPENBLAS_NUM_THREADS=1, "
-                            "or the BLAS threads oversubscribe the cores")
         p.add_argument("--check", action="store_true",
                        help="fail (exit 1) when embedded acceptance checks fail")
         if name == "wpm":
             p.add_argument("--sign", type=int, choices=(1, -1), default=None,
                            help="which threshold solution to run")
+        if name == "sweep":
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker cap for sweep cells; the cells call BLAS, so "
+                                "with more than one worker set OPENBLAS_NUM_THREADS=1, "
+                                "or the BLAS threads oversubscribe the cores")
     return parser
 
 
@@ -78,7 +80,7 @@ def main(argv=None):
         cfg["sign"] = args.sign
 
     try:
-        manifest = ex.run(cfg, out_dir=args.out, workers=args.workers,
+        manifest = ex.run(cfg, out_dir=args.out, workers=getattr(args, "workers", 1),
                           check=args.check)
     except ex.ConfigError as exc:
         print(exc, file=sys.stderr)
@@ -86,8 +88,8 @@ def main(argv=None):
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
-    print(json.dumps({"run_dir": manifest["run_dir"], "ok": manifest["ok"],
-                      "checks": manifest["checks"]}, indent=2, sort_keys=True))
+    print(dz.dumps({"run_dir": manifest["run_dir"], "ok": manifest["ok"],
+                    "checks": manifest["checks"]}))
     return 0
 
 

@@ -206,12 +206,11 @@ def kinetic_dichotomy(trace):
 
 
 class ClassificationReport:
-    def __init__(self, regime, kinetic_side, rate=None, modulation=None,
-                 thresholds=None, details=None):
+    def __init__(self, regime, kinetic_side, rate=None, thresholds=None,
+                 details=None):
         self.regime = regime
         self.kinetic_side = kinetic_side
         self.rate = rate
-        self.modulation = modulation
         self.thresholds = thresholds or {}
         self.details = details or {}
 
@@ -220,10 +219,6 @@ class ClassificationReport:
                "thresholds": self.thresholds, "details": self.details}
         if self.rate is not None:
             out["rate"] = self.rate.as_dict()
-        if self.modulation is not None:
-            out["modulation"] = {"theta": self.modulation.theta,
-                                 "mu": self.modulation.mu,
-                                 "distance": self.modulation.distance}
         return out
 
 

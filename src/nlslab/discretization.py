@@ -269,21 +269,27 @@ def load_field(path):
     return data[:, 1] + 1j * data[:, 2], grid
 
 
-def save_json(path, obj):
-    """Write obj as indented, key-sorted JSON.  The text goes to a temporary
-    file in the same directory, which then replaces path, so a dump that fails
-    leaves any earlier file at path whole and no temporary file behind."""
+def dumps(obj):
+    """obj as indented, key-sorted JSON text; numpy scalars (a numpy.bool_
+    comparison result, say) become the Python values they hold."""
     def _default(o):
         if isinstance(o, np.generic):
             return o.item()
         raise TypeError("cannot serialize %r" % (type(o),))
 
+    return json.dumps(obj, indent=2, sort_keys=True, default=_default)
+
+
+def save_json(path, obj):
+    """Write dumps(obj) and a newline.  The text goes to a temporary file in
+    the same directory, which then replaces path, so a dump that fails leaves
+    any earlier file at path whole and no temporary file behind."""
+    text = dumps(obj) + "\n"
     tmp = "%s.%d.tmp" % (path, os.getpid())
     f = open(tmp, "w")
     try:
         with f:
-            json.dump(obj, f, indent=2, sort_keys=True, default=_default)
-            f.write("\n")
+            f.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

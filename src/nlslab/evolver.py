@@ -1,13 +1,14 @@
 """Time integration of the radial NLS with conservation monitoring.
 
 Strang splitting N(dt/2) L(dt) N(dt/2), where N(s): u -> u exp(i s |u|^{p_c-1})
-is the exact nonlinear phase rotation and the linear substep L(dt) is either
-"cayley", (1 - i dt/2 Lap)^{-1} (1 + i dt/2 Lap) = 2 (1 - i dt/2 Lap)^{-1} - 1
+is the exact nonlinear phase rotation and the linear substep L(dt) is the
+Cayley transform (1 - i dt/2 Lap)^{-1} (1 + i dt/2 Lap) = 2 (1 - i dt/2 Lap)^{-1} - 1
 with the matrix factored once per stepper (LAPACK zgttrf) and one zgttrs
-back-substitution per step, or "exact", the exponential of the symmetrized
-Laplacian from a one-time eigendecomposition (no phase error on stiff modes;
-its N x N float64 eigenvectors, N = n + 1, take 288 MB at n = 6000 and are
-refused above EXACT_MAX_BYTES = 1 GiB, i.e. for n >= 11585).
+back-substitution per step.  ``make_stepper`` also builds the "exact" substep,
+the exponential of the symmetrized Laplacian from a one-time
+eigendecomposition (no phase error on stiff modes), as the reference of
+step-doubling studies; its N x N float64 eigenvectors, N = n + 1, take 288 MB
+at n = 6000 and are refused above EXACT_MAX_BYTES = 1 GiB, i.e. for n >= 11585.
 
 N leaves |u| unchanged, so adjacent half-rotations compose into one:
 ``evolve`` carries the state v after each linear substep (true state
@@ -19,8 +20,8 @@ Both substeps are isometries of the discrete (cell-volume) L^2 norm, so mass
 is conserved to round-off and the scheme is unconditionally stable.
 Backward evolution is requested through the time span: t_span = (0, -T)
 steps with negative dt.  Blowup detection is the conjunction of an amplitude
-and a gradient-norm threshold (both relative to W), checked every step;
-single-criterion detectors misfire on focusing transients.
+and a gradient-norm threshold (AMP_FACTOR and GRAD_FACTOR times those of W),
+checked every step; single-criterion detectors misfire on focusing transients.
 
 ``evolve`` runs on the ground_state.Background the spectrum and the series
 were built on, and the trace carries it to the classifier.
@@ -33,31 +34,26 @@ from . import discretization as dz
 from . import diagnostics as dg
 from . import ground_state as gs
 
-LINEAR_STEPS = ("exact", "cayley")
 EXACT_MAX_BYTES = 2 ** 30
+# blowup thresholds: max|u| and ||grad u|| against those of W
+AMP_FACTOR = GRAD_FACTOR = 10.0
 
 
 class EvolverConfig:
     """One evolution's settings; the scenarios fill them from experiments._KEYS."""
 
-    def __init__(self, *, dt, t_span, linear_step, sample_every, track_modulation,
-                 amp_factor=10.0, grad_factor=10.0):
-        if linear_step not in LINEAR_STEPS:
-            raise ValueError("unknown linear step %r" % (linear_step,))
+    def __init__(self, *, dt, t_span, sample_every, track_modulation):
         if not dt > 0:
             raise ValueError("need dt > 0")
-        if amp_factor <= 1 or grad_factor <= 1:
-            raise ValueError("blowup thresholds must exceed 1")
         self.dt = float(dt)
         self.t_span = (float(t_span[0]), float(t_span[1]))
-        self.linear_step = linear_step
-        self.amp_factor = float(amp_factor)
-        self.grad_factor = float(grad_factor)
         self.sample_every = float(sample_every)
         self.track_modulation = bool(track_modulation)
 
     def as_dict(self):
-        return dict(vars(self), t_span=list(self.t_span))
+        """The settings with the blowup thresholds, as trace.json echoes them."""
+        return dict(vars(self), t_span=list(self.t_span),
+                    amp_factor=AMP_FACTOR, grad_factor=GRAD_FACTOR)
 
 
 def check_exact_size(n):
@@ -110,8 +106,9 @@ def make_stepper(lapl, dt, linear_step):
 
     step_fn(u, lead=0.5, trail=0.5, m2=None) applies N(lead*dt), L(dt),
     N(trail*dt); step_fn(u) is one full step.  m2, when given, is |u|^2.
-    The Cayley phase saturates on the stiffest modes, so step-doubling
-    studies should use linear_step = "exact".
+    linear_step is "cayley" (what ``evolve`` runs) or "exact".  The Cayley
+    phase saturates on the stiffest modes, so step-doubling studies should
+    use "exact".
     """
     pexp = (gs.critical_exponent(lapl.grid.d) - 1) / 2
     if linear_step == "exact":
@@ -168,25 +165,24 @@ class EvolutionTrace:
         (the scattering proxy; equals 2/3 at W, -> 0 for dispersed fields)."""
         return 1.0 - 2.0 * np.asarray(self.energy) / np.asarray(self.kinetic) ** 2
 
-    def save(self, csv_path, json_path=None):
+    def save(self, csv_path, json_path):
         with open(csv_path, "w") as f:
             f.write("t,E,kinetic,max_amp,h1_dist_to_modW,theta_fit,mu_fit\n")
             for row in zip(self.times, self.energy, self.kinetic, self.max_amp,
                            self.h1_dist, self.theta, self.mu):
                 f.write(",".join("%.17g" % x for x in row) + "\n")
-        if json_path is not None:
-            dz.save_json(json_path, {"termination": self.termination,
-                                     "reflection": self.reflection,
-                                     "modulation": self.modulation,
-                                     "config": self.config.as_dict()})
+        dz.save_json(json_path, {"termination": self.termination,
+                                 "reflection": self.reflection,
+                                 "modulation": self.modulation,
+                                 "config": self.config.as_dict()})
 
 
 def evolve(u0, config, bg):
-    """March the splitting scheme over config.t_span on the background bg
-    (a ground_state.Background), sampling diagnostics.
+    """March the Cayley splitting scheme over config.t_span on the background
+    bg (a ground_state.Background), sampling diagnostics.
 
-    Declares blowup when max|u| > amp_factor * max W  AND
-    ||grad u|| > grad_factor * ||grad W|| (checked every step), or when values
+    Declares blowup when max|u| > AMP_FACTOR * max W  AND
+    ||grad u|| > GRAD_FACTOR * ||grad W|| (checked every step), or when values
     go non-finite.  The trace records a reflection-horizon estimate (round
     trip of radiation at group speed 2 k_bar, k_bar = ||grad u0|| / ||u0||_2)
     and a boundary-amplitude monitor flagging actual boundary activity.
@@ -203,14 +199,14 @@ def evolve(u0, config, bg):
         raise ValueError("initial data does not match grid")
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite initial data")
-    amp_ref = config.amp_factor * np.max(bg.W)
-    kin_ref2 = config.grad_factor ** 2 * dz.kinetic_sq(bg.W, grid)
+    amp_ref = AMP_FACTOR * np.max(bg.W)
+    kin_ref2 = GRAD_FACTOR ** 2 * dz.kinetic_sq(bg.W, grid)
 
     t0, t1 = config.t_span
     dt = config.dt if t1 >= t0 else -config.dt
     nsteps = int(round(abs(t1 - t0) / config.dt))
     per = max(1, int(round(config.sample_every / config.dt)))
-    step_fn = make_stepper(bg.lapl, dt, linear_step=config.linear_step)
+    step_fn = make_stepper(bg.lapl, dt, "cayley")
 
     trace = EvolutionTrace(bg, config)
     # reflection horizon estimate from the initial data

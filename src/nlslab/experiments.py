@@ -10,7 +10,10 @@ manifest.json echoing the filled-in config, library versions, wall time,
 stage seconds under "timings" (a sweep's spectra and unit series and its
 cells; evolve-near-solution's spectrum, series, and forward and backward
 evolution, the backward blowup refinement included; classify-custom's
-evolution), an output index, and the pass/fail record of every embedded check.
+evolution), the sorted relative paths of every other file in the run directory
+under "outputs", and the pass/fail record of every embedded check.  Only the
+evolving scenarios (evolve-near-solution, classify-custom) read an evolver
+section; the others reject one.
 The spans an evolving scenario steps through (classify-custom's t_span,
 sample_every, backward_span) must be whole numbers of steps of dt.
 Numerics are deterministic (fixed iteration orders), so rerunning a config
@@ -38,19 +41,18 @@ from . import series_builder as sb
 
 SCHEMA_VERSION = 1
 
-# the paths each scenario's pipeline reads.  Scenarios that never evolve still
-# accept (check and fill) an evolver object.
+# the paths each scenario's pipeline reads
 _GRID = ("grid.d", "grid.r_max", "grid.n")
-_STEP = ("evolver.dt", "evolver.sample_every", "evolver.linear_step")
-_EVOLVER = _STEP + ("evolver.t_span", "evolver.track_modulation")
+_STEP = ("evolver.dt", "evolver.sample_every")
 _READS = {scen: ("scenario", "schema_version") + paths for scen, paths in {
-    "ground-state": _GRID + _EVOLVER,
-    "spectrum": _GRID + _EVOLVER,
-    "build-series": _GRID + ("series.k", "series.a") + _EVOLVER,
+    "ground-state": _GRID,
+    "spectrum": _GRID,
+    "build-series": _GRID + ("series.k", "series.a"),
     "evolve-near-solution": _GRID + ("series.k",) + _STEP + (
-        "sign", "seed_t0", "departure_floor", "backward_span", "refine_blowup"),
-    "classify-custom": _GRID + ("initial.kind", "initial.factor", "initial.path") + _EVOLVER,
-    "sweep": ("grid.r_max", "ranges.d", "ranges.n", "ranges.k", "ranges.a") + _EVOLVER,
+        "sign", "seed_t0", "departure_floor", "backward_span"),
+    "classify-custom": _GRID + ("initial.kind", "initial.factor", "initial.path") + _STEP + (
+        "evolver.t_span", "evolver.track_modulation"),
+    "sweep": ("grid.r_max", "ranges.d", "ranges.n", "ranges.k", "ranges.a"),
 }.items()}
 SCENARIOS = tuple(_READS)
 # path -> (check, default); a key without a default is required, a section's
@@ -66,10 +68,10 @@ _KEYS = {
     "grid.d": (3,), "grid.r_max": ("positive",), "grid.n": (16,),
     "series": (dict, {}), "series.k": (1, 3), "series.a": ("finite", 1.0),
     "evolver": (dict, {}), "evolver.dt": ("positive", 0.01),
-    "evolver.sample_every": ("positive", 0.5), "evolver.linear_step": (ev.LINEAR_STEPS, "cayley"),
+    "evolver.sample_every": ("positive", 0.5),
     "evolver.t_span": ("span", [0.0, 20.0]), "evolver.track_modulation": (bool, True),
     "sign": ((1, -1), -1), "seed_t0": ("finite", -10.5), "departure_floor": ("positive", 1e-3),
-    "backward_span": ("positive", 120.0), "refine_blowup": (bool, True),
+    "backward_span": ("positive", 120.0),
     "initial": (dict,), "initial.kind": (("scaled-w", "field"),),
     "initial.factor": ("finite",), "initial.path": (str,),
     "ranges": (dict,), "ranges.d": (3, [6]), "ranges.n": (16, [6000]),
@@ -144,12 +146,7 @@ def normalize(cfg):
             if fgrid != grid:
                 errors.append("initial.path: field grid %r does not match config "
                               "grid %r" % (fgrid, grid))
-    if scen in ("evolve-near-solution", "classify-custom") and not errors:
-        if out["evolver"]["linear_step"] == "exact":
-            try:
-                ev.check_exact_size(out["grid"]["n"])
-            except ValueError as exc:
-                errors.append("evolver.linear_step: %s" % exc)
+    if "evolver" in out and not errors:
         errors += _whole_steps(out)
     return out, errors
 
@@ -221,8 +218,18 @@ def _spectrum(grid):
 
 
 # ---------------------------------------------------------------------------
-# scenario pipelines (each returns (outputs, checks, timings); paths relative
-# to the run dir, timings in seconds and empty when the manifest carries none)
+# scenario pipelines (each returns (checks, timings); timings in seconds and
+# empty when the manifest carries none)
+
+def _evolve_step(u0, ecfg, bg, path):
+    """Evolve u0 on bg under the evolver settings ecfg, save the trace as
+    path.csv and path.json, and classify it: (trace, report, evolve seconds)."""
+    t0 = _time.perf_counter()
+    trace = ev.evolve(u0, ev.EvolverConfig(**ecfg), bg)
+    seconds = _time.perf_counter() - t0
+    trace.save(path + ".csv", path + ".json")
+    return trace, dg.classify(trace), seconds
+
 
 def _run_ground_state(cfg, rundir):
     grid = dz.build_grid(**cfg["grid"])
@@ -240,7 +247,7 @@ def _run_ground_state(cfg, rundir):
     })
     checks = {"pohozaev-identity": {"passed": gap <= 1e-6, "value": gap,
                                     "tolerance": 1e-6}}
-    return ["w.csv", "ground_state.json"], checks, {}
+    return checks, {}
 
 
 def _run_spectrum(cfg, rundir):
@@ -252,7 +259,7 @@ def _run_spectrum(cfg, rundir):
         "block-residual": {"passed": pair.residual <= 1e-8,
                            "value": pair.residual, "tolerance": 1e-8},
     }
-    return ["eigenpair.csv", "eigenpair.json"], checks, {}
+    return checks, {}
 
 
 def _run_build_series(cfg, rundir):
@@ -265,9 +272,7 @@ def _run_build_series(cfg, rundir):
     rel = abs(report.rate - target) / target
     checks = {"residual-rate": {"passed": rel <= 0.10, "value": report.rate,
                                 "target": target, "relative_error": rel}}
-    outputs = ["near_solution/manifest.json"]
-    outputs += ["near_solution/profile_%d.csv" % j for j in range(1, k + 1)]
-    return outputs, checks, {}
+    return checks, {}
 
 
 def _run_wpm(cfg, rundir):
@@ -289,21 +294,12 @@ def _run_wpm(cfg, rundir):
     d0 = dz.h1_distance(u0, bg.W.astype(complex), grid)
     t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / cfg["departure_floor"])
 
-    fwd = ev.EvolverConfig(t_span=(seed_t0, seed_t0 + t_fwd), track_modulation=True, **ecfg)
-    t0 = _time.perf_counter()
-    trace_f = ev.evolve(u0, fwd, bg)
-    timings["forward_s"] = _time.perf_counter() - t0
-    trace_f.save(os.path.join(rundir, "trace_forward.csv"),
-                 os.path.join(rundir, "trace_forward.json"))
-    rep_f = dg.classify(trace_f)
-
+    fwd = dict(ecfg, t_span=(seed_t0, seed_t0 + t_fwd), track_modulation=True)
+    _, rep_f, timings["forward_s"] = _evolve_step(
+        u0, fwd, bg, os.path.join(rundir, "trace_forward"))
     bwd = dict(ecfg, t_span=(seed_t0, seed_t0 - cfg["backward_span"]), track_modulation=False)
-    t0 = _time.perf_counter()
-    trace_b = ev.evolve(u0, ev.EvolverConfig(**bwd), bg)
-    timings["backward_s"] = _time.perf_counter() - t0
-    trace_b.save(os.path.join(rundir, "trace_backward.csv"),
-                 os.path.join(rundir, "trace_backward.json"))
-    rep_b = dg.classify(trace_b)
+    trace_b, rep_b, timings["backward_s"] = _evolve_step(
+        u0, bwd, bg, os.path.join(rundir, "trace_backward"))
 
     checks = {}
     rate = rep_f.rate.rate if rep_f.rate is not None else float("nan")
@@ -323,7 +319,7 @@ def _run_wpm(cfg, rundir):
     else:
         checks["backward-blowup"] = {
             "passed": rep_b.regime == "blowup", "value": rep_b.regime}
-        if rep_b.regime == "blowup" and cfg["refine_blowup"]:
+        if rep_b.regime == "blowup":
             t_star = trace_b.termination["t_star"]
             fine = ev.EvolverConfig(**dict(bwd, dt=ecfg["dt"] / 2))
             t0 = _time.perf_counter()
@@ -340,10 +336,7 @@ def _run_wpm(cfg, rundir):
         "forward_horizon": seed_t0 + t_fwd,
         "forward": rep_f.as_dict(), "backward": rep_b.as_dict(),
     })
-    outputs = ["eigenpair.csv", "eigenpair.json", "trace_forward.csv",
-               "trace_forward.json", "trace_backward.csv", "trace_backward.json",
-               "report.json"]
-    return outputs, checks, timings
+    return checks, timings
 
 
 def _run_classify(cfg, rundir):
@@ -353,15 +346,11 @@ def _run_classify(cfg, rundir):
         u0 = init["factor"] * bg.W.astype(complex)
     else:
         u0 = dz.load_field(init["path"])[0]  # on the config grid: validated
-    t0 = _time.perf_counter()
-    trace = ev.evolve(u0, ev.EvolverConfig(**cfg["evolver"]), bg)
-    timings = {"evolve_s": _time.perf_counter() - t0}
-    trace.save(os.path.join(rundir, "trace.csv"), os.path.join(rundir, "trace.json"))
-    report = dg.classify(trace)
+    _, report, seconds = _evolve_step(u0, cfg["evolver"], bg, os.path.join(rundir, "trace"))
     dz.save_json(os.path.join(rundir, "report.json"), report.as_dict())
     checks = {"classified": {"passed": report.regime != "undetermined",
                              "value": report.regime}}
-    return ["trace.csv", "trace.json", "report.json"], checks, timings
+    return checks, {"evolve_s": seconds}
 
 
 def _run_sweep(cfg, rundir, workers=1):
@@ -418,7 +407,7 @@ def _run_sweep(cfg, rundir, workers=1):
                      {str(k): v for k, v in failures.items()})
     checks = {"all-cells-completed": {"passed": not failures,
                                       "failed_cells": len(failures)}}
-    return ["aggregate.csv"], checks, timings
+    return checks, timings
 
 
 _PIPELINES = {
@@ -443,16 +432,18 @@ def run(cfg, out_dir=".", workers=1, check=False):
     os.makedirs(rundir, exist_ok=True)
     t0 = _time.time()
     if scen == "sweep":
-        outputs, checks, timings = _run_sweep(cfg, rundir, workers=workers)
+        checks, timings = _run_sweep(cfg, rundir, workers=workers)
     else:
-        outputs, checks, timings = _PIPELINES[scen](cfg, rundir)
+        checks, timings = _PIPELINES[scen](cfg, rundir)
+    outputs = sorted(os.path.relpath(os.path.join(base, name), rundir)
+                     for base, _, names in os.walk(rundir) for name in names)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg,
         "versions": _versions(),
         "wall_time_s": _time.time() - t0,
         "run_dir": rundir,
-        "outputs": outputs,
+        "outputs": [path for path in outputs if path != "manifest.json"],
         "checks": checks,
         "ok": all(c["passed"] for c in checks.values()) if checks else True,
     }

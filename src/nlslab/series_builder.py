@@ -173,7 +173,7 @@ def order_forcing(j, profiles, table, bg):
     return F * W ** pc
 
 
-def _inverse_onenorm(solve, n, t=3, itmax=5):
+def _inverse_onenorm(solve, n):
     """Lower bound on ||A^{-1}||_1 for an n x n matrix A given only
     solve(X, trans), which returns A^{-1} X (trans=0) or A^{-T} X (trans=1).
 
@@ -185,6 +185,7 @@ def _inverse_onenorm(solve, n, t=3, itmax=5):
     (t = 2 reached 52-64% of the exact norm for j = 3, 4 at n = 6000; t = 3
     reached 96-100% at n = 800, 6000 and 12000).
     """
+    t, itmax = 3, 5
     X = np.random.default_rng(0).choice((-1.0, 1.0), size=(n, t))
     X[:, 0] = 1.0
     X /= n

@@ -154,7 +154,7 @@ def test_criterion_7_evolver_certification(ref_grid):
     # clause 1 + 2: stationary-W run over [0, 10/e0]
     e0 = 0.14029086451248082
     cfg = ev.EvolverConfig(dt=1e-3, t_span=(0.0, 10.0 / e0), sample_every=1.0,
-                           linear_step="cayley", track_modulation=True)
+                           track_modulation=True)
     trace = ev.evolve(W, cfg, bg)
     dist = float(np.nanmax(trace.h1_dist))
     if not (trace.termination["status"] == "completed" and dist <= 1e-4):

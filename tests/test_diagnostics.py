@@ -51,8 +51,8 @@ def _dist2_at(u, mu, grid):
 def test_fit_modulation_distance_is_the_direct_minimum(grid, background):
     # W plus a bump; a scaled W focused past the amplitude threshold
     # (max|u| ~ 98 > 10 max W); a field far from the family
-    cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 2.5), linear_step="cayley",
-                           sample_every=0.5, track_modulation=False)
+    cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 2.5), sample_every=0.5,
+                           track_modulation=False)
     focused = ev.evolve((1.8 * gs.sample_w(grid)).astype(complex), cfg,
                         background).final_state
     fields = [gs.w_family(0.0, 1.0, grid) + 0.01 * np.exp(-(grid.r - 8) ** 2),
@@ -101,8 +101,8 @@ def test_fit_modulation_search_matches_scipy(grid, background, monkeypatch):
         searches.append((func, a, b))
         return port(func, a, b)
     monkeypatch.setattr(dg, "_bounded_min", spy)
-    cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 2.5), linear_step="cayley",
-                           sample_every=0.5, track_modulation=False)
+    cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 2.5), sample_every=0.5,
+                           track_modulation=False)
     focused = ev.evolve((1.8 * gs.sample_w(grid)).astype(complex), cfg,
                         background).final_state
     fields = [gs.w_family(0.0, 1.0, grid) + 0.01 * np.exp(-(grid.r - 8) ** 2),
@@ -137,7 +137,7 @@ def test_fit_modulation_refits_past_the_seeded_bracket_edge(grid, background):
 
     def config(t_end, track):
         return ev.EvolverConfig(dt=0.005, t_span=(0.0, t_end), sample_every=0.05,
-                                linear_step="cayley", track_modulation=track)
+                                track_modulation=track)
 
     trace = ev.evolve(u0, config(30.0, True), background)
     hits = 0
@@ -202,7 +202,7 @@ def test_rate_fit_recovers_random_rates(rate, logc):
 
 def _trace(background, times, kinetic, energy=None, h1_dist=None,
            status="completed", horizon=np.inf):
-    cfg = ev.EvolverConfig(dt=0.01, t_span=(times[0], times[-1]), linear_step="exact",
+    cfg = ev.EvolverConfig(dt=0.01, t_span=(times[0], times[-1]),
                            sample_every=0.5, track_modulation=True)
     tr = ev.EvolutionTrace(background, cfg)
     tr.times = list(times)

@@ -18,14 +18,9 @@ def _mass(u, grid):
 
 
 def test_config_validation():
-    ok = dict(dt=1e-3, t_span=(0.0, 10.0), linear_step="exact", sample_every=0.5,
-              track_modulation=True)
-    with pytest.raises(ValueError):
-        ev.EvolverConfig(**dict(ok, linear_step="pade"))
+    ok = dict(dt=1e-3, t_span=(0.0, 10.0), sample_every=0.5, track_modulation=True)
     with pytest.raises(ValueError):
         ev.EvolverConfig(**dict(ok, dt=-0.1))
-    with pytest.raises(ValueError):
-        ev.EvolverConfig(**dict(ok, amp_factor=0.5))
     cfg = ev.EvolverConfig(**dict(ok, dt=0.01, t_span=(0, 1)))
     assert cfg.as_dict()["dt"] == 0.01
 
@@ -97,12 +92,12 @@ def _stepwise(u0, grid, lapl, cfg):
     blowup detector."""
     pc = gs.critical_exponent(grid.d)
     W = gs.sample_w(grid)
-    amp_ref = cfg.amp_factor * np.max(W)
-    kin_ref2 = cfg.grad_factor ** 2 * dz.kinetic_sq(W, grid)
+    amp_ref = ev.AMP_FACTOR * np.max(W)
+    kin_ref2 = ev.GRAD_FACTOR ** 2 * dz.kinetic_sq(W, grid)
     dt = cfg.dt
     nsteps = int(round((cfg.t_span[1] - cfg.t_span[0]) / dt))
     per = int(round(cfg.sample_every / dt))
-    stp = ev.make_stepper(lapl, dt, linear_step=cfg.linear_step)
+    stp = ev.make_stepper(lapl, dt, linear_step="cayley")
     u, energy, kinetic, bracket = u0.copy(), [], [], None
     for i in range(nsteps + 1):
         if i:
@@ -119,13 +114,12 @@ def _stepwise(u0, grid, lapl, cfg):
     return u, np.array(energy), np.array(kinetic), bracket
 
 
-@pytest.mark.parametrize("linear_step", ["exact", "cayley"])
-def test_merged_loop_matches_stepper(grid, lapl, background, linear_step):
+def test_merged_loop_matches_stepper(grid, lapl, background):
     # evolve merges adjacent nonlinear half-steps; samples and the final
     # state must still be the states of repeated full steps
     u0 = (0.9 * gs.sample_w(grid) * np.exp(0.3j * grid.r)).astype(complex)
     cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.5), sample_every=0.25,
-                           linear_step=linear_step, track_modulation=False)
+                           track_modulation=False)
     trace = ev.evolve(u0, cfg, background)
     u, energy, kinetic, _ = _stepwise(u0, grid, lapl, cfg)
     assert len(trace.times) == len(energy) == 7
@@ -137,14 +131,14 @@ def test_merged_loop_matches_stepper(grid, lapl, background, linear_step):
 def test_merged_loop_blowup_matches_stepper(grid, lapl, background):
     u0 = (1.8 * gs.sample_w(grid)).astype(complex)
     cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 30.0), sample_every=1.0,
-                           linear_step="cayley", track_modulation=False)
+                           track_modulation=False)
     trace = ev.evolve(u0, cfg, background)
     _, _, _, bracket = _stepwise(u0, grid, lapl, cfg)
     assert trace.termination["status"] == "blowup-detected"
     assert bracket is not None
     assert trace.termination["bracket"] == pytest.approx(bracket, rel=1e-12)
     # final_state is the true state, past the gradient threshold
-    kin_ref2 = cfg.grad_factor ** 2 * dz.kinetic_sq(gs.sample_w(grid), grid)
+    kin_ref2 = ev.GRAD_FACTOR ** 2 * dz.kinetic_sq(gs.sample_w(grid), grid)
     assert dz.kinetic_sq(trace.final_state, grid) > kin_ref2
 
 
@@ -161,7 +155,7 @@ def test_exact_substep_refuses_large_grids():
 
 def test_evolve_samples_and_conserves(grid, background, u0):
     cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 2.0), sample_every=0.5,
-                           linear_step="cayley", track_modulation=True)
+                           track_modulation=True)
     trace = ev.evolve(u0, cfg, background)
     assert trace.termination["status"] == "completed"
     assert trace.times == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
@@ -173,7 +167,7 @@ def test_evolve_samples_and_conserves(grid, background, u0):
 
 def test_evolve_backward_time(grid, background, u0):
     cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, -1.0), sample_every=0.5,
-                           linear_step="exact", track_modulation=False)
+                           track_modulation=False)
     trace = ev.evolve(u0, cfg, background)
     assert trace.termination["status"] == "completed"
     assert trace.times[-1] == pytest.approx(-1.0)
@@ -184,7 +178,7 @@ def test_blowup_detection_brackets_t_star(grid, background):
     # detector must fire at finite time with a one-step bracket
     u0 = (1.8 * gs.sample_w(grid)).astype(complex)
     cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 30.0), sample_every=1.0,
-                           linear_step="exact", track_modulation=False)
+                           track_modulation=False)
     trace = ev.evolve(u0, cfg, background)
     assert trace.termination["status"] == "blowup-detected"
     lo, hi = trace.termination["bracket"]
@@ -196,7 +190,7 @@ def test_trace_counts_fits_on_the_bracket_edge(grid, background):
     # near blowup the amplitude-seeded bracket stops holding the optimum
     u0 = (1.8 * gs.sample_w(grid)).astype(complex)
     cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 30.0), sample_every=0.05,
-                           linear_step="cayley", track_modulation=True)
+                           track_modulation=True)
     trace = ev.evolve(u0, cfg, background)
     mod = trace.modulation
     assert trace.termination["status"] == "blowup-detected"
@@ -210,7 +204,7 @@ def test_trace_counts_fits_on_the_bracket_edge(grid, background):
 def test_stationary_w_stays_near_family(grid, background):
     W = gs.sample_w(grid).astype(complex)
     cfg = ev.EvolverConfig(dt=0.005, t_span=(0.0, 5.0), sample_every=1.0,
-                           linear_step="exact", track_modulation=True)
+                           track_modulation=True)
     trace = ev.evolve(W, cfg, background)
     assert trace.termination["status"] == "completed"
     # the modulated distance is absolute; compare against ||grad W|| ~ 84.5
@@ -219,8 +213,8 @@ def test_stationary_w_stays_near_family(grid, background):
 
 
 def test_evolve_input_validation(grid, background):
-    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.0), linear_step="exact",
-                           sample_every=0.5, track_modulation=True)
+    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.0), sample_every=0.5,
+                           track_modulation=True)
     with pytest.raises(ValueError):
         ev.evolve(np.ones(7, complex), cfg, background)
     bad = np.ones(grid.nnodes, complex)
@@ -231,7 +225,7 @@ def test_evolve_input_validation(grid, background):
 
 def test_trace_save_round_trip(tmp_path, grid, background, u0):
     cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.0), sample_every=0.5,
-                           linear_step="exact", track_modulation=True)
+                           track_modulation=True)
     trace = ev.evolve(u0, cfg, background)
     csv, js = str(tmp_path / "trace.csv"), str(tmp_path / "trace.json")
     trace.save(csv, js)

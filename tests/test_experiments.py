@@ -41,15 +41,20 @@ def test_validate_config_reports_field_paths():
     assert any("series.k" in e for e in errs)
     errs = ex.validate_config({"scenario": "sweep", "ranges": {"k": []}})
     assert any("ranges.k" in e for e in errs)
-    errs = ex.validate_config({"scenario": "ground-state",
+    errs = ex.validate_config({"scenario": "evolve-near-solution",
                                "evolver": {"dt": -1}})
     assert any("evolver.dt" in e for e in errs)
 
 
 def test_validate_config_rejects_unknown_keys():
     # a key no pipeline of the scenario reads, at the top level or inside
-    # grid, series, evolver, initial or ranges
+    # grid, series, evolver, initial or ranges; only the evolving scenarios
+    # read an evolver section
     cases = [
+        ({"scenario": "spectrum", "evolver": {}}, "evolver"),
+        ({"scenario": "evolve-near-solution", "refine_blowup": True}, "refine_blowup"),
+        ({"scenario": "evolve-near-solution", "evolver": {"linear_step": "exact"}},
+         "evolver.linear_step"),
         ({"scenario": "ground-state", "evolvr": {}}, "evolvr"),
         ({"scenario": "spectrum", "grid": dict(SMALL_GRID, m=1)}, "grid.m"),
         ({"scenario": "sweep", "ranges": {"n": [800]},
@@ -122,9 +127,9 @@ def test_config_hash_fills_in_defaults():
     # an implicit default and the same default written out share a run directory
     written = {"scenario": "evolve-near-solution", "schema_version": 1,
                "grid": {"d": 6, "r_max": 60.0, "n": 6000}, "series": {"k": 3},
-               "evolver": {"dt": 0.01, "sample_every": 0.5, "linear_step": "cayley"},
+               "evolver": {"dt": 0.01, "sample_every": 0.5},
                "sign": -1, "seed_t0": -10.5, "departure_floor": 1e-3,
-               "backward_span": 120.0, "refine_blowup": True}
+               "backward_span": 120.0}
     assert ex.normalize({"scenario": "evolve-near-solution"}) == (written, [])
     assert ex.config_hash({"scenario": "evolve-near-solution"}) == ex.config_hash(written)
 
@@ -152,7 +157,6 @@ def test_wrongly_typed_values_exit_2_before_a_run_directory(tmp_path, capsys):
                       "initial": {"kind": "scaled-w", "factor": 1.8},
                       "evolver": {"track_modulation": "false"}},
          "evolver.track_modulation: expected true or false, got 'false'"),
-        ("wpm", dict(wpm, refine_blowup="no"), "refine_blowup: expected true or false, got 'no'"),
         ("ground-state", {"scenario": "ground-state", "schema_version": 7},
          "schema_version: expected one of [1], got 7"),
         ("wpm", dict(wpm, sign=True), "sign: expected one of [1, -1], got True"),
@@ -227,17 +231,7 @@ def test_bad_evolver_options_fail_before_a_run_directory(tmp_path):
         with pytest.raises(ex.ConfigError) as exc:
             ex.run(cfg, out_dir=str(tmp_path))
         assert exc.value.errors[0].startswith("evolver.%s:" % key)
-    # the exact substep's eigenvector matrix would take 1.15 GB at n = 12000
-    cfg = dict(base, grid={"d": 6, "r_max": 60.0, "n": 12000},
-               evolver={"linear_step": "exact"})
-    with pytest.raises(ex.ConfigError) as exc:
-        ex.run(cfg, out_dir=str(tmp_path))
-    assert exc.value.errors[0].startswith("evolver.linear_step:")
-    assert "1152192008-byte" in exc.value.errors[0]
     assert os.listdir(tmp_path) == []
-    # the scenarios that never evolve ignore the cap
-    assert ex.validate_config({"scenario": "spectrum", "grid": cfg["grid"],
-                               "evolver": {"linear_step": "exact"}}) == []
 
 
 def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
@@ -384,12 +378,14 @@ def _output_bytes(rundir):
 
 
 def test_outputs_are_byte_reproducible_across_roots(tmp_path):
-    # every file but the manifest (which alone carries timings) reproduces
+    # every file but the manifest (which alone carries timings) reproduces,
+    # and the manifest indexes every other file of the run directory
     grid = {"d": 6, "r_max": 40.0, "n": 400}
     cfgs = [{"scenario": "classify-custom", "grid": grid,
              "initial": {"kind": "scaled-w", "factor": 1.8},
              "evolver": {"dt": 0.01, "t_span": [0.0, 2.0]}},
-            {"scenario": "spectrum", "grid": grid}]
+            {"scenario": "spectrum", "grid": grid},
+            {"scenario": "evolve-near-solution", "grid": grid}]
     for cfg in cfgs:
         runs = [ex.run(cfg, out_dir=str(tmp_path / root)) for root in ("a", "b")]
         first, second = (_output_bytes(m["run_dir"]) for m in runs)
@@ -551,11 +547,23 @@ def test_cli_ground_state(tmp_path, capsys):
     assert "pohozaev-identity" in out["checks"]
 
 
+def test_cli_spectrum_prints_its_checks(tmp_path, capsys):
+    # the block-residual check holds a numpy bool; the printed JSON carries it
+    cfg = _write_cfg(tmp_path, {"scenario": "spectrum", "grid": dict(SMALL_GRID)})
+    rc = cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "runs")])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["checks"]["block-residual"]["passed"] is True
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {"scenario": "ground-state", "grid": {"d": 1}})
     rc = cli.main(["ground-state", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "grid" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # only sweep takes --workers
+        cli.main(["spectrum", "--workers", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_cli_rejects_unreadable_config(tmp_path, capsys):
