@@ -2,13 +2,20 @@
 
 Strang splitting N(dt/2) L(dt) N(dt/2), where N(s): u -> u exp(i s |u|^{p_c-1})
 is the exact nonlinear phase rotation and the linear substep L(dt) is the
-Cayley transform (1 - i dt/2 Lap)^{-1} (1 + i dt/2 Lap) = 2 (1 - i dt/2 Lap)^{-1} - 1
-with the matrix factored once per stepper (LAPACK zgttrf) and one zgttrs
-back-substitution per step.  ``make_stepper`` also builds the "exact" substep,
-the exponential of the symmetrized Laplacian from a one-time
-eigendecomposition (no phase error on stiff modes), as the reference of
-step-doubling studies; its N x N float64 eigenvectors, N = n + 1, take 288 MB
-at n = 6000 and are refused above EXACT_MAX_BYTES = 1 GiB, i.e. for n >= 11585.
+Cayley transform (1 - i dt/2 Lap)^{-1} (1 + i dt/2 Lap) = 2 (1 - i dt/2 Lap)^{-1} - 1.
+M = (1 - i dt/2 Lap) / 2 is factored once per stepper by an LU without
+pivoting, and each step solves with it by two prefix-product scans
+(``factor_banded``, ``solve_banded``).  No pivoting is needed: Lap is
+self-adjoint in the cell-volume product, so M is diagonally similar to a
+complex symmetric matrix with real part I/2, whose elimination is stable
+without pivoting (Higham, Math. Comp. 67 (1998) 1591); the similarity leaves
+the pivots unchanged, and their real parts stay >= 1/2.
+
+``make_stepper`` also builds the "exact" substep, the exponential of the
+symmetrized Laplacian from a one-time eigendecomposition (no phase error on
+stiff modes), as the reference of step-doubling studies; its N x N float64
+eigenvectors, N = n + 1, take 288 MB at n = 6000 and are refused above
+EXACT_MAX_BYTES = 1 GiB, i.e. for n >= 11585.
 
 N leaves |u| unchanged, so adjacent half-rotations compose into one:
 ``evolve`` carries the state v after each linear substep (true state
@@ -27,14 +34,19 @@ checked every step; single-criterion detectors misfire on focusing transients.
 were built on, and the trace carries it to the classifier.
 """
 
+import cmath
+
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg import eigh_tridiagonal
 
 from . import discretization as dz
 from . import diagnostics as dg
 from . import ground_state as gs
 
 EXACT_MAX_BYTES = 2 ** 30
+# a scan chunk ends before its running log|prefix product| leaves
+# [-LOG_SPAN, LOG_SPAN], so the products and their reciprocals stay finite
+LOG_SPAN = 600.0
 # blowup thresholds: max|u| and ||grad u|| against those of W
 AMP_FACTOR = GRAD_FACTOR = 10.0
 
@@ -78,10 +90,94 @@ def _symmetric_eig(lapl):
     return lapl._eig
 
 
+def _chunks(c):
+    """Chunks [lo, hi) of the scan z_i = g_i + c_i z_{i-1} (c[0] unused) and
+    the prefix products P_i = c_{lo+1} ... c_i within each chunk (P_lo = 1).
+    A chunk carries its seed c_lo P_{lo-1}, so that z_lo = g_lo + seed
+    z_{lo-1} / P_{lo-1} (0 for the first chunk).  A zero c_i starts a chunk."""
+    with np.errstate(divide="ignore"):
+        logc = np.maximum(np.log(np.abs(c)), -2 * LOG_SPAN)
+    logc[0] = 0.0
+    cum = np.cumsum(logc)
+    starts = [0]
+    while True:
+        lo = starts[-1]
+        out = np.flatnonzero(np.abs(cum[lo + 1:] - cum[lo]) > LOG_SPAN)
+        if not out.size:
+            break
+        starts.append(lo + 1 + int(out[0]))
+    P = np.empty_like(c)
+    chunks = []
+    for lo, hi in zip(starts, starts[1:] + [c.size]):
+        P[lo] = 1.0
+        np.cumprod(c[lo + 1:hi], out=P[lo + 1:hi])
+        chunks.append((lo, hi, complex(c[lo] * P[lo - 1]) if lo else 0j))
+    return chunks, P
+
+
+def factor_banded(sub, diag, sup):
+    """LU without pivoting of the tridiagonal matrix with the given sub-,
+    main and super-diagonal, laid out for ``solve_banded``.
+
+    With reciprocal pivots q_i, the forward sweep w_i = q_i b_i + a_i w_{i-1}
+    (a_i = -sub_i q_i) and the back sweep x_i = w_i + c_i x_{i+1}
+    (c_i = -sup_i q_i) are scans z = P cumsum(g / P), P the prefix products of
+    the coefficients within one chunk (see ``_chunks``).  Returns the weights
+    of the three elementwise products, q / P_fwd, P_fwd / P_back and P_back,
+    and the chunks of both sweeps; a chunk [lo, hi) of the back sweep is
+    seeded from row hi.  Raises ValueError on a zero or non-finite pivot, or
+    when a weight is out of floating-point range.
+    """
+    n = diag.size
+    cross = np.zeros(n, complex)
+    cross[1:] = sub * sup
+    q, rpiv = 0j, np.empty(n, complex)
+    for i in range(n):
+        piv = diag.item(i) - cross.item(i) * q
+        if piv == 0 or not cmath.isfinite(piv):
+            raise ValueError("pivot %r in row %d of the tridiagonal LU" % (piv, i))
+        q = 1 / piv
+        rpiv[i] = q
+    a = np.zeros(n, complex)
+    a[1:] = -sub * rpiv[1:]
+    fwd, P = _chunks(a)
+    # the back sweep is a forward scan over the reversed rows
+    c = np.zeros(n, complex)
+    c[1:] = -(sup * rpiv[:-1])[::-1]
+    back, R = _chunks(c)
+    back = [(n - hi, n - lo, seed) for lo, hi, seed in back]
+    R = R[::-1].copy()
+    # P_fwd / P_back leaves the double range only where one sweep's products
+    # grow while the other's shrink, never for a Cayley matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (rpiv / P, P / R, R)
+    fin = np.finfo(float)
+    for w in weights:
+        size = np.abs(w)
+        if not np.all((size >= fin.tiny) & (size <= fin.max)):
+            raise ValueError("tridiagonal LU scan weights out of the normal "
+                             "floating-point range")
+    return weights + (fwd, back)
+
+
 def solve_banded(factors, b):
-    """One Cayley back-substitution: 2 (1 - i dt/2 Lap)^{-1} b, given the
-    zgttrf factors of (1 - i dt/2 Lap) / 2."""
-    return lapack.zgttrs(*factors, b)[0]
+    """One Cayley solve: M^{-1} b = 2 (1 - i dt/2 Lap)^{-1} b, given the
+    ``factor_banded`` factors of M = (1 - i dt/2 Lap) / 2; two chunked
+    cumulative sums and three elementwise products, each O(n)."""
+    wf, wm, wb, fwd, back = factors
+    z = b * wf
+    for lo, hi, seed in fwd:
+        if seed:
+            z[lo] += seed * z[lo - 1]
+        np.cumsum(z[lo:hi], out=z[lo:hi])
+    z *= wm
+    for lo, hi, seed in back:
+        if seed:
+            z[hi - 1] += seed * z[hi]
+        v = z[lo:hi][::-1]
+        np.cumsum(v, out=v)
+    z *= wb
+    return z
 
 
 def _abs2(u):
@@ -124,11 +220,10 @@ def make_stepper(lapl, dt, linear_step):
             c = evecs @ np.stack([w.real, w.imag], axis=1)
             return (c[:, 0] + 1j * c[:, 1]) / D
     elif linear_step == "cayley":
-        # (1 - i dt/2 Lap) / 2, so zgttrs returns 2 (1 - i dt/2 Lap)^{-1} u;
-        # nonsingular, as Lap has a real spectrum
+        # (1 - i dt/2 Lap) / 2, so solve_banded returns 2 (1 - i dt/2 Lap)^{-1} u
         s = 0.25j * dt
-        factors = lapack.zgttrf(-s * lapl.lo[1:], 0.5 - s * lapl.di,
-                                -s * lapl.up[:-1])[:5]
+        factors = factor_banded(-s * lapl.lo[1:], 0.5 - s * lapl.di,
+                                -s * lapl.up[:-1])
 
         def linear(u):
             x = solve_banded(factors, u)
@@ -156,6 +251,7 @@ class EvolutionTrace:
         self.times, self.energy, self.kinetic, self.max_amp = [], [], [], []
         self.h1_dist, self.theta, self.mu = [], [], []
         self.termination = {"status": "completed"}
+        self.steps = 0
         self.reflection = {}
         self.modulation = {"fits": 0, "nfev": 0, "edge_hits": 0,
                            "first_edge_t": None}
@@ -188,10 +284,10 @@ def evolve(u0, config, bg):
     and a boundary-amplitude monitor flagging actual boundary activity.
     Adjacent nonlinear half-steps are merged (see the module docstring);
     samples, the blowup test and final_state see the true state.
-    The step and sample counts are |t1 - t0| / dt and sample_every / dt
-    rounded, so a span off the step grid ends up to dt/2 from t1.  Scenario
-    configs reject such spans; the forward horizon evolve-near-solution
-    computes from e0 keeps this rounding.
+    trace.steps counts the steps taken.  The step and sample counts are
+    |t1 - t0| / dt and sample_every / dt rounded, so a span off the step grid
+    ends up to dt/2 from t1.  Scenario configs reject such spans; the forward
+    horizon evolve-near-solution computes from e0 keeps this rounding.
     """
     grid = bg.grid
     u = np.asarray(u0, dtype=complex).copy()
@@ -261,6 +357,7 @@ def evolve(u0, config, bg):
     for i in range(nsteps):
         v = step_fn(v, lead, 0.0, m2)
         lead = 1.0
+        trace.steps = i + 1
         m2 = _abs2(v)
         t = t0 + (i + 1) * dt
         mx = np.sqrt(np.max(m2))

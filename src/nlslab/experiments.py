@@ -9,11 +9,12 @@ written out share a directory), containing the declared outputs plus a
 manifest.json echoing the filled-in config, library versions, wall time,
 stage seconds under "timings" (a sweep's spectra and unit series and its
 cells; evolve-near-solution's spectrum, series, and forward and backward
-evolution, the backward blowup refinement included; classify-custom's
-evolution), the sorted relative paths of every other file in the run directory
-under "outputs", and the pass/fail record of every embedded check.  Only the
-evolving scenarios (evolve-near-solution, classify-custom) read an evolver
-section; the others reject one.
+evolution; classify-custom's evolution), each evolution's steps, seconds and
+steps/s under "evolutions" (W+'s dt/2 blowup refinement as
+"backward_refined"), the sorted relative paths of every other file in the run
+directory under "outputs", and the pass/fail record of every embedded check.
+Only the evolving scenarios (evolve-near-solution, classify-custom) read an
+evolver section; the others reject one.
 The spans an evolving scenario steps through (classify-custom's t_span,
 sample_every, backward_span) must be whole numbers of steps of dt.
 Numerics are deterministic (fixed iteration orders), so rerunning a config
@@ -218,17 +219,25 @@ def _spectrum(grid):
 
 
 # ---------------------------------------------------------------------------
-# scenario pipelines (each returns (checks, timings); timings in seconds and
-# empty when the manifest carries none)
+# scenario pipelines (each returns (checks, the entries it adds to the
+# manifest: "timings" in seconds and "evolutions", where it has them))
 
-def _evolve_step(u0, ecfg, bg, path):
-    """Evolve u0 on bg under the evolver settings ecfg, save the trace as
-    path.csv and path.json, and classify it: (trace, report, evolve seconds)."""
+def _evolve(u0, ecfg, bg):
+    """Evolve u0 on bg under the evolver settings ecfg: (trace, its steps,
+    seconds and steps/s, stepper set-up and samples included)."""
     t0 = _time.perf_counter()
     trace = ev.evolve(u0, ev.EvolverConfig(**ecfg), bg)
     seconds = _time.perf_counter() - t0
+    return trace, {"steps": trace.steps, "seconds": seconds,
+                   "steps_per_s": trace.steps / seconds}
+
+
+def _evolve_step(u0, ecfg, bg, path):
+    """Evolve u0 on bg under the evolver settings ecfg, save the trace as
+    path.csv and path.json, and classify it: (trace, report, _evolve's record)."""
+    trace, record = _evolve(u0, ecfg, bg)
     trace.save(path + ".csv", path + ".json")
-    return trace, dg.classify(trace), seconds
+    return trace, dg.classify(trace), record
 
 
 def _run_ground_state(cfg, rundir):
@@ -295,11 +304,14 @@ def _run_wpm(cfg, rundir):
     t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / cfg["departure_floor"])
 
     fwd = dict(ecfg, t_span=(seed_t0, seed_t0 + t_fwd), track_modulation=True)
-    _, rep_f, timings["forward_s"] = _evolve_step(
+    evolutions = {}
+    _, rep_f, evolutions["forward"] = _evolve_step(
         u0, fwd, bg, os.path.join(rundir, "trace_forward"))
     bwd = dict(ecfg, t_span=(seed_t0, seed_t0 - cfg["backward_span"]), track_modulation=False)
-    trace_b, rep_b, timings["backward_s"] = _evolve_step(
+    trace_b, rep_b, evolutions["backward"] = _evolve_step(
         u0, bwd, bg, os.path.join(rundir, "trace_backward"))
+    timings["forward_s"] = evolutions["forward"]["seconds"]
+    timings["backward_s"] = evolutions["backward"]["seconds"]
 
     checks = {}
     rate = rep_f.rate.rate if rep_f.rate is not None else float("nan")
@@ -321,10 +333,8 @@ def _run_wpm(cfg, rundir):
             "passed": rep_b.regime == "blowup", "value": rep_b.regime}
         if rep_b.regime == "blowup":
             t_star = trace_b.termination["t_star"]
-            fine = ev.EvolverConfig(**dict(bwd, dt=ecfg["dt"] / 2))
-            t0 = _time.perf_counter()
-            trace_b2 = ev.evolve(u0, fine, bg)
-            timings["backward_s"] += _time.perf_counter() - t0
+            trace_b2, evolutions["backward_refined"] = _evolve(
+                u0, dict(bwd, dt=ecfg["dt"] / 2), bg)
             t_star2 = trace_b2.termination.get("t_star", float("nan"))
             shift = abs(t_star2 - t_star) / abs(t_star - seed_t0)
             checks["blowup-time-stable"] = {
@@ -336,7 +346,7 @@ def _run_wpm(cfg, rundir):
         "forward_horizon": seed_t0 + t_fwd,
         "forward": rep_f.as_dict(), "backward": rep_b.as_dict(),
     })
-    return checks, timings
+    return checks, {"timings": timings, "evolutions": evolutions}
 
 
 def _run_classify(cfg, rundir):
@@ -346,11 +356,12 @@ def _run_classify(cfg, rundir):
         u0 = init["factor"] * bg.W.astype(complex)
     else:
         u0 = dz.load_field(init["path"])[0]  # on the config grid: validated
-    _, report, seconds = _evolve_step(u0, cfg["evolver"], bg, os.path.join(rundir, "trace"))
+    _, report, record = _evolve_step(u0, cfg["evolver"], bg, os.path.join(rundir, "trace"))
     dz.save_json(os.path.join(rundir, "report.json"), report.as_dict())
     checks = {"classified": {"passed": report.regime != "undetermined",
                              "value": report.regime}}
-    return checks, {"evolve_s": seconds}
+    return checks, {"timings": {"evolve_s": record["seconds"]},
+                    "evolutions": {"evolve": record}}
 
 
 def _run_sweep(cfg, rundir, workers=1):
@@ -407,7 +418,7 @@ def _run_sweep(cfg, rundir, workers=1):
                      {str(k): v for k, v in failures.items()})
     checks = {"all-cells-completed": {"passed": not failures,
                                       "failed_cells": len(failures)}}
-    return checks, timings
+    return checks, {"timings": timings}
 
 
 _PIPELINES = {
@@ -432,9 +443,9 @@ def run(cfg, out_dir=".", workers=1, check=False):
     os.makedirs(rundir, exist_ok=True)
     t0 = _time.time()
     if scen == "sweep":
-        checks, timings = _run_sweep(cfg, rundir, workers=workers)
+        checks, entries = _run_sweep(cfg, rundir, workers=workers)
     else:
-        checks, timings = _PIPELINES[scen](cfg, rundir)
+        checks, entries = _PIPELINES[scen](cfg, rundir)
     outputs = sorted(os.path.relpath(os.path.join(base, name), rundir)
                      for base, _, names in os.walk(rundir) for name in names)
     manifest = {
@@ -447,8 +458,7 @@ def run(cfg, out_dir=".", workers=1, check=False):
         "checks": checks,
         "ok": all(c["passed"] for c in checks.values()) if checks else True,
     }
-    if timings:
-        manifest["timings"] = timings
+    manifest.update(entries)
     dz.save_json(os.path.join(rundir, "manifest.json"), manifest)
     if check and not manifest["ok"]:
         failed = [name for name, c in checks.items() if not c["passed"]]

@@ -129,7 +129,10 @@ def ground_mode(bg):
     ||B z - e0 z|| / ||B||_1 = 1.3-2.1e-17 at d = 6, n = 6000 to 48000).
     """
     grid, lapl = bg.grid, bg.lapl
-    s = _coarse_shift(grid.d, grid.r_max, min(N_COARSE, grid.n))
+    # rounded to 6 significant digits: the dense eigvals differ in the 12th
+    # digit between BLAS thread counts, and the shift only anchors the
+    # iteration, so e0 and Y_plus come out the same at any thread count
+    s = float("%.6g" % _coarse_shift(grid.d, grid.r_max, min(N_COARSE, grid.n)))
     solve, norm_a = factor_block(bg, s)
     pot_plus = bg.p_c * bg.pot
     # each column of |A_s| sums to that of |B| plus s

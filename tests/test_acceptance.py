@@ -213,6 +213,7 @@ def test_criterion_8_w_minus_behavior(tmp_path):
     assert checks["kinetic-side"]["value"] == "below"
     assert set(manifest["timings"]) == {"spectrum_s", "series_s", "forward_s",
                                         "backward_s"}
+    assert set(manifest["evolutions"]) == {"forward", "backward"}
 
 
 def test_criterion_9_w_plus_behavior(tmp_path):
@@ -223,6 +224,13 @@ def test_criterion_9_w_plus_behavior(tmp_path):
         assert checks[name]["passed"], (name, checks[name])
     assert checks["kinetic-side"]["value"] == "above"
     assert checks["blowup-time-stable"]["shift"] <= 0.05
+    # the dt/2 refinement is timed on its own, not inside backward_s, and
+    # reaches the same blowup in about twice the steps
+    evolutions = manifest["evolutions"]
+    assert set(evolutions) == {"forward", "backward", "backward_refined"}
+    assert manifest["timings"]["backward_s"] == evolutions["backward"]["seconds"]
+    assert evolutions["backward_refined"]["steps"] == pytest.approx(
+        2 * evolutions["backward"]["steps"], rel=0.05)
 
 
 def test_criterion_10_series_vs_direct_nonlinearity(ref_grid, ref_bg,

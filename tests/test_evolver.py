@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nlslab import discretization as dz
 from nlslab import evolver as ev
@@ -140,6 +141,94 @@ def test_merged_loop_blowup_matches_stepper(grid, lapl, background):
     # final_state is the true state, past the gradient threshold
     kin_ref2 = ev.GRAD_FACTOR ** 2 * dz.kinetic_sq(gs.sample_w(grid), grid)
     assert dz.kinetic_sq(trace.final_state, grid) > kin_ref2
+
+
+@pytest.fixture(scope="module")
+def ref_lapl():
+    return dz.DiscreteLaplacian(dz.build_grid(6, 60.0, 6000))
+
+
+def _cayley_reference(lapl, dt, u):
+    """The Cayley substep M^{-1} u - u, M = (1 - i dt/2 Lap) / 2, by LAPACK's
+    pivoted LU: of the dense matrix up to 801 nodes, else of the band (zgbsv)."""
+    s = 0.25j * dt
+    if lapl.grid.nnodes <= 801:
+        M = 0.5 * np.eye(lapl.grid.nnodes) - s * lapl.apply(np.eye(lapl.grid.nnodes))
+        return np.linalg.solve(M, u) - u
+    ab = np.zeros((3, lapl.grid.nnodes), complex)
+    ab[0, 1:], ab[1], ab[2, :-1] = -s * lapl.up[:-1], 0.5 - s * lapl.di, -s * lapl.lo[1:]
+    return scipy.linalg.solve_banded((1, 1), ab, u) - u
+
+
+@pytest.mark.parametrize("n", [400, 6000])
+@pytest.mark.parametrize("dt", [0.01, -0.01, 5e-3, 1e-3])
+def test_cayley_substep_matches_pivoted_solve(n, dt, ref_lapl):
+    lapl = ref_lapl if n == 6000 else dz.DiscreteLaplacian(dz.build_grid(6, 60.0, n))
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    got = ev.make_stepper(lapl, dt, "cayley")(u, lead=0, trail=0)
+    want = _cayley_reference(lapl, dt, u)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_scan_chunks_keep_products_in_range(ref_lapl):
+    # dt = 1e-3 at n = 6000: the prefix products of both sweeps span more
+    # than e^{+-600}, so each sweep is cut into chunks
+    s = 0.25j * 1e-3
+    wf, wm, wb, fwd, back = ev.factor_banded(
+        -s * ref_lapl.lo[1:], 0.5 - s * ref_lapl.di, -s * ref_lapl.up[:-1])
+    assert len(fwd) >= 4 and len(back) >= 4
+    for chunks in (fwd, back[::-1]):  # the back sweep runs from the last row
+        bounds = [(lo, hi) for lo, hi, _ in chunks]
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == 6001
+    for P in (wm * wb, wb):  # forward and back-sweep prefix products
+        assert np.max(np.abs(np.log(np.abs(P)))) <= ev.LOG_SPAN * (1 + 1e-12)
+
+
+def test_solve_banded_many_chunks_and_a_zero_coupling(rng):
+    # a strongly dominant diagonal makes every coefficient small, so the
+    # prefix products fall fast and the scans take many chunks; a zero
+    # sub- and super-diagonal entry decouples the matrix and starts a chunk
+    n = 1000
+    sub = 0.1 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+    sup = 0.1 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+    diag = 2.0 + rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sub[500] = sup[700] = 0.0
+    factors = ev.factor_banded(sub, diag, sup)
+    assert len(factors[3]) >= 6 and len(factors[4]) >= 6
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = np.linalg.solve(np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1), b)
+    got = ev.solve_banded(factors, b)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("diag", [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0],
+                                  [1.0, np.nan, 1.0], [1.0, 1.0, np.inf]])
+def test_factor_banded_refuses_bad_pivots(diag):
+    # [1, 1, 1] with unit couplings: the second pivot is 1 - 1 * 1 / 1 = 0
+    with pytest.raises(ValueError, match="pivot"):
+        ev.factor_banded(np.ones(2, complex), np.array(diag, complex),
+                         np.ones(2, complex))
+
+
+def test_factor_banded_refuses_weights_out_of_range():
+    # forward coefficients ~25 per row and back-sweep ones ~5e-4: the folded
+    # weight P_fwd / P_back of overlapping chunks would pass e^1200
+    with pytest.raises(ValueError, match="range"):
+        ev.factor_banded(np.full(399, 50, complex), np.full(400, 2, complex),
+                         np.full(399, 1e-3, complex))
+
+
+def test_cayley_substep_is_an_isometry(ref_lapl):
+    # the Cayley substep alone keeps the cell-volume L^2 norm over 100 steps
+    grid = ref_lapl.grid
+    u = (gs.sample_w(grid) * np.exp(0.5j * grid.r)).astype(complex)
+    stp = ev.make_stepper(ref_lapl, 0.01, "cayley")
+    v = u
+    for _ in range(100):
+        v = stp(v, lead=0, trail=0)
+    assert abs(_mass(v, grid) / _mass(u, grid) - 1) <= 1e-13
 
 
 def test_exact_substep_refuses_large_grids():

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -395,6 +397,33 @@ def test_outputs_are_byte_reproducible_across_roots(tmp_path):
             assert first[name] == second[name], (cfg["scenario"], name)
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the coarse shift's dense eigvals differ in the 12th digit between 1 and
+    # 2 BLAS threads; ground_mode rounds it, so the eigenpair and a k = 4
+    # series at the reference scale come out bit-identical
+    grid = {"d": 6, "r_max": 60.0, "n": 6000}
+    cfgs = {"spectrum": {"grid": grid},
+            "build-series": {"grid": grid, "series": {"k": 4, "a": 1.0}}}
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+        root = tmp_path / threads
+        for command, cfg in cfgs.items():
+            path = tmp_path / (command + ".json")
+            path.write_text(json.dumps(cfg))
+            subprocess.run([sys.executable, "-m", "nlslab.cli", command, "--config",
+                            str(path), "--out", str(root)], env=env, check=True,
+                           capture_output=True, timeout=300)
+        outputs.append({name: data for name, data in _output_bytes(str(root)).items()
+                        if os.path.basename(name) != "manifest.json"})
+    names = sorted(name.split("/", 1)[1] for name in outputs[0])
+    assert names == ["eigenpair.csv", "eigenpair.json"] + [
+        "near_solution/profile_%d.csv" % j for j in range(1, 5)], names
+    assert outputs[0] == outputs[1]
+
+
 def test_spectrum_run(tmp_path):
     cfg = {"scenario": "spectrum", "grid": dict(SMALL_GRID)}
     manifest = ex.run(cfg, out_dir=str(tmp_path), check=True)
@@ -422,6 +451,13 @@ def test_classify_run_blowup(tmp_path):
     manifest = ex.run(cfg, out_dir=str(tmp_path))
     assert manifest["checks"]["classified"]["value"] == "blowup"
     assert set(manifest["timings"]) == {"evolve_s"}
+    record = manifest["evolutions"]["evolve"]
+    assert set(manifest["evolutions"]) == {"evolve"}
+    assert record["seconds"] == manifest["timings"]["evolve_s"]
+    # the trace stops at the detected blowup, t_star / dt steps in
+    trace = dz.load_json(os.path.join(manifest["run_dir"], "trace.json"))
+    assert record["steps"] == round(trace["termination"]["t_star"] / 0.005) < 6000
+    assert record["steps_per_s"] == pytest.approx(record["steps"] / record["seconds"])
     report = dz.load_json(os.path.join(manifest["run_dir"], "report.json"))
     assert report["regime"] == "blowup"
 
