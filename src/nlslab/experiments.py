@@ -9,10 +9,10 @@ written out share a directory), containing the declared outputs plus a
 manifest.json echoing the filled-in config, library versions, wall time,
 stage seconds under "timings" (a sweep's spectra and unit series and its
 cells; evolve-near-solution's spectrum, series, and forward and backward
-evolution; classify-custom's evolution), each evolution's steps, seconds and
-steps/s under "evolutions" (W+'s dt/2 blowup refinement as
-"backward_refined"), the sorted relative paths of every other file in the run
-directory under "outputs", and the pass/fail record of every embedded check.
+evolution; classify-custom's evolution), each evolution's steps and seconds
+under "evolutions" (W+'s dt/2 blowup refinement as "backward_refined"), the
+sorted relative paths of every other file in the run directory under
+"outputs", and the pass/fail record of every embedded check.
 Only the evolving scenarios (evolve-near-solution, classify-custom) read an
 evolver section; the others reject one.
 The spans an evolving scenario steps through (classify-custom's t_span,
@@ -223,13 +223,12 @@ def _spectrum(grid):
 # manifest: "timings" in seconds and "evolutions", where it has them))
 
 def _evolve(u0, ecfg, bg):
-    """Evolve u0 on bg under the evolver settings ecfg: (trace, its steps,
-    seconds and steps/s, stepper set-up and samples included)."""
+    """Evolve u0 on bg under the evolver settings ecfg: (trace, its steps and
+    seconds, stepper set-up and samples included)."""
     t0 = _time.perf_counter()
     trace = ev.evolve(u0, ev.EvolverConfig(**ecfg), bg)
     seconds = _time.perf_counter() - t0
-    return trace, {"steps": trace.steps, "seconds": seconds,
-                   "steps_per_s": trace.steps / seconds}
+    return trace, {"steps": trace.steps, "seconds": seconds}
 
 
 def _evolve_step(u0, ecfg, bg, path):

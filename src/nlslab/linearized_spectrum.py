@@ -132,6 +132,8 @@ def ground_mode(bg):
     # rounded to 6 significant digits: the dense eigvals differ in the 12th
     # digit between BLAS thread counts, and the shift only anchors the
     # iteration, so e0 and Y_plus come out the same at any thread count
+    # unless the shift lies within ~1e-12 relative of a 6-digit rounding
+    # boundary (about one grid in a million)
     s = float("%.6g" % _coarse_shift(grid.d, grid.r_max, min(N_COARSE, grid.n)))
     solve, norm_a = factor_block(bg, s)
     pot_plus = bg.p_c * bg.pot

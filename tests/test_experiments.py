@@ -457,7 +457,7 @@ def test_classify_run_blowup(tmp_path):
     # the trace stops at the detected blowup, t_star / dt steps in
     trace = dz.load_json(os.path.join(manifest["run_dir"], "trace.json"))
     assert record["steps"] == round(trace["termination"]["t_star"] / 0.005) < 6000
-    assert record["steps_per_s"] == pytest.approx(record["steps"] / record["seconds"])
+    assert set(record) == {"steps", "seconds"}
     report = dz.load_json(os.path.join(manifest["run_dir"], "report.json"))
     assert report["regime"] == "blowup"
 
