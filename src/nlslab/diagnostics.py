@@ -3,14 +3,17 @@
 The modulation fit projects a field onto the two-parameter family
 W_{[theta,mu]}: for each scale mu the optimal phase has the closed form
 theta = arg <grad W_mu, grad u>, leaving a 1-D bounded minimization in mu.
-The face differences of u, split into real and imaginary parts and copied
-once more with the face fluxes as weights, are taken once per fit.  Each
-trial mu then costs the real closed form W_mu and its face differences dW,
-two real dot products for <grad W_mu, grad u>, and the distance
-sum flux [(Re du - cos theta dW)^2 + (Im du - sin theta dW)^2], which is
-the kinetic norm of the direct field difference u - e^{i theta} W_mu.  The
-expanded norm-difference formula ||u||^2 - 2|<.,.>| + ||W_mu||^2 is never
-used: it cancels catastrophically near the family and floors around 1e-3.
+The face differences du of u, weighted by the square roots of the face
+fluxes and split into real and imaginary parts, are taken once per fit
+(the weights, like q = r^2/(d(d-2)), once per grid).  Each trial mu then
+costs the real closed form W_mu (ground_state.scaled_w, no libm pow), its
+weighted face differences s = sqrt(flux) dW by one slice subtraction and
+one product, two real dot products for <grad W_mu, grad u>, and the
+residual e = sqrt(flux) du - e^{i theta} s, whose two real dot products
+e_re.e_re + e_im.e_im give the kinetic norm of the direct field difference
+u - e^{i theta} W_mu.  The expanded norm-difference formula
+||u||^2 - 2|<.,.>| + ||W_mu||^2 would save the residual but is never used:
+it cancels catastrophically near the family and floors around 1e-3.
 An optimum within 1e-6 of the bracket width from either end is flagged
 ``at_bracket_edge``: the true minimizer may lie outside the bracket.  On the
 amplitude-seeded bracket, which loses the optimum while a field focuses, such
@@ -60,20 +63,23 @@ def fit_modulation(u, grid, mu_bounds=None):
     u = np.asarray(u, dtype=complex)
     if not np.any(u):
         raise ValueError("cannot fit modulation of the zero field")
-    d = grid.d
-    flux = grid.flux
-    du = np.diff(u)
-    du_re, du_im = du.real.copy(), du.imag.copy()
-    fdu_re, fdu_im = flux * du_re, flux * du_im
-    q = grid.r ** 2 / (d * (d - 2))
+    d, q, sf = grid.d, grid.q, grid.sqrt_flux
+    du = u[1:] - u[:-1]
+    sdu_re, sdu_im = sf * du.real, sf * du.imag
 
     def dist2_theta(mu):
-        dw = np.diff(gs.scaled_w(d, q, mu))
-        a, b = fdu_re @ dw, fdu_im @ dw
+        w = gs.scaled_w(d, q, mu)
+        sdw = w[1:] - w[:-1]
+        sdw *= sf
+        a, b = sdu_re @ sdw, sdu_im @ sdw
         th = math.atan2(b, a) if a or b else 0.0
-        e_re = du_re - math.cos(th) * dw
-        e_im = du_im - math.sin(th) * dw
-        return float((flux * e_re) @ e_re + (flux * e_im) @ e_im), th
+        # the residual's sign flipped, in place (each fresh array costs
+        # about as much as the product that fills it)
+        e_re = math.cos(th) * sdw
+        e_re -= sdu_re
+        sdw *= math.sin(th)
+        sdw -= sdu_im
+        return float(e_re @ e_re + sdw @ sdw), th
 
     def fit(bounds):
         mu, (d2, th), nfev = _bounded_min(dist2_theta, *bounds)
@@ -81,7 +87,7 @@ def fit_modulation(u, grid, mu_bounds=None):
 
     seeded = mu_bounds is None
     if seeded:
-        seed = float(np.clip((np.max(np.abs(u))) ** (-2 / (d - 2)), 0.05, 20.0))
+        seed = min(max(float(np.max(np.abs(u))) ** (-2 / (d - 2)), 0.05), 20.0)
         mu_bounds = (seed / 5.0, seed * 5.0)
     d2, th, mu, bracket, nfev = fit(mu_bounds)
     lo, hi = mu_bounds

@@ -66,6 +66,11 @@ class RadialGrid:
         # face flux coefficients a_{i+1/2}
         rhalf = self.r[:-1] + self.h / 2
         self.flux = self.omega * rhalf ** (self.d - 1) / self.h
+        # per-grid constants of the modulation fit: the flux weights of a
+        # kinetic norm written as a sum of squares, and the variable
+        # q = r^2/(d(d-2)) of W's closed form (ground_state.scaled_w)
+        self.sqrt_flux = np.sqrt(self.flux)
+        self.q = self.r ** 2 / (self.d * (self.d - 2))
 
     @property
     def nnodes(self):

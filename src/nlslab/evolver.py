@@ -285,8 +285,10 @@ def evolve(u0, config, bg):
     samples, the blowup test and final_state see the true state.
     trace.steps counts the steps taken.  The step and sample counts are
     |t1 - t0| / dt and sample_every / dt rounded, so a span off the step grid
-    ends up to dt/2 from t1.  Scenario configs reject such spans; the forward
-    horizon evolve-near-solution computes from e0 keeps this rounding.
+    ends up to dt/2 from t1.  Scenario configs reject such spans, and
+    evolve-near-solution snaps the forward horizon it derives to the grid.
+    The potential |u|^{p_c+1} of each sample's energy is formed by products
+    when 2(p_c + 1) is an integer (d = 3, 4, 6, 10), see ground_state._power.
     """
     grid = bg.grid
     u = np.asarray(u0, dtype=complex).copy()
@@ -321,7 +323,7 @@ def evolve(u0, config, bg):
         amp = np.abs(u)
         mx = float(np.max(amp))
         E = 0.5 * K ** 2 - (grid.d - 2) / (2 * grid.d) * \
-            dz.integrate(amp ** (bg.p_c + 1), grid)
+            dz.integrate(gs._power(amp, bg.p_c + 1), grid)
         if config.track_modulation:
             fit = dg.fit_modulation(u, grid)
             dd, th, mu = fit.distance, fit.theta, fit.mu

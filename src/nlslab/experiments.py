@@ -301,6 +301,8 @@ def _run_wpm(cfg, rundir):
     # (1/(2 e0)) ln(d0/eta), kept with a safety factor
     d0 = dz.h1_distance(u0, bg.W.astype(complex), grid)
     t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / cfg["departure_floor"])
+    # on the step grid, so the trace ends at the reported horizon
+    t_fwd = round(t_fwd / ecfg["dt"]) * ecfg["dt"]
 
     fwd = dict(ecfg, t_span=(seed_t0, seed_t0 + t_fwd), track_modulation=True)
     evolutions = {}

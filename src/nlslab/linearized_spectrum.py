@@ -32,6 +32,7 @@ to near round-off.
 """
 
 import functools
+import math
 
 import numpy as np
 from scipy.linalg import lapack
@@ -84,14 +85,20 @@ def factor_block(bg, s):
 
 
 class EigenPair:
-    """(e0, y1, y2) with Y_plus = y1 + i y2, normalized to ||Y_plus||_{H1-dot} = 1."""
+    """(e0, y1, y2) with Y_plus = y1 + i y2, normalized to ||Y_plus||_{H1-dot} = 1.
 
-    def __init__(self, e0, y1, y2, residual=None, normalization=None):
+    inverse_iteration: {"iterations", "residuals"}, the block residual
+    ||B z - e0 z|| (||z|| = 1) after each step of ``ground_mode``.
+    """
+
+    def __init__(self, e0, y1, y2, residual=None, normalization=None,
+                 inverse_iteration=None):
         self.e0 = float(e0)
         self.y1 = np.asarray(y1, dtype=float)
         self.y2 = np.asarray(y2, dtype=float)
         self.residual = residual
         self.normalization = normalization or {}
+        self.inverse_iteration = inverse_iteration or {}
 
     @property
     def y_plus(self):
@@ -118,6 +125,12 @@ def _coarse_shift(d, r_max, n):
     return float(np.sqrt(-neg.min()))
 
 
+def _norm(z):
+    """2-norm of a complex vector by numpy's pairwise sum, not the BLAS
+    reduction of np.linalg.norm, whose order depends on the thread count."""
+    return math.sqrt(np.sum(z.real ** 2 + z.imag ** 2))
+
+
 def ground_mode(bg):
     """Compute (e0, Y_plus) for the linearized operator.
 
@@ -141,13 +154,14 @@ def ground_mode(bg):
     floor = np.finfo(float).eps * (norm_a - s)
     # complex storage y1 + i y2 is exactly the interleaved layout
     y = np.exp(-grid.r ** 2).astype(complex)
-    res_prev = np.inf
+    res_prev, residuals = np.inf, []
     for _ in range(MAX_ITER):
         y = solve((1j * y).view(float)).view(complex)
-        y /= np.linalg.norm(y)
+        y /= _norm(y)
         By = lapl.apply(y.imag, bg.pot) - 1j * lapl.apply(y.real, pot_plus)
-        e0 = float(np.vdot(y, By).real)
-        res = np.linalg.norm(By - e0 * y)
+        e0 = float(np.sum(y.real * By.real + y.imag * By.imag))
+        res = _norm(By - e0 * y)
+        residuals.append(res)
         # converged, and no longer gaining a digit per step (round-off floor)
         if res <= max(TOL * abs(e0), floor) and res > 0.1 * res_prev:
             break
@@ -167,7 +181,9 @@ def ground_mode(bg):
     y2 /= nrm
     pair = EigenPair(e0, y1, y2,
                      normalization={"norm": "h1dot", "value": 1.0,
-                                    "sign": "y1(0) > 0"})
+                                    "sign": "y1(0) > 0"},
+                     inverse_iteration={"iterations": len(residuals),
+                                        "residuals": residuals})
     pair.residual = eigen_residual(bg, pair)
     return pair
 
@@ -194,13 +210,17 @@ def save_eigenpair(basepath, pair, grid):
         "d": grid.d, "r_max": grid.r_max, "n": grid.n,
         "e0": pair.e0, "residual": pair.residual,
         "normalization": pair.normalization,
+        "inverse_iteration": pair.inverse_iteration,
     })
 
 
 def load_eigenpair(basepath):
+    """Read a ``save_eigenpair`` pair; files written before the inverse
+    iteration was recorded load with an empty record."""
     y, grid = dz.load_field(str(basepath) + ".csv")
     meta = dz.load_json(str(basepath) + ".json")
     pair = EigenPair(meta["e0"], y.real, y.imag,
                      residual=meta["residual"],
-                     normalization=meta["normalization"])
+                     normalization=meta["normalization"],
+                     inverse_iteration=meta.get("inverse_iteration"))
     return pair, grid

@@ -399,19 +399,22 @@ def test_outputs_are_byte_reproducible_across_roots(tmp_path):
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the coarse shift's dense eigvals differ in the 12th digit between 1 and
-    # 2 BLAS threads; ground_mode rounds it, so the eigenpair and a k = 4
-    # series at the reference scale come out bit-identical
-    grid = {"d": 6, "r_max": 60.0, "n": 6000}
-    cfgs = {"spectrum": {"grid": grid},
-            "build-series": {"grid": grid, "series": {"k": 4, "a": 1.0}}}
+    # 2 BLAS threads; ground_mode rounds it, and takes its norms and Rayleigh
+    # quotient by numpy sums (BLAS reductions differ at n = 12000), so the
+    # eigenpair and a k = 4 series come out bit-identical
+    cfgs = {}
+    for n in (6000, 12000):
+        grid = {"d": 6, "r_max": 60.0, "n": n}
+        cfgs["spectrum", n] = {"grid": grid}
+        cfgs["build-series", n] = {"grid": grid, "series": {"k": 4, "a": 1.0}}
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
                        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
         root = tmp_path / threads
-        for command, cfg in cfgs.items():
-            path = tmp_path / (command + ".json")
+        for (command, n), cfg in cfgs.items():
+            path = tmp_path / ("%s-%d.json" % (command, n))
             path.write_text(json.dumps(cfg))
             subprocess.run([sys.executable, "-m", "nlslab.cli", command, "--config",
                             str(path), "--out", str(root)], env=env, check=True,
@@ -419,9 +422,21 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs.append({name: data for name, data in _output_bytes(str(root)).items()
                         if os.path.basename(name) != "manifest.json"})
     names = sorted(name.split("/", 1)[1] for name in outputs[0])
-    assert names == ["eigenpair.csv", "eigenpair.json"] + [
-        "near_solution/profile_%d.csv" % j for j in range(1, 5)], names
+    assert names == sorted(2 * (["eigenpair.csv", "eigenpair.json"] + [
+        "near_solution/profile_%d.csv" % j for j in range(1, 5)])), names
     assert outputs[0] == outputs[1]
+
+
+def test_forward_horizon_is_on_the_step_grid(tmp_path):
+    # the horizon derived from e0 is snapped to the step grid, so the
+    # forward trace ends exactly at the reported forward_horizon
+    cfg = {"scenario": "evolve-near-solution", "grid": {"d": 6, "r_max": 40.0, "n": 400},
+           "evolver": {"dt": 0.02}, "backward_span": 10.0}
+    manifest = ex.run(cfg, out_dir=str(tmp_path))
+    report = dz.load_json(os.path.join(manifest["run_dir"], "report.json"))
+    steps = manifest["evolutions"]["forward"]["steps"]
+    assert steps > 0
+    assert abs(report["forward_horizon"] - report["seed_t0"] - steps * 0.02) <= 1e-12
 
 
 def test_spectrum_run(tmp_path):

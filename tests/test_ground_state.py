@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nlslab import discretization as dz
 from nlslab import ground_state as gs
 
 
@@ -111,6 +112,30 @@ def test_w_family_unit_parameters_is_w(grid):
     fam = gs.w_family(0.0, 1.0, grid)
     assert np.array_equal(fam.real, W)
     assert np.all(fam.imag == 0)
+
+
+def _ulps(x, ref):
+    return float(np.max(np.abs(x - ref) / np.spacing(ref)))
+
+
+def test_power_by_products_is_within_a_few_ulps_of_pow():
+    # the exponents (d-2)/2 of scaled_w on mu^2 + q, over the reference
+    # grid's q and the fit's scale range, and p_c + 1 where 2(p_c + 1) is an
+    # integer (d = 3, 4, 6, 10) on amplitudes; measured at most 4 ULP for the
+    # power (d = 11) and 5 for its reciprocal, which scaled_w forms (d = 11)
+    amp = np.linspace(0.0, 30.0, 3001)[1:]
+    for d in range(3, 13):
+        q = dz.build_grid(d, 60.0, 6000).q
+        k = (d - 2) / 2
+        for mu in np.geomspace(0.01, 100.0, 101):
+            x = mu * mu + q
+            assert _ulps(gs._power(x, k), x ** k) <= 4, (d, mu)
+            assert _ulps(1.0 / gs._power(x, k), x ** -k) <= 5, (d, mu)
+        p = 2 * d / (d - 2)
+        if (2 * p).is_integer():
+            assert _ulps(gs._power(amp, p), amp ** p) <= 4, d
+        else:
+            assert np.array_equal(gs._power(amp, p), amp ** p)
 
 
 def test_w_family_scaling_preserves_kinetic_norm(grid):

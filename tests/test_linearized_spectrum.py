@@ -126,3 +126,13 @@ def test_eigenpair_round_trip(tmp_path, grid, pair):
     assert np.array_equal(loaded.y1, pair.y1)
     assert np.array_equal(loaded.y2, pair.y2)
     assert loaded.residual == pair.residual
+    # the inverse iteration's record, and a file written before it existed
+    record = loaded.inverse_iteration
+    assert record == pair.inverse_iteration
+    assert record["iterations"] == len(record["residuals"]) >= 2
+    assert record["residuals"][-1] <= 1e-10 * pair.e0
+    meta = dz.load_json(base + ".json")
+    del meta["inverse_iteration"]
+    dz.save_json(base + ".json", meta)
+    old, _ = ls.load_eigenpair(base)
+    assert old.e0 == pair.e0 and old.inverse_iteration == {}
