@@ -296,6 +296,8 @@ def evolve(u0, config, bg):
         raise ValueError("initial data does not match grid")
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite initial data")
+    if not np.any(u):
+        raise ValueError("zero initial data")
     amp_ref = AMP_FACTOR * np.max(bg.W)
     kin_ref2 = GRAD_FACTOR ** 2 * dz.kinetic_sq(bg.W, grid)
 

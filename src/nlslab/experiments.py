@@ -59,24 +59,26 @@ SCENARIOS = tuple(_READS)
 # path -> (check, default); a key without a default is required, a section's
 # default fills it when it is absent (so a given grid must be complete), and
 # initial.factor and initial.path are required by the initial.kind that reads
-# them (_KIND_READS).  A check is the least integer allowed, "positive" or
-# "finite" for a real number, "span" for [t0, t1], bool, str for a file path,
-# dict for a section, or a tuple of the allowed values; a ranges entry is a
-# nonempty list of values that each pass its check.
+# them (_KIND_READS).  A check is the least integer allowed, "positive",
+# "nonzero" or "finite" for a real number, "span" for [t0, t1], bool, str for
+# a file path, dict for a section, or a tuple of the allowed values; a ranges
+# entry is a nonempty list of values that each pass its check.  An amplitude
+# of 0 is refused: a zero series has no validity start t_k, and zero initial
+# data no reflection horizon.
 _KEYS = {
     "scenario": (SCENARIOS,), "schema_version": ((SCHEMA_VERSION,), SCHEMA_VERSION),
     "grid": (dict, {"d": 6, "r_max": 60.0, "n": 6000}),
     "grid.d": (3,), "grid.r_max": ("positive",), "grid.n": (16,),
-    "series": (dict, {}), "series.k": (1, 3), "series.a": ("finite", 1.0),
+    "series": (dict, {}), "series.k": (1, 3), "series.a": ("nonzero", 1.0),
     "evolver": (dict, {}), "evolver.dt": ("positive", 0.01),
     "evolver.sample_every": ("positive", 0.5),
     "evolver.t_span": ("span", [0.0, 20.0]), "evolver.track_modulation": (bool, True),
     "sign": ((1, -1), -1), "seed_t0": ("finite", -10.5), "departure_floor": ("positive", 1e-3),
     "backward_span": ("positive", 120.0),
     "initial": (dict,), "initial.kind": (("scaled-w", "field"),),
-    "initial.factor": ("finite",), "initial.path": (str,),
+    "initial.factor": ("nonzero",), "initial.path": (str,),
     "ranges": (dict,), "ranges.d": (3, [6]), "ranges.n": (16, [6000]),
-    "ranges.k": (1, [3]), "ranges.a": ("finite", [1.0]),
+    "ranges.k": (1, [3]), "ranges.a": ("nonzero", [1.0]),
 }
 _KIND_READS = (("scaled-w", "initial.factor"), ("field", "initial.path"))
 
@@ -164,8 +166,9 @@ def _check(where, want, val):
         ok, what = any(type(val) is type(v) and val == v for v in want), "one of %s" % list(want)
     elif isinstance(want, int):
         ok, what = isinstance(val, int) and _number(val) and val >= want, "integer >= %d" % want
-    elif want in ("positive", "finite"):
-        ok, what = _number(val) and (want == "finite" or val > 0), "a %s number" % want
+    elif want in ("positive", "nonzero", "finite"):
+        ok = _number(val) and {"positive": val > 0, "nonzero": val != 0, "finite": True}[want]
+        what = "a finite number other than 0" if want == "nonzero" else "a %s number" % want
     elif want == "span":
         ok = isinstance(val, (list, tuple)) and len(val) == 2 and all(map(_number, val))
         what = "[t0, t1], two finite numbers"
@@ -204,6 +207,11 @@ def config_hash(cfg):
     filled, errors = normalize(cfg)
     if errors:
         raise ConfigError(errors)
+    return _digest(filled)
+
+
+def _digest(filled):
+    """The run-directory hash of an already filled-in config."""
     canon = json.dumps(filled, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
@@ -242,9 +250,8 @@ def _evolve_step(u0, ecfg, bg, path):
 def _run_ground_state(cfg, rundir):
     grid = dz.build_grid(**cfg["grid"])
     W = gs.sample_w(grid)
-    refine = grid.n % 2 == 0
-    kin = gs.kinetic_norm(W, grid, tail="powerlaw", refine=refine)
-    en = gs.energy(W, grid, tail="powerlaw", refine=refine)
+    kin = gs.kinetic_norm(W, grid, tail="powerlaw", refine=grid.n % 2 == 0)
+    en = gs.energy(W, grid)
     quot = gs.sobolev_quotient(W, grid)
     gap = abs(en - kin ** 2 / grid.d) / en
     dz.save_field(os.path.join(rundir, "w.csv"), W.astype(complex), grid)
@@ -440,7 +447,7 @@ def run(cfg, out_dir=".", workers=1, check=False):
     if errors:
         raise ConfigError(errors)
     scen = cfg["scenario"]
-    rundir = os.path.join(out_dir, "%s-%s" % (scen, config_hash(cfg)))
+    rundir = os.path.join(out_dir, "%s-%s" % (scen, _digest(cfg)))
     os.makedirs(rundir, exist_ok=True)
     t0 = _time.time()
     if scen == "sweep":

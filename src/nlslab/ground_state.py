@@ -5,11 +5,14 @@ Delta W + W^{p_c} = 0 with p_c = (d+2)/(d-2), is the extremal of the
 critical Sobolev embedding, and generates the two-parameter symmetry family
 W_{[theta,mu]} = e^{i theta} mu^{-(d-2)/2} W(r/mu).
 
-Energy and kinetic norms accept an optional power-law tail correction: the
-truncated-domain quadrature misses the slowly decaying r^{-(d-2)} tail of
-W-like fields, which matters for the tightest identities (Pohozaev, sharp
-Sobolev constant).  tail="powerlaw" fits the exterior analytically from the
-last two nodes; tail="none" is the plain truncated quadrature.
+The truncated-domain quadrature misses the slowly decaying r^{-(d-2)} tail
+of W-like fields, which matters for the tightest identities (Pohozaev, sharp
+Sobolev constant).  The energy, the potential term and the Sobolev quotient
+therefore always add the exterior of a power-law tail fitted to the last two
+nodes, and the energy and the quotient Richardson-refine the kinetic norm in
+h on grids with an even n.  kinetic_norm keeps both as options (tail="none"
+is the plain truncated quadrature), because classification uses the plain
+norm.
 
 Background(grid) holds W (its grid's one sample_w call) and what the chain
 builds from it; every later layer reads them off it instead of rebuilding.
@@ -118,38 +121,34 @@ def kinetic_norm(u, grid, tail="none", refine=False):
     return float(np.sqrt(k2))
 
 
-def potential_term(u, grid, tail="none"):
-    """||u||_{p_c+1}^{p_c+1} = ||u||_{2d/(d-2)}^{2d/(d-2)}, optionally tail-corrected."""
+def potential_term(u, grid):
+    """||u||_{p_c+1}^{p_c+1} = ||u||_{2d/(d-2)}^{2d/(d-2)}, tail-corrected."""
     pc = critical_exponent(grid.d)
     p = dz.integrate(np.abs(np.asarray(u)) ** (pc + 1), grid)
-    if tail == "powerlaw":
-        c1, c2 = dz.fit_powerlaw_tail(u, grid)
-        p += dz.tail_lp(c1, c2, pc + 1, grid)
-    elif tail != "none":
-        raise ValueError("unknown tail option %r" % (tail,))
-    return p
+    return p + dz.tail_lp(*dz.fit_powerlaw_tail(u, grid), pc + 1, grid)
 
 
-def energy(u, grid, tail="none", refine=False):
+def _tail_kinetic_norm(u, grid):
+    """kinetic_norm tail-corrected, and refined when grid.n is even."""
+    return kinetic_norm(u, grid, tail="powerlaw", refine=grid.n % 2 == 0)
+
+
+def energy(u, grid):
     """Conserved energy E(u) = 1/2 ||grad u||^2 - (d-2)/(2d) ||u||_{2d/(d-2)}^{2d/(d-2)}."""
-    d = grid.d
-    k = kinetic_norm(u, grid, tail=tail, refine=refine)
-    p = potential_term(u, grid, tail=tail)
-    e = 0.5 * k ** 2 - (d - 2) / (2 * d) * p
+    d, k = grid.d, _tail_kinetic_norm(u, grid)
+    e = 0.5 * k ** 2 - (d - 2) / (2 * d) * potential_term(u, grid)
     if not np.isfinite(e):
         raise ValueError("non-finite energy (blowup-range field?)")
     return e
 
 
-def sobolev_quotient(u, grid, tail="powerlaw", refine=True):
+def sobolev_quotient(u, grid):
     """Sobolev quotient ||u||_{2d/(d-2)} / ||grad u||_2, maximized by the W family."""
     u = np.asarray(u)
     if not np.any(u):
         raise ValueError("zero field has no Sobolev quotient")
     pc = critical_exponent(grid.d)
-    k = kinetic_norm(u, grid, tail=tail, refine=refine and grid.n % 2 == 0)
-    p = potential_term(u, grid, tail=tail)
-    return p ** (1 / (pc + 1)) / k
+    return potential_term(u, grid) ** (1 / (pc + 1)) / _tail_kinetic_norm(u, grid)
 
 
 def w_family(theta, mu, grid):

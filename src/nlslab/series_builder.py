@@ -2,16 +2,22 @@
 
 The near solution is W_k^a(t) = W + sum_{j=1}^k e^{-j e0 t} Phi_j^a with
 Phi_1^a = a * Y_plus.  Substituting into the flow and matching powers of
-e^{-e0 t} turns the nonlinearity into an order-by-order recursion: the order-j
-forcing F_j collects all products of lower-order profiles weighted by the
-expansion coefficients of the real-analytic nonlinearity
+e^{-e0 t} turns the nonlinearity into an order-by-order recursion.  The
+order-j forcing F_j is the coefficient of x^j, x = e^{-e0 t}, in
+W^{p_c} P(U) - W^{p_c} - Gamma(W U), with U = sum_{m<j} x^m Phi_m / W and the
+real-analytic nonlinearity
 
-    P(z) = |1+z|^{p_c-1}(1+z) = (1+z)^{(p_c+1)/2} (1+conj z)^{(p_c-1)/2},
+    P(z) = |1+z|^{p_c-1}(1+z) = (1+z)^{(p_c+1)/2} (1+conj z)^{(p_c-1)/2}.
 
-and each profile solves the resolvent-type linear system (L - j e0) Phi_j at
-the shifted rate.  The sign convention of the recursion is fixed empirically
-by the observable: the assembled PDE residual eps_k must decay at the rate
-(k+1) e0, which the residual_rate report certifies.
+Both factors are power series in x, each from the power recurrence (Knuth,
+TAOCP vol. 2, sec. 4.7): f = (1+U)^alpha has f_0 = 1 and
+n f_n = sum_{k=1..n} ((alpha+1) k - n) U_k f_{n-k}.  F_j is then
+W^{p_c} sum_m A_m B_{j-m} for A = (1+U)^{(p_c+1)/2}, B = (1+conj U)^{(p_c-1)/2};
+the coefficient U_j is 0, so the linear part drops out.  Each profile solves
+the resolvent-type linear system (L - j e0) Phi_j at the shifted rate.  The
+sign convention of the recursion is fixed empirically by the observable: the
+assembled PDE residual eps_k must decay at the rate (k+1) e0, which the
+residual_rate report certifies.
 
 In the real block variables Phi_j = f + i g the resolvent system is the 2N x 2N
 block system
@@ -57,47 +63,6 @@ CHUNK_BYTES = 1 << 18  # cap on one (samples x nodes) array of the batched resid
 
 
 # ---------------------------------------------------------------------------
-# expansion of the nonlinearity
-
-def generalized_binomial(alpha, k):
-    """Binomial coefficient C(alpha, k) for real alpha."""
-    out = 1.0
-    for i in range(k):
-        out *= (alpha - i) / (i + 1)
-    return out
-
-
-def pz_coefficients(p_c, j_max):
-    """Generalized-binomial expansion table of P(z), orders 2..j_max:
-    {(j1, j2): a_{j1,j2}} with P(z) = sum a_{j1,j2} z^{j1} conj(z)^{j2}."""
-    if j_max < 2:
-        raise ValueError("j_max must be >= 2, got %r" % (j_max,))
-    ap, am = (p_c + 1) / 2, (p_c - 1) / 2
-    coef = {}
-    for j1 in range(j_max + 1):
-        for j2 in range(j_max + 1 - j1):
-            if j1 + j2 >= 2:
-                coef[(j1, j2)] = generalized_binomial(ap, j1) * generalized_binomial(am, j2)
-    return coef
-
-
-def eval_p(z, p_c):
-    """Direct evaluation of P(z) = |1+z|^{p_c-1}(1+z)."""
-    z = np.asarray(z, dtype=complex)
-    return np.abs(1 + z) ** (p_c - 1) * (1 + z)
-
-
-def reconstruct_p(table, z, p_c):
-    """P(z) rebuilt from its expansion table (plus the linear part)."""
-    z = np.asarray(z, dtype=complex)
-    ap, am = (p_c + 1) / 2, (p_c - 1) / 2
-    out = 1.0 + ap * z + am * np.conj(z)
-    for (j1, j2), a in table.items():
-        out = out + a * z ** j1 * np.conj(z) ** j2
-    return out
-
-
-# ---------------------------------------------------------------------------
 # nonlinear remainder and its linear part, evaluated directly
 
 def eval_gamma(v, bg):
@@ -125,52 +90,33 @@ def eval_r(v, bg):
 # ---------------------------------------------------------------------------
 # order-by-order recursion
 
-def order_forcing(j, profiles, table, bg):
-    """Order-j forcing F_j: the coefficient of e^{-j e0 t} in i R(v_k).
+def order_forcing(j, profiles, bg):
+    """Order-j forcing F_j = W^{p_c} sum_m A_m B_{j-m}: the coefficient of
+    e^{-j e0 t} in i R(v_k), by the power recurrence (module docstring).
 
     profiles: sequence with profiles[m] = Phi_m for 1 <= m < j (index 0 unused).
-    Computed by polynomial-coefficient dynamic programming: with
-    U(x) = sum_m (Phi_m / W) x^m, the coefficient of x^j in
-    sum a_{j1,j2} W^{p_c} U^{j1} conj(U)^{j2}.
     """
     if j < 2:
         raise ValueError("order_forcing needs j >= 2 (order 1 is the eigenmode)")
     for m in range(1, j):
         if profiles[m] is None:
             raise ValueError("missing profile Phi_%d" % (m,))
-    N = bg.grid.nnodes
     W, pc = bg.W, bg.p_c
-    U = [np.zeros(N, complex) for _ in range(j + 1)]
-    for m in range(1, j):
-        U[m] = np.asarray(profiles[m], dtype=complex) / W
-    Ub = [np.conj(u) for u in U]
+    U = [None] + [np.asarray(profiles[m], dtype=complex) / W for m in range(1, j)]
+    A = _power_series(U, (pc + 1) / 2, j)
+    B = _power_series([None] + [np.conj(u) for u in U[1:]], (pc - 1) / 2, j)
+    return sum(A[m] * B[j - m] for m in range(j + 1)) * W ** pc
 
-    def poly_pow(base, p):
-        # coefficients (in the bookkeeping variable x = e^{-e0 t}) of base(x)^p,
-        # truncated at degree j
-        cur = [np.zeros(N, complex) for _ in range(j + 1)]
-        cur[0] = np.ones(N, complex)
-        for _ in range(p):
-            new = [np.zeros(N, complex) for _ in range(j + 1)]
-            for da in range(j + 1):
-                if not cur[da].any():
-                    continue
-                for db in range(1, j + 1 - da):
-                    new[da + db] += cur[da] * base[db]
-            cur = new
-        return cur
 
-    F = np.zeros(N, complex)
-    for (j1, j2), a in table.items():
-        if j1 + j2 > j:
-            continue
-        t1 = poly_pow(U, j1)
-        t2 = poly_pow(Ub, j2)
-        c = np.zeros(N, complex)
-        for da in range(j + 1):
-            c += t1[da] * t2[j - da]
-        F += a * c
-    return F * W ** pc
+def _power_series(u, alpha, j):
+    """Coefficients f_0..f_j of (1 + sum_k u[k] x^k)^alpha, with u[k] = 0 for
+    k >= len(u): f_0 = 1, n f_n = sum_{k=1..n} ((alpha+1) k - n) u_k f_{n-k}
+    (the power recurrence, Knuth, TAOCP vol. 2, sec. 4.7)."""
+    f = [1.0]
+    for n in range(1, j + 1):
+        f.append(sum(((alpha + 1) * k - n) * u[k] * f[n - k]
+                     for k in range(1, min(n, len(u) - 1) + 1)) / n)
+    return f
 
 
 def _inverse_onenorm(solve, n):
@@ -255,11 +201,10 @@ def build_near_solution(k, a, pair, bg):
     """Run the order-by-order recursion up to order k with Phi_1 = a * Y_plus."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = pz_coefficients(bg.p_c, max(k, 2))
     profiles = [None, a * pair.y_plus]
     conditioning = {}
     for j in range(2, k + 1):
-        F = order_forcing(j, profiles, table, bg)
+        F = order_forcing(j, profiles, bg)
         phi, cond = solve_profile(j, F, pair, bg)
         profiles.append(phi)
         conditioning[j] = cond
@@ -317,12 +262,12 @@ def _residual_norms(near, ts, sup_weight, lap_w):
     return l2s, sups
 
 
-def series_reconstruction(near, table, t):
+def series_reconstruction(near, t):
     """sum_{j=2..k} e^{-j e0 t} F_j: the order-regrouped reconstruction of
     i R(v_k(t)) through order k (misses orders > k, i.e. O(e^{-(k+1) e0 t}))."""
     out = np.zeros(near.grid.nnodes, complex)
     for j in range(2, near.k + 1):
-        F = order_forcing(j, near.profiles, table, near.background)
+        F = order_forcing(j, near.profiles, near.background)
         out += np.exp(-j * near.e0 * t) * F
     return out
 

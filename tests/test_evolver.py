@@ -308,6 +308,9 @@ def test_evolve_input_validation(grid, background):
     bad[3] = np.nan
     with pytest.raises(ValueError):
         ev.evolve(bad, cfg, background)
+    # a field file of zeros passes config checks; it has no reflection horizon
+    with pytest.raises(ValueError, match="zero initial data"):
+        ev.evolve(np.zeros(grid.nnodes, complex), cfg, background)
 
 
 def test_trace_save_round_trip(tmp_path, grid, background, u0):

@@ -274,6 +274,28 @@ def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_amplitudes_fail_before_a_run_directory(tmp_path, capsys):
+    # a zero series amplitude has no validity start and a zero scaled W no
+    # reflection horizon; each is reported under its field path, before any output
+    cases = [
+        ("build-series", {"scenario": "build-series", "grid": dict(SMALL_GRID),
+                          "series": {"a": 0}}, "series.a", "0"),
+        ("classify", {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
+                      "initial": {"kind": "scaled-w", "factor": -0.0}},
+         "initial.factor", "-0.0"),
+        ("sweep", {"scenario": "sweep", "grid": {"r_max": 40.0},
+                   "ranges": {"n": [800], "a": [1.0, 0.0]}}, "ranges.a[1]", "0.0"),
+    ]
+    out = tmp_path / "runs"
+    for command, cfg, path, val in cases:
+        msg = "%s: expected a finite number other than 0, got %s" % (path, val)
+        assert ex.normalize(cfg)[1] == [msg], cfg
+        rc = cli.main([command, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2, cfg
+        assert capsys.readouterr().err == "invalid config:\n  %s\n" % msg
+    assert not out.exists()
+
+
 def test_spans_off_the_step_grid_fail_before_a_run_directory(tmp_path, capsys):
     # t_span, sample_every (default 0.5 included) and backward_span must be
     # whole numbers of steps of dt

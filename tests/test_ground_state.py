@@ -81,7 +81,7 @@ def test_energy_matches_quad_oracle(grid):
     pot, _ = quad(lambda s: gs.eval_w(d, s) ** (pc + 1) * s ** (d - 1),
                   0, np.inf, limit=200)
     oracle = grid.omega * (0.5 * kin2 - (d - 2) / (2 * d) * pot)
-    val = gs.energy(W, grid, tail="powerlaw", refine=True)
+    val = gs.energy(W, grid)
     assert val == pytest.approx(oracle, rel=1e-8)
 
 

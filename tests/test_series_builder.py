@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import binom
 
 from nlslab import discretization as dz
 from nlslab import ground_state as gs
@@ -17,32 +18,25 @@ def near2(pair, background):
     return sb.build_near_solution(2, 1.0, pair, background)
 
 
-def test_generalized_binomial_values():
-    assert sb.generalized_binomial(3.0, 2) == pytest.approx(3.0)
-    assert sb.generalized_binomial(0.5, 2) == pytest.approx(-1 / 8)
-    assert sb.generalized_binomial(1.5, 3) == pytest.approx(-1 / 16)
-    assert sb.generalized_binomial(2.0, 0) == 1.0
-
-
-def test_pz_coefficients_closed_forms_d6():
-    # d = 6: p_c = 2, P(z) = (1+z)^{3/2} (1+conj z)^{1/2}
-    table = sb.pz_coefficients(2.0, 4)
-    assert table[(2, 0)] == pytest.approx(3 / 8)
-    assert table[(1, 1)] == pytest.approx(3 / 4)
-    assert table[(0, 2)] == pytest.approx(-1 / 8)
-    assert table[(3, 0)] == pytest.approx(-1 / 16)
-    assert (0, 1) not in table
-    with pytest.raises(ValueError):
-        sb.pz_coefficients(2.0, 1)
-
-
-def test_expansion_reconstructs_p():
-    # independent check of the whole table: the truncated series converges to
-    # the direct evaluation at the truncation order
-    table = sb.pz_coefficients(2.0, 6)
-    z = 0.1 * np.exp(1j * np.linspace(0, 2 * np.pi, 40))
-    err = np.max(np.abs(sb.reconstruct_p(table, z, 2.0) - sb.eval_p(z, 2.0)))
-    assert err < 1e-6  # remainder ~ |z|^7
+@pytest.mark.parametrize("d", [6, 7])
+def test_order_forcing_is_the_binomial_expansion(d):
+    # Phi_1 = c W and Phi_m = 0 for m >= 2 make U = c x, so F_j is W^{p_c}
+    # times the x^j coefficient of (1 + c x)^{a+} (1 + conj(c) x)^{a-},
+    # a+- = (p_c +- 1)/2: halves at d = 6, and no integers at any d >= 6
+    grid = dz.build_grid(d, 40.0, 200)
+    bg = gs.Background(grid)
+    ap, am = (bg.p_c + 1) / 2, (bg.p_c - 1) / 2
+    if d == 6:
+        assert [binom(ap, 2), ap * am, binom(am, 2), binom(ap, 3)] == \
+            pytest.approx([3 / 8, 3 / 4, -1 / 8, -1 / 16], rel=1e-15)
+    c = 0.3 - 0.7j
+    profiles = [None, c * bg.W] + 3 * [np.zeros(grid.nnodes, complex)]
+    for j in range(2, 6):
+        coef = sum(binom(ap, j1) * binom(am, j - j1) * c ** j1 * np.conj(c) ** (j - j1)
+                   for j1 in range(j + 1))
+        want = coef * bg.W ** bg.p_c
+        got = sb.order_forcing(j, profiles, bg)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (d, j)
 
 
 def test_eval_r_is_quadratically_small(grid, background):
@@ -68,25 +62,31 @@ def test_eval_gamma_is_the_derivative_of_the_nonlinearity(grid, background):
     assert np.max(np.abs(sb.eval_gamma(v, background) - fd)) < 1e-7
 
 
-def test_series_reconstruction_matches_direct_remainder(grid, pair, background, near2):
-    # with profiles through order k, sum_j e^{-j e0 t} F_j reproduces
-    # i R(v_k(t)) up to the dropped orders O(e^{-(k+1) e0 t})
-    table = sb.pz_coefficients(background.p_c, 4)
-    t = 18.0
-    v = sb.perturbation(near2, t)
-    direct = sb.eval_r(v, background)
-    series = sb.series_reconstruction(near2, table, t)
-    miss = dz.l2_norm(direct - series, grid, interior=True)
-    assert miss < 10 * np.exp(-3 * pair.e0 * t) * dz.l2_norm(direct, grid,
-                                                             interior=True)
+def test_series_reconstruction_matches_direct_remainder():
+    # with profiles through order k = 3, sum_j e^{-j e0 t} F_j reproduces
+    # i R(v_k(t)) up to the dropped orders O(e^{-4 e0 t}): past t_k, where
+    # max|v_k|/W is about 1/20, the miss falls 16-fold as e^{-e0 t} halves
+    for d in (6, 7, 8):
+        grid = dz.build_grid(d, 40.0, 800)
+        bg = gs.Background(grid)
+        pair = ls.ground_mode(bg)
+        near = sb.build_near_solution(3, 1.0, pair, bg)
+        t1 = sb.validity_start(near) + np.log(10.0) / pair.e0
+        misses = []
+        for t in (t1, t1 + np.log(2.0) / pair.e0):
+            direct = sb.eval_r(sb.perturbation(near, t), bg)
+            miss = dz.l2_norm(direct - sb.series_reconstruction(near, t), grid,
+                              interior=True)
+            assert miss < 0.01 * dz.l2_norm(direct, grid, interior=True), d
+            misses.append(miss)
+        assert misses[0] / misses[1] == pytest.approx(16.0, rel=0.03), d
 
 
 def test_solve_profile_satisfies_block_equations(grid, pair, background):
     # the banded solution must satisfy the block system it factors
     #   L_plus f + j e0 g = -Re F,   L_minus g - j e0 f = -Im F
-    table = sb.pz_coefficients(background.p_c, 3)
     profiles = [None, 1.0 * pair.y_plus]
-    F = sb.order_forcing(2, profiles, table, background)
+    F = sb.order_forcing(2, profiles, background)
     phi, cond = sb.solve_profile(2, F, pair, background)
     f, g = phi.real, phi.imag
     je0 = 2 * pair.e0
@@ -105,13 +105,12 @@ def test_solve_profile_reports_block_conditioning(grid, pair, background):
     # the reported conditioning is ||A_j||_1 ||A_j^{-1}||_1 of the block
     # system that is solved, estimated from below, the same on every call; no
     # resonance warning fires away from the discrete spectrum
-    table = sb.pz_coefficients(background.p_c, 4)
     profiles = [None, 1.0 * pair.y_plus]
     N = grid.nnodes
     lapl, pot = background.lapl, background.pot
     Lp, Lm = lapl.apply(np.eye(N), background.p_c * pot), lapl.apply(np.eye(N), pot)
     for j in (2, 3, 4):
-        F = sb.order_forcing(j, profiles, table, background)
+        F = sb.order_forcing(j, profiles, background)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             phi, cond = sb.solve_profile(j, F, pair, background)
@@ -126,8 +125,7 @@ def test_solve_profile_reports_block_conditioning(grid, pair, background):
 def test_solve_profile_warns_at_resonance(grid, pair, background):
     # with the rate halved, 2 * e0 hits the eigenvalue e0 of the eigen-block;
     # every call warns
-    table = sb.pz_coefficients(background.p_c, 3)
-    F = sb.order_forcing(2, [None, pair.y_plus], table, background)
+    F = sb.order_forcing(2, [None, pair.y_plus], background)
     half = ls.EigenPair(pair.e0 / 2, pair.y1, pair.y2)
     for _ in range(2):
         with pytest.warns(UserWarning, match="near-singular"):
@@ -170,11 +168,10 @@ def test_residual_norms_reject_non_finite_values(grid, pair, background):
 
 
 def test_order_forcing_requires_lower_profiles(grid, pair, background):
-    table = sb.pz_coefficients(background.p_c, 3)
     with pytest.raises(ValueError):
-        sb.order_forcing(3, [None, pair.y_plus, None], table, background)
+        sb.order_forcing(3, [None, pair.y_plus, None], background)
     with pytest.raises(ValueError):
-        sb.order_forcing(1, [None], table, background)
+        sb.order_forcing(1, [None], background)
 
 
 def test_residual_rate_k1(grid, pair, background):
