@@ -14,27 +14,29 @@ e_re.e_re + e_im.e_im give the kinetic norm of the direct field difference
 u - e^{i theta} W_mu.  The expanded norm-difference formula
 ||u||^2 - 2|<.,.>| + ||W_mu||^2 would save the residual but is never used:
 it cancels catastrophically near the family and floors around 1e-3.
-An optimum within 1e-6 of the bracket width from either end is flagged
-``at_bracket_edge``: the true minimizer may lie outside the bracket.  On the
-amplitude-seeded bracket, which loses the optimum while a field focuses, such
-a fit is repeated once on a bracket of the same ratio centred on the hit edge,
-and the fit with the smaller distance is reported.  The search over mu ports
-scipy's bounded Brent minimizer (golden-section and parabolic steps, Brent
-1973, ch. 5; xatol = 1e-10): the same trial points and nfev, so fits are
-bit-identical to it without importing scipy.optimize.
+The bracket is seeded from the field's amplitude.  An optimum within 1e-6
+of the bracket width from either end is flagged ``at_bracket_edge``: the true
+minimizer may lie outside the bracket, which happens while a field focuses.
+Such a fit is repeated once on a bracket of the same ratio centred on the hit
+edge, and the fit with the smaller distance is reported.  The search over mu
+ports scipy's bounded Brent minimizer (golden-section and parabolic steps,
+Brent 1973, ch. 5; xatol = 1e-10): the same trial points and nfev, so fits
+are bit-identical to it without importing scipy.optimize.
 
 Classification mirrors the forward/backward trichotomy: blowup if the
 detector fired; convergence to the modulated W family if the fitted distance
 decays to a small value at a positive rate; scattering proxy if the
 potential-to-kinetic energy ratio drops below a threshold before the
 reflection horizon; undetermined otherwise (a valid outcome).  ||grad W||
-is that of the background the trace was evolved on.
+is the plain flux quadrature (discretization.kinetic_sq) of the background
+the trace was evolved on, the same quadrature as the trace's kinetic norms.
 """
 
 import math
 
 import numpy as np
 
+from . import discretization as dz
 from . import ground_state as gs
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -50,15 +52,14 @@ class ModulationFit:
         self.diagnostics = diagnostics or {}
 
 
-def fit_modulation(u, grid, mu_bounds=None):
+def fit_modulation(u, grid):
     """Minimize ||u - W_{[theta,mu]}||_{H1-dot} over (theta, mu).
 
     theta is eliminated in closed form per mu; mu by bounded scalar
     minimization on a bracket seeded from amplitude matching
-    (max W_mu = mu^{-(d-2)/2}).  diagnostics: "at_bracket_edge" for the first
-    bracket (given or seeded; a seeded one is then refit once past that
-    edge), "bracket" for the bracket of the reported fit, and "nfev" over
-    both fits.
+    (max W_mu = mu^{-(d-2)/2}).  diagnostics: "at_bracket_edge" for the
+    seeded bracket (which is then refit once past that edge), "bracket" for
+    the bracket of the reported fit, and "nfev" over both fits.
     """
     u = np.asarray(u, dtype=complex)
     if not np.any(u):
@@ -85,14 +86,11 @@ def fit_modulation(u, grid, mu_bounds=None):
         mu, (d2, th), nfev = _bounded_min(dist2_theta, *bounds)
         return d2, th, mu, list(bounds), nfev
 
-    seeded = mu_bounds is None
-    if seeded:
-        seed = min(max(float(np.max(np.abs(u))) ** (-2 / (d - 2)), 0.05), 20.0)
-        mu_bounds = (seed / 5.0, seed * 5.0)
-    d2, th, mu, bracket, nfev = fit(mu_bounds)
-    lo, hi = mu_bounds
+    seed = min(max(float(np.max(np.abs(u))) ** (-2 / (d - 2)), 0.05), 20.0)
+    lo, hi = seed / 5.0, seed * 5.0
+    d2, th, mu, bracket, nfev = fit((lo, hi))
     edge = min(mu - lo, hi - mu) <= 1e-6 * (hi - lo)
-    if seeded and edge:
+    if edge:
         wide = fit((mu / 5.0, mu * 5.0))
         nfev += wide[4]
         if wide[0] < d2:
@@ -196,7 +194,7 @@ def kinetic_dichotomy(trace):
     within the relative dead-band THRESHOLDS["deadband"]; violations lists the
     sample times on the minority side when the sign is not constant.
     """
-    kin_w = gs.kinetic_norm(trace.background.W, trace.background.grid)
+    kin_w = np.sqrt(dz.kinetic_sq(trace.background.W, trace.background.grid))
     t = np.asarray(trace.times)
     rel = (np.asarray(trace.kinetic) - kin_w) / kin_w
     deadband = THRESHOLDS["deadband"]

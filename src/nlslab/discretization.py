@@ -153,14 +153,12 @@ def integrate(u, grid):
     return float(np.dot(grid.w, u))
 
 
-def l2_norm(u, grid, interior=False):
-    """Weighted L^2 norm; interior=True drops the boundary node (used when
-    certifying operator residuals, whose boundary row carries the modified
-    stencil)."""
+def l2_norm(u, grid):
+    """Weighted L^2 norm over the interior nodes: the boundary node is left
+    out, because the residuals it certifies carry the modified stencil of the
+    boundary row there."""
     u = _check_grid(u, grid)
-    if interior:
-        return float(np.sqrt(np.sum(grid.w[:-1] * np.abs(u[:-1]) ** 2)))
-    return float(np.sqrt(np.sum(grid.w * np.abs(u) ** 2)))
+    return float(np.sqrt(np.sum(grid.w[:-1] * np.abs(u[:-1]) ** 2)))
 
 
 def kinetic_sq(u, grid, refine=False):
@@ -213,15 +211,13 @@ def fit_powerlaw_tail(u, grid):
 
 
 def tail_kinetic_sq(c1, c2, grid):
-    """Exterior contribution to ||grad u||^2 for the fitted power-law tail."""
-    d, om, R = grid.d, grid.omega, grid.r_max
-
-    def dens(s):
-        return ((d - 2) * c1 * s ** -(d - 1) + d * c2 * s ** -(d + 1)) ** 2 * s ** (d - 1)
-
-    from scipy.integrate import quad
-    val, _ = quad(dens, R, np.inf)
-    return om * val
+    """Exterior contribution to ||grad u||^2 for the fitted power-law tail,
+    omega int_R^inf ((d-2) c1 s^{1-d} + d c2 s^{-1-d})^2 s^{d-1} ds in
+    closed form: each of its three terms is a power of s."""
+    d, R = grid.d, grid.r_max
+    return grid.omega * ((d - 2) * c1 ** 2 * R ** (2 - d)
+                         + 2 * (d - 2) * c1 * c2 * R ** -d
+                         + d ** 2 * c2 ** 2 * R ** (-d - 2) / (d + 2))
 
 
 def tail_lp(c1, c2, p, grid):
@@ -255,19 +251,14 @@ def save_field(path, u, grid):
             f.write("%.17g,%.17g,%.17g\n" % (ri, ui.real, ui.imag))
 
 
-def field_grid(path):
-    """The grid of a field snapshot, read from its header line alone."""
+def load_field(path):
+    """Read a field snapshot; returns (values, grid)."""
     with open(path) as f:
         header = f.readline()
     if not header.startswith("#"):
         raise ValueError("missing field header in %s" % (path,))
     meta = dict(tok.split("=") for tok in header[1:].split())
-    return build_grid(int(meta["d"]), float(meta["r_max"]), int(meta["n"]))
-
-
-def load_field(path):
-    """Read a field snapshot; returns (values, grid)."""
-    grid = field_grid(path)
+    grid = build_grid(int(meta["d"]), float(meta["r_max"]), int(meta["n"]))
     data = np.loadtxt(path, delimiter=",", skiprows=2)
     if data.shape[0] != grid.nnodes:
         raise ValueError("row count does not match header grid in %s" % (path,))

@@ -93,7 +93,7 @@ def normalize(cfg):
     """Check a config against _KEYS and fill in its defaults: returns (the
     filled-in config, a list of error strings with field paths, empty when
     valid).  Unknown keys and sections that are not objects are reported
-    first, alone."""
+    first, alone; an initial field file is read whole and checked last."""
     if not isinstance(cfg, dict):
         return cfg, ["config: expected a JSON object"]
     errors = _check("scenario", SCENARIOS, cfg.get("scenario"))
@@ -140,23 +140,27 @@ def normalize(cfg):
     if errors:
         return out, errors
     if out.get("initial", {}).get("kind") == "field":
-        try:
-            fgrid = dz.field_grid(out["initial"]["path"])
-        except (OSError, ValueError, KeyError) as exc:
-            errors.append("initial.path: %s: %s" % (type(exc).__name__, exc))
-        else:
-            grid = dz.build_grid(**out["grid"])
-            if fgrid != grid:
-                errors.append("initial.path: field grid %r does not match config "
-                              "grid %r" % (fgrid, grid))
+        errors += _field_errors(out["initial"]["path"], dz.build_grid(**out["grid"]))
     if "evolver" in out and not errors:
         errors += _whole_steps(out)
     return out, errors
 
 
-def validate_config(cfg):
-    """Return a list of error strings with field paths (empty when valid)."""
-    return normalize(cfg)[1]
+def _field_errors(path, grid):
+    """[the error for the initial field file at path] when it cannot be read,
+    lies on another grid than grid, or holds non-finite or only zero values,
+    else []."""
+    try:
+        u, fgrid = dz.load_field(path)
+    except (OSError, ValueError, KeyError, IndexError) as exc:
+        return ["initial.path: %s: %s" % (type(exc).__name__, exc)]
+    if fgrid != grid:
+        return ["initial.path: field grid %r does not match config grid %r" % (fgrid, grid)]
+    if not np.all(np.isfinite(u)):
+        return ["initial.path: field holds non-finite values"]
+    if not np.any(u):
+        return ["initial.path: field is zero everywhere"]
+    return []
 
 
 def _check(where, want, val):
@@ -201,17 +205,9 @@ def _number(val):
     return isinstance(val, (int, float)) and not isinstance(val, bool) and -np.inf < val < np.inf
 
 
-def config_hash(cfg):
-    """Hash of the filled-in config, so that an implicit default and the same
-    default written out hash alike; raises ConfigError for an invalid config."""
-    filled, errors = normalize(cfg)
-    if errors:
-        raise ConfigError(errors)
-    return _digest(filled)
-
-
 def _digest(filled):
-    """The run-directory hash of an already filled-in config."""
+    """The run-directory hash of a filled-in config (normalize), so that an
+    implicit default and the same default written out hash alike."""
     canon = json.dumps(filled, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
@@ -250,7 +246,7 @@ def _evolve_step(u0, ecfg, bg, path):
 def _run_ground_state(cfg, rundir):
     grid = dz.build_grid(**cfg["grid"])
     W = gs.sample_w(grid)
-    kin = gs.kinetic_norm(W, grid, tail="powerlaw", refine=grid.n % 2 == 0)
+    kin = gs.kinetic_norm(W, grid)
     en = gs.energy(W, grid)
     quot = gs.sobolev_quotient(W, grid)
     gap = abs(en - kin ** 2 / grid.d) / en

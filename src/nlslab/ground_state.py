@@ -7,12 +7,11 @@ W_{[theta,mu]} = e^{i theta} mu^{-(d-2)/2} W(r/mu).
 
 The truncated-domain quadrature misses the slowly decaying r^{-(d-2)} tail
 of W-like fields, which matters for the tightest identities (Pohozaev, sharp
-Sobolev constant).  The energy, the potential term and the Sobolev quotient
-therefore always add the exterior of a power-law tail fitted to the last two
-nodes, and the energy and the quotient Richardson-refine the kinetic norm in
-h on grids with an even n.  kinetic_norm keeps both as options (tail="none"
-is the plain truncated quadrature), because classification uses the plain
-norm.
+Sobolev constant).  The kinetic norm, the potential term, the energy and the
+Sobolev quotient therefore always add the exterior of a power-law tail fitted
+to the last two nodes, and the kinetic norm is Richardson-refined in h on
+grids with an even n.  The plain truncated kinetic quadrature, which the
+evolver and the classifier read, is discretization.kinetic_sq.
 
 Background(grid) holds W (its grid's one sample_w call) and what the chain
 builds from it; every later layer reads them off it instead of rebuilding.
@@ -109,15 +108,11 @@ class Background:
         self.lapl = dz.DiscreteLaplacian(grid)
 
 
-def kinetic_norm(u, grid, tail="none", refine=False):
-    """||grad u||_2 by the flux quadratic form, optionally tail-corrected
-    (exterior power-law fit) and Richardson-refined in h."""
-    k2 = dz.kinetic_sq(u, grid, refine=refine)
-    if tail == "powerlaw":
-        c1, c2 = dz.fit_powerlaw_tail(u, grid)
-        k2 += dz.tail_kinetic_sq(c1, c2, grid)
-    elif tail != "none":
-        raise ValueError("unknown tail option %r" % (tail,))
+def kinetic_norm(u, grid):
+    """||grad u||_2 by the flux quadratic form, tail-corrected (exterior
+    power-law fit) and, when grid.n is even, Richardson-refined in h."""
+    k2 = dz.kinetic_sq(u, grid, refine=grid.n % 2 == 0)
+    k2 += dz.tail_kinetic_sq(*dz.fit_powerlaw_tail(u, grid), grid)
     return float(np.sqrt(k2))
 
 
@@ -128,14 +123,9 @@ def potential_term(u, grid):
     return p + dz.tail_lp(*dz.fit_powerlaw_tail(u, grid), pc + 1, grid)
 
 
-def _tail_kinetic_norm(u, grid):
-    """kinetic_norm tail-corrected, and refined when grid.n is even."""
-    return kinetic_norm(u, grid, tail="powerlaw", refine=grid.n % 2 == 0)
-
-
 def energy(u, grid):
     """Conserved energy E(u) = 1/2 ||grad u||^2 - (d-2)/(2d) ||u||_{2d/(d-2)}^{2d/(d-2)}."""
-    d, k = grid.d, _tail_kinetic_norm(u, grid)
+    d, k = grid.d, kinetic_norm(u, grid)
     e = 0.5 * k ** 2 - (d - 2) / (2 * d) * potential_term(u, grid)
     if not np.isfinite(e):
         raise ValueError("non-finite energy (blowup-range field?)")
@@ -148,7 +138,7 @@ def sobolev_quotient(u, grid):
     if not np.any(u):
         raise ValueError("zero field has no Sobolev quotient")
     pc = critical_exponent(grid.d)
-    return potential_term(u, grid) ** (1 / (pc + 1)) / _tail_kinetic_norm(u, grid)
+    return potential_term(u, grid) ** (1 / (pc + 1)) / kinetic_norm(u, grid)
 
 
 def w_family(theta, mu, grid):

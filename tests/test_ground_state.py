@@ -68,7 +68,7 @@ def test_kinetic_norm_matches_quad_oracle(grid):
     oracle, _ = quad(lambda s: gs.eval_w_derivative(grid.d, s) ** 2
                      * s ** (grid.d - 1), 0, np.inf, limit=200)
     oracle = np.sqrt(grid.omega * oracle)
-    val = gs.kinetic_norm(W, grid, tail="powerlaw", refine=True)
+    val = gs.kinetic_norm(W, grid)
     assert val == pytest.approx(oracle, rel=1e-8)
 
 
@@ -141,8 +141,7 @@ def test_power_by_products_is_within_a_few_ulps_of_pow():
 def test_w_family_scaling_preserves_kinetic_norm(grid):
     # mu^{-(d-2)/2} u(r/mu) is the H1-dot invariant scaling; the tail
     # correction is needed because wider members lose more mass past r_max
-    k0 = gs.kinetic_norm(gs.sample_w(grid), grid, tail="powerlaw", refine=True)
+    k0 = gs.kinetic_norm(gs.sample_w(grid), grid)
     for mu in (0.7, 1.0, 1.6):
-        k = gs.kinetic_norm(gs.w_family(0.0, mu, grid), grid,
-                            tail="powerlaw", refine=True)
+        k = gs.kinetic_norm(gs.w_family(0.0, mu, grid), grid)
         assert k == pytest.approx(k0, rel=1e-6)

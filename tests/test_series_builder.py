@@ -1,5 +1,6 @@
 """Nonlinearity expansion and the exponential near-solution recursion."""
 
+import os
 import warnings
 
 import numpy as np
@@ -75,9 +76,8 @@ def test_series_reconstruction_matches_direct_remainder():
         misses = []
         for t in (t1, t1 + np.log(2.0) / pair.e0):
             direct = sb.eval_r(sb.perturbation(near, t), bg)
-            miss = dz.l2_norm(direct - sb.series_reconstruction(near, t), grid,
-                              interior=True)
-            assert miss < 0.01 * dz.l2_norm(direct, grid, interior=True), d
+            miss = dz.l2_norm(direct - sb.series_reconstruction(near, t), grid)
+            assert miss < 0.01 * dz.l2_norm(direct, grid), d
             misses.append(miss)
         assert misses[0] / misses[1] == pytest.approx(16.0, rel=0.03), d
 
@@ -93,9 +93,9 @@ def test_solve_profile_satisfies_block_equations(grid, pair, background):
     lapl, pot = background.lapl, background.pot
     r1 = lapl.apply(f, background.p_c * pot) + je0 * g + F.real
     r2 = lapl.apply(g, pot) - je0 * f + F.imag
-    scale = dz.l2_norm(F, grid, interior=True)
-    assert dz.l2_norm(r1, grid, interior=True) / scale < 1e-8
-    assert dz.l2_norm(r2, grid, interior=True) / scale < 1e-8
+    scale = dz.l2_norm(F, grid)
+    assert dz.l2_norm(r1, grid) / scale < 1e-8
+    assert dz.l2_norm(r2, grid) / scale < 1e-8
     assert cond > 1
     with pytest.raises(ValueError):
         sb.solve_profile(1, F, pair, background)
@@ -152,8 +152,8 @@ def test_batched_residual_matches_per_time_oracle(grid, pair, background):
             terms = np.abs(L.di) * a + np.abs(ut) + a ** pc
             terms[:-1] += np.abs(L.up[:-1]) * a[1:]
             terms[1:] += np.abs(L.lo[1:]) * a[:-1]
-            assert abs(l2 - dz.l2_norm(eps, grid, interior=True)) \
-                <= 1e-12 * dz.l2_norm(terms, grid, interior=True)
+            assert abs(l2 - dz.l2_norm(eps, grid)) \
+                <= 1e-12 * dz.l2_norm(terms, grid)
             assert abs(sup - dz.weighted_sup_norm(eps, 2, grid)) \
                 <= 1e-12 * dz.weighted_sup_norm(terms, 2, grid)
 
@@ -269,11 +269,16 @@ def test_near_solution_round_trip(tmp_path, grid, pair, background, near2):
     report = sb.residual_rate(near2)
     path = str(tmp_path / "bundle")
     sb.save_near_solution(path, near2, report)
-    loaded = sb.load_near_solution(path)
-    assert loaded.k == near2.k and loaded.a == near2.a and loaded.e0 == near2.e0
+    meta = dz.load_json(os.path.join(path, "manifest.json"))
+    assert meta["k"] == near2.k and meta["a"] == near2.a and meta["e0"] == near2.e0
+    profiles = [None]
     for j in range(1, near2.k + 1):
-        assert np.array_equal(loaded.profiles[j], near2.profiles[j])
+        phi, g2 = dz.load_field(os.path.join(path, "profile_%d.csv" % j))
+        assert g2 == grid
+        assert np.array_equal(phi, near2.profiles[j])
+        profiles.append(phi)
+    loaded = sb.NearSolution(background, meta["k"], meta["a"], meta["e0"], profiles)
     t = 12.0
     assert np.array_equal(sb.assemble(loaded, t), sb.assemble(near2, t))
-    meta = dz.load_json(str(tmp_path / "bundle" / "manifest.json"))
+    assert meta["conditioning"] == {str(j): c for j, c in near2.conditioning.items()}
     assert meta["residual_report"]["rate"] == report.rate
