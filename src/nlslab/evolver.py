@@ -32,7 +32,31 @@ checked every step; single-criterion detectors misfire on focusing transients.
 
 ``evolve`` runs on the ground_state.Background the spectrum and the series
 were built on, and the trace carries it to the classifier.
+
+The modulation fits of the samples (diagnostics.fit_modulation) need only
+the sampled state, so ``evolve`` runs them on one worker process, forked
+after the input checks, while it steps on.  Each sampled state is copied
+into one of RING slots of an anonymous shared mmap and only the slot index
+goes over a pipe; stepping waits only while RING fits are in flight.  The
+fits are recorded in sample order and a fit's exception is re-raised by
+``evolve``, so the trace is the one in-process fits give, byte for byte.
+The worker is joined on every exit, and exits by itself when the evolving
+process dies.  The fits stay in the evolving process when "fork" is not an
+available start method or the process may run on fewer than two CPUs: the
+worker then has no CPU of its own to overlap on (pinned to one CPU, the
+benchmark's classify-dense run took 1.16-1.45 s with the worker against
+1.03-1.32 s without, six runs each).  Python >= 3.12 warns when a process
+with more than one thread forks, and a multi-threaded BLAS makes it one; the
+fork is made from the evolving thread, and the worker runs only the fit's
+numpy code.
 """
+
+import mmap
+import os
+import signal
+import time
+from collections import deque
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -47,6 +71,11 @@ EXACT_MAX_BYTES = 2 ** 30
 LOG_SPAN = 600.0
 # blowup thresholds: max|u| and ||grad u|| against those of W
 AMP_FACTOR = GRAD_FACTOR = 10.0
+# slots of the shared ring that carries sampled states to the fit worker:
+# the fits that may be in flight before a sample waits for the oldest
+RING = 8
+# seconds a closed fit worker gets to exit before it is terminated
+JOIN_S = 10.0
 
 
 class EvolverConfig:
@@ -184,10 +213,13 @@ def _abs2(u):
 
 
 def _rotate(u, s, m2, pexp):
-    """N(s) u given m2 = |u|^2 and pexp = (p_c - 1) / 2.  exp(ix) is formed
-    from t = tan(x/2) as (c - 1) + i t c with c = 2 / (1 + t^2): one
-    transcendental per node instead of a cosine and a sine."""
-    t = np.tan((0.5 * s) * m2 ** pexp)
+    """N(s) u given m2 = |u|^2 and pexp = (p_c - 1) / 2 = Fraction(2, d - 2).
+    The exact ratio lets ground_state._power take m2^pexp by a square root
+    at d = 6, np.cbrt at d = 8 and two square roots at d = 10 instead of libm
+    pow.  exp(ix) is formed from t = tan(x/2) as (c - 1) + i t c with
+    c = 2 / (1 + t^2): one transcendental per node instead of a cosine and
+    a sine."""
+    t = np.tan((0.5 * s) * gs._power(m2, pexp))
     c = 2.0 / (1.0 + t * t)
     e = np.empty_like(u)
     np.subtract(c, 1.0, out=e.real)
@@ -205,7 +237,7 @@ def make_stepper(lapl, dt, linear_step):
     phase saturates on the stiffest modes, so step-doubling studies should
     use "exact".
     """
-    pexp = (gs.critical_exponent(lapl.grid.d) - 1) / 2
+    pexp = Fraction(2, lapl.grid.d - 2)
     if linear_step == "exact":
         evals, evecs, D = _symmetric_eig(lapl)
         phase = np.exp(1j * evals * dt)
@@ -254,6 +286,22 @@ class EvolutionTrace:
         self.reflection = {}
         self.modulation = {"fits": 0, "nfev": 0, "edge_hits": 0,
                            "first_edge_t": None}
+        # seconds spent in the modulation fits (on the fit worker when one
+        # ran); reported in the manifest, not in trace.json
+        self.fit_seconds = 0.0
+
+    def add_fit(self, k, fit):
+        """Record sample k's modulation fit, as ``_fit`` returns it."""
+        dist, theta, mu, nfev, at_edge, seconds = fit
+        self.h1_dist[k], self.theta[k], self.mu[k] = dist, theta, mu
+        mod = self.modulation
+        mod["fits"] += 1
+        mod["nfev"] += nfev
+        if at_edge:
+            mod["edge_hits"] += 1
+            if mod["first_edge_t"] is None:
+                mod["first_edge_t"] = self.times[k]
+        self.fit_seconds += seconds
 
     def potential_ratio(self):
         """Potential-to-kinetic energy ratio 1 - 2E/K^2 per sample
@@ -270,6 +318,132 @@ class EvolutionTrace:
                                  "reflection": self.reflection,
                                  "modulation": self.modulation,
                                  "config": self.config.as_dict()})
+
+
+def _fit(u, grid):
+    """One sample's modulation fit: (distance, theta, mu, nfev,
+    at_bracket_edge, seconds taken)."""
+    t0 = time.perf_counter()
+    fit = dg.fit_modulation(u, grid)
+    return (fit.distance, fit.theta, fit.mu, fit.diagnostics["nfev"],
+            fit.diagnostics["at_bracket_edge"], time.perf_counter() - t0)
+
+
+def _fit_worker(conn, parent_end, ring, grid):
+    """The fit worker's loop: for each ring slot index received on conn,
+    send back ``_fit`` of that slot or the exception it raised.  It closes
+    its copy of the parent's end first, so it sees end of file, and exits,
+    when the parent closes that end or dies.  Interrupts go to the parent,
+    which then closes the pipe."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            slot = conn.recv()
+        except EOFError:
+            return
+        try:
+            out = _fit(ring[slot], grid)
+        except Exception as exc:  # re-raised by the parent, in sample order
+            out = exc
+        try:
+            conn.send(out)
+        except ConnectionError:  # the parent has closed its end
+            return
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_context():
+    """The "fork" multiprocessing context when a fit worker can overlap the
+    step loop, else None: the process must be allowed two or more CPUs, the
+    platform must offer fork, and the process must not be a daemonic
+    multiprocessing worker (such as a multiprocessing.Pool's), which may
+    not start children."""
+    if _cpus() < 2:
+        return None
+    import multiprocessing  # 9 ms of import that only fitting evolutions need
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+class _Fits:
+    """Modulation fits of the sampled states, handed to record(k, fit) in
+    sample order (fit as ``_fit`` returns it).
+
+    Given a multiprocessing context ctx, ``submit`` copies the state into
+    slot k mod RING of an anonymous shared mmap and sends only the slot
+    index over a pipe to one process forked at construction, which runs the
+    fits while the caller steps on; it waits only when RING fits are in
+    flight.  A fit's exception is re-raised here with its type and message.
+    With ctx None each fit runs in the caller on submit.  ``drain`` waits
+    for every fit in flight; used as a context manager, the worker is joined
+    on every exit.
+    """
+
+    def __init__(self, grid, record, ctx):
+        self.grid, self.record = grid, record
+        self.pending = deque()
+        self.proc = None
+        if ctx is not None:
+            buf = mmap.mmap(-1, RING * grid.nnodes * np.dtype(complex).itemsize)
+            self.ring = np.frombuffer(buf, complex).reshape(RING, grid.nnodes)
+            self.conn, child_end = ctx.Pipe()
+            self.proc = ctx.Process(target=_fit_worker, daemon=True,
+                                    args=(child_end, self.conn, self.ring, grid))
+            self.proc.start()
+            child_end.close()
+
+    def submit(self, k, u):
+        if self.proc is None:
+            self.record(k, _fit(u, self.grid))
+            return
+        if len(self.pending) == RING:
+            self._collect()
+        self.ring[k % RING] = u
+        try:
+            self.conn.send(k % RING)
+        except ConnectionError:
+            self._exited()
+        self.pending.append(k)
+
+    def _collect(self):
+        try:
+            out = self.conn.recv()
+        except (EOFError, ConnectionError):
+            self._exited()
+        k = self.pending.popleft()
+        if isinstance(out, Exception):
+            raise out
+        self.record(k, out)
+
+    def _exited(self):
+        self.proc.join(JOIN_S)
+        raise RuntimeError("the modulation fit worker exited (code %s)"
+                           % self.proc.exitcode) from None
+
+    def drain(self):
+        while self.pending:
+            self._collect()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.proc is not None:
+            self.conn.close()
+            self.proc.join(JOIN_S)
+            if self.proc.is_alive():
+                self.proc.terminate()
+                self.proc.join()
 
 
 def evolve(u0, config, bg):
@@ -289,6 +463,9 @@ def evolve(u0, config, bg):
     evolve-near-solution snaps the forward horizon it derives to the grid.
     The potential |u|^{p_c+1} of each sample's energy is formed by products
     when 2(p_c + 1) is an integer (d = 3, 4, 6, 10), see ground_state._power.
+    With config.track_modulation, each sample's modulation fit runs on the
+    fit worker (see the module docstring) when it can overlap the stepping;
+    trace.fit_seconds sums the fits' busy time wherever they ran.
     """
     grid = bg.grid
     u = np.asarray(u0, dtype=complex).copy()
@@ -326,25 +503,16 @@ def evolve(u0, config, bg):
         mx = float(np.max(amp))
         E = 0.5 * K ** 2 - (grid.d - 2) / (2 * grid.d) * \
             dz.integrate(gs._power(amp, bg.p_c + 1), grid)
-        if config.track_modulation:
-            fit = dg.fit_modulation(u, grid)
-            dd, th, mu = fit.distance, fit.theta, fit.mu
-            mod = trace.modulation
-            mod["fits"] += 1
-            mod["nfev"] += fit.diagnostics["nfev"]
-            if fit.diagnostics["at_bracket_edge"]:
-                mod["edge_hits"] += 1
-                if mod["first_edge_t"] is None:
-                    mod["first_edge_t"] = t
-        else:
-            dd = th = mu = np.nan
         trace.times.append(t)
         trace.energy.append(E)
         trace.kinetic.append(float(K))
         trace.max_amp.append(mx)
-        trace.h1_dist.append(dd)
-        trace.theta.append(th)
-        trace.mu.append(mu)
+        # the fit, when tracked, fills these in (add_fit)
+        trace.h1_dist.append(np.nan)
+        trace.theta.append(np.nan)
+        trace.mu.append(np.nan)
+        if config.track_modulation:
+            fits.submit(len(trace.times) - 1, u)
         bnd = float(np.max(amp[-nb:]))
         if (trace.reflection["first_boundary_activity"] is None
                 and bnd > max(100.0 * bnd0, 1e-10)):
@@ -352,28 +520,32 @@ def evolve(u0, config, bg):
         if abs(t - t0) > horizon:
             trace.reflection["horizon_exceeded"] = True
 
-    sample(t0, u)
-    # v is the state after the linear substep; the true state is N(dt/2) v,
-    # and |v| = |u|, so m2 serves the next rotation and the amplitude test
-    pexp, half = (bg.p_c - 1) / 2, 0.5 * dt
-    v, m2, lead = u, _abs2(u), 0.5
-    for i in range(nsteps):
-        v = step_fn(v, lead, 0.0, m2)
-        lead = 1.0
-        trace.steps = i + 1
-        m2 = _abs2(v)
-        t = t0 + (i + 1) * dt
-        mx = np.sqrt(np.max(m2))
-        if not np.isfinite(mx):
-            trace.termination = {"status": "nan", "t_star": t,
-                                 "bracket": [t - dt, t]}
-            break
-        if mx > amp_ref and dz.kinetic_sq(_rotate(v, half, m2, pexp), grid) > kin_ref2:
-            trace.termination = {"status": "blowup-detected", "t_star": t,
-                                 "bracket": [t - dt, t]}
-            break
-        if (i + 1) % per == 0:
-            sample(t, _rotate(v, half, m2, pexp))
+    ctx = _fork_context() if config.track_modulation else None
+    with _Fits(grid, trace.add_fit, ctx) as fits:
+        sample(t0, u)
+        # v is the state after the linear substep; the true state is
+        # N(dt/2) v, and |v| = |u|, so m2 serves the next rotation and the
+        # amplitude test
+        pexp, half = Fraction(2, grid.d - 2), 0.5 * dt
+        v, m2, lead = u, _abs2(u), 0.5
+        for i in range(nsteps):
+            v = step_fn(v, lead, 0.0, m2)
+            lead = 1.0
+            trace.steps = i + 1
+            m2 = _abs2(v)
+            t = t0 + (i + 1) * dt
+            mx = np.sqrt(np.max(m2))
+            if not np.isfinite(mx):
+                trace.termination = {"status": "nan", "t_star": t,
+                                     "bracket": [t - dt, t]}
+                break
+            if mx > amp_ref and dz.kinetic_sq(_rotate(v, half, m2, pexp), grid) > kin_ref2:
+                trace.termination = {"status": "blowup-detected", "t_star": t,
+                                     "bracket": [t - dt, t]}
+                break
+            if (i + 1) % per == 0:
+                sample(t, _rotate(v, half, m2, pexp))
+        fits.drain()
     trace.final_state = _rotate(v, half, m2, pexp) if nsteps else u
     return trace
 

@@ -1,8 +1,11 @@
 """Shared fixtures: a coarse working grid fast enough for module tests.
 
 The acceptance suite (test_acceptance.py) builds its own reference-scale
-fixtures; everything else runs on this cheap grid.
+fixtures; everything else runs on this cheap grid.  Every test must leave
+no child process behind (the evolver's modulation fit worker included).
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -35,3 +38,9 @@ def pair(background):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_child_processes():
+    yield
+    assert multiprocessing.active_children() == []

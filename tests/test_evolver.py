@@ -1,9 +1,13 @@
 """Splitting evolver: conservation, symmetry, convergence, blowup detection."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from nlslab import diagnostics as dg
 from nlslab import discretization as dz
 from nlslab import evolver as ev
 from nlslab import ground_state as gs
@@ -286,6 +290,82 @@ def test_trace_counts_fits_on_the_bracket_edge(grid, background):
     assert 0 < mod["edge_hits"] < mod["fits"]
     assert mod["first_edge_t"] in trace.times
     assert 2.0 < mod["first_edge_t"] < trace.termination["t_star"]
+
+
+@pytest.fixture()
+def fit_worker(monkeypatch):
+    """Run the modulation fits on the forked worker, whatever the CPU count."""
+    monkeypatch.setattr(ev, "_cpus", lambda: 2)
+
+
+def test_fit_worker_is_joined_after_a_nan(background, u0, fit_worker, monkeypatch):
+    make = ev.make_stepper
+
+    def poisoned(lapl, dt, linear_step):
+        step, calls = make(lapl, dt, linear_step), []
+
+        def step_fn(u, *args):
+            calls.append(None)
+            u = step(u, *args)
+            if len(calls) == 40:
+                u[0] = np.nan
+            return u
+        return step_fn
+    monkeypatch.setattr(ev, "make_stepper", poisoned)
+    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.0), sample_every=0.05,
+                           track_modulation=True)
+    trace = ev.evolve(u0, cfg, background)
+    assert trace.termination["status"] == "nan"
+    assert trace.termination["t_star"] == pytest.approx(0.4)
+    assert trace.modulation["fits"] == len(trace.times) == 8
+    assert np.all(np.isfinite(trace.h1_dist))
+
+
+def test_fit_worker_error_is_raised_by_evolve(background, u0, fit_worker, monkeypatch):
+    # the k-th fit raises in the worker, with fits after it in flight
+    fit, calls = dg.fit_modulation, []
+
+    def failing(u, grid):
+        calls.append(None)
+        if len(calls) == 11:
+            raise RuntimeError("fit 11 failed")
+        return fit(u, grid)
+    monkeypatch.setattr(dg, "fit_modulation", failing)
+    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 2.0), sample_every=0.05,
+                           track_modulation=True)
+    with pytest.raises(RuntimeError) as exc:
+        ev.evolve(u0, cfg, background)
+    assert type(exc.value) is RuntimeError and str(exc.value) == "fit 11 failed"
+
+
+def test_fit_worker_exit_is_an_error(background, u0, fit_worker, monkeypatch):
+    monkeypatch.setattr(dg, "fit_modulation", lambda u, grid: os._exit(3))
+    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.0), sample_every=0.05,
+                           track_modulation=True)
+    with pytest.raises(RuntimeError, match=r"fit worker exited \(code 3\)"):
+        ev.evolve(u0, cfg, background)
+
+
+def _fits_in_a_daemon(conn, u0, background):
+    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 0.5), sample_every=0.05,
+                           track_modulation=True)
+    conn.send(ev.evolve(u0, cfg, background).modulation["fits"])
+
+
+def test_daemonic_process_fits_in_process(background, u0, fit_worker):
+    # a multiprocessing.Pool worker is daemonic and may not start a child
+    ctx = multiprocessing.get_context("fork")
+    parent_end, child_end = ctx.Pipe()
+    proc = ctx.Process(target=_fits_in_a_daemon, daemon=True,
+                       args=(child_end, u0, background))
+    proc.start()
+    child_end.close()
+    try:
+        assert parent_end.poll(60)
+        assert parent_end.recv() == 11
+    finally:
+        proc.join(60)
+    assert not proc.is_alive() and proc.exitcode == 0
 
 
 def test_stationary_w_stays_near_family(grid, background):

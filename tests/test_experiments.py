@@ -11,6 +11,7 @@ import pytest
 
 from nlslab import cli
 from nlslab import discretization as dz
+from nlslab import evolver as ev
 from nlslab import experiments as ex
 from nlslab import ground_state as gs
 from nlslab import linearized_spectrum as ls
@@ -266,16 +267,19 @@ def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
         (dict(scaled, evolver={"t_span": [20.0]}), "evolver.t_span: expected"),
         ({"scenario": "build-series", "series": {"a": "one"}},
          "series.a: expected a finite number"),
+        # the ground-state checks need the Richardson-refined kinetic norm
+        ({"scenario": "ground-state", "grid": {"d": 7, "r_max": 60.0, "n": 801}},
+         "grid.n: the ground-state scenario needs an even n, got 801"),
     ]
     out = tmp_path / "runs"
     for cfg, msg in cases:
         with pytest.raises(ex.ConfigError) as exc:
             ex.run(cfg, out_dir=str(out))
         assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith(msg), cfg
-    rc = cli.main(["sweep", "--config", _write_cfg(tmp_path, cases[0][0]),
-                   "--out", str(out)])
-    assert rc == 2
-    assert "ranges.k[1]:" in capsys.readouterr().err
+    for command, (cfg, msg) in (("sweep", cases[0]), ("ground-state", cases[-1])):
+        rc = cli.main([command, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2
+        assert msg in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -487,6 +491,9 @@ def test_forward_horizon_is_on_the_step_grid(tmp_path):
     steps = manifest["evolutions"]["forward"]["steps"]
     assert steps > 0
     assert abs(report["forward_horizon"] - report["seed_t0"] - steps * 0.02) <= 1e-12
+    # only the forward evolution fits the modulation, and records the fit time
+    assert 0 < manifest["evolutions"]["forward"]["fit_seconds"]
+    assert "fit_seconds" not in manifest["evolutions"]["backward"]
 
 
 def test_spectrum_run(tmp_path):
@@ -525,6 +532,26 @@ def test_classify_run_blowup(tmp_path):
     assert set(record) == {"steps", "seconds"}
     report = dz.load_json(os.path.join(manifest["run_dir"], "report.json"))
     assert report["regime"] == "blowup"
+
+
+def test_fit_worker_writes_the_traces_of_the_direct_path(tmp_path, monkeypatch):
+    # one CPU keeps the fits in the evolving process; the run has more
+    # samples than ring slots, bracket-edge fits and a blowup exit
+    cfg = {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
+           "initial": {"kind": "scaled-w", "factor": 1.8},
+           "evolver": {"dt": 0.005, "t_span": [0.0, 30.0], "sample_every": 0.05}}
+    outputs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(ev, "_cpus", lambda n=cpus: n)
+        manifest = ex.run(cfg, out_dir=str(tmp_path / str(cpus)))
+        assert manifest["evolutions"]["evolve"]["fit_seconds"] > 0
+        outputs.append(_output_bytes(manifest["run_dir"]))
+    for name in ("trace.csv", "trace.json"):
+        assert outputs[0][name] == outputs[1][name], name
+    trace = json.loads(outputs[0]["trace.json"])
+    assert trace["termination"]["status"] == "blowup-detected"
+    assert trace["modulation"]["fits"] > ev.RING
+    assert trace["modulation"]["edge_hits"] > 0
 
 
 def test_classify_run_from_field_file(tmp_path):

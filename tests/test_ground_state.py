@@ -1,5 +1,8 @@
 """Ground-state W: closed forms vs quadrature/finite-difference oracles."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -136,6 +139,31 @@ def test_power_by_products_is_within_a_few_ulps_of_pow():
             assert _ulps(gs._power(amp, p), amp ** p) <= 4, d
         else:
             assert np.array_equal(gs._power(amp, p), amp ** p)
+
+
+def _within_an_ulp_of_root(y, x, m):
+    """Whether each y[i] lies within an ULP of the exact m-th root of x[i],
+    decided in rational arithmetic."""
+    for yi, xi in zip(y.tolist(), x.tolist()):
+        gap = Fraction(math.ulp(yi))
+        if not (Fraction(yi) - gap) ** m <= Fraction(xi) <= (Fraction(yi) + gap) ** m:
+            return False
+    return True
+
+
+def test_power_takes_the_rotation_roots_without_pow():
+    # the rotation's m2 ** (2/(d-2)): a square root at d = 6, bit-identical
+    # to **; np.cbrt at d = 8 and two square roots at d = 10, within an ULP
+    # of the exact root.  ** at d = 8 carries the rounding of the float 1/3,
+    # |ln x| * 1.9e-17 relative (9 ULP on a W tail at r_max = 60), so it is
+    # matched to 4 ULP only on m2 in [1e-6, 1e4]
+    x = np.geomspace(1e-14, 1e4, 2001)
+    assert np.array_equal(gs._power(x, Fraction(2, 4)), x ** 0.5)
+    near = x >= 1e-6
+    for d, m in ((8, 3), (10, 4)):
+        y = gs._power(x, Fraction(2, d - 2))
+        assert _within_an_ulp_of_root(y, x, m), d
+        assert _ulps(y[near], x[near] ** (2 / (d - 2))) <= 4, d
 
 
 def test_w_family_scaling_preserves_kinetic_norm(grid):
