@@ -211,7 +211,7 @@ def test_criterion_8_w_minus_behavior(tmp_path):
         assert checks[name]["passed"], (name, checks[name])
     assert checks["kinetic-side"]["value"] == "below"
     assert set(manifest["timings"]) == {"spectrum_s", "series_s", "forward_s",
-                                        "backward_s"}
+                                        "backward_s", "evolve_s"}
     assert set(manifest["evolutions"]) == {"forward", "backward"}
 
 

@@ -263,15 +263,17 @@ def test_failed_json_dump_leaves_the_old_file(tmp_path):
 
 def test_import_leaves_scipy_optimize_and_integrate_unloaded():
     # a fresh process: importing the package loads none of scipy.optimize,
-    # scipy.integrate and scipy.sparse; the tail-corrected kinetic norm, whose
-    # tail has a closed form, leaves scipy.integrate unloaded, and the
-    # potential term, whose tail exponent p_c + 1 need not be an integer,
-    # loads it
+    # scipy.integrate and scipy.sparse, nor multiprocessing (9 ms), which
+    # only the processes forked for evolutions need; the tail-corrected
+    # kinetic norm, whose tail has a closed form, leaves scipy.integrate
+    # unloaded, and the potential term, whose tail exponent p_c + 1 need not
+    # be an integer, loads it
     code = "\n".join([
         "import sys",
         "import nlslab",
         "from nlslab import discretization as dz, ground_state as gs",
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.sparse')",
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.sparse',",
+        "                         'multiprocessing', 'concurrent.futures.process')",
         "             if m in sys.modules))",
         "g = dz.build_grid(6, 40.0, 400)",
         "print(gs.kinetic_norm(gs.sample_w(g), g) > 0)",

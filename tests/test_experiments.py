@@ -554,6 +554,63 @@ def test_fit_worker_writes_the_traces_of_the_direct_path(tmp_path, monkeypatch):
     assert trace["modulation"]["edge_hits"] > 0
 
 
+WPM_SMALL = {"scenario": "evolve-near-solution", "grid": {"d": 6, "r_max": 40.0, "n": 400},
+             "backward_span": 20.0}
+
+
+def test_backward_child_writes_the_outputs_of_the_serial_run(tmp_path, monkeypatch):
+    # two CPUs evolve backward on a forked child, one in the caller after the
+    # forward evolution; W+ blows up backward within the span, so its dt/2
+    # refinement and blowup-time-stable check run too.  Placing the child
+    # leaves the caller's CPU affinity as it was.
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    allowed = affinity(0)
+    for sign in (-1, 1):
+        outputs = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(ev, "_cpus", lambda n=cpus: n)
+            manifest = ex.run(dict(WPM_SMALL, sign=sign), out_dir=str(tmp_path / str(cpus)))
+            assert manifest["timings"]["evolve_s"] > 0
+            outputs.append({name: data for name, data in _output_bytes(manifest["run_dir"]).items()
+                            if name != "manifest.json"})
+        assert sorted(outputs[0]) == sorted(outputs[1]) == manifest["outputs"]
+        for name in outputs[0]:
+            assert outputs[0][name] == outputs[1][name], (sign, name)
+    assert "blowup-time-stable" in manifest["checks"]
+    assert set(manifest["evolutions"]) == {"forward", "backward", "backward_refined"}
+    assert affinity(0) == allowed
+
+
+def _on_the_backward_child(monkeypatch, backward):
+    """Evolve backward on a forked child, which calls backward(config)
+    before each backward evolution; forward evolutions run as before."""
+    monkeypatch.setattr(ev, "_cpus", lambda: 2)
+    if ev._fork_context() is None:
+        pytest.skip("no fork start method")
+    evolve = ev.evolve
+
+    def patched(u0, config, bg):
+        if config.t_span[1] < config.t_span[0]:
+            backward(config)
+        return evolve(u0, config, bg)
+    monkeypatch.setattr(ev, "evolve", patched)
+
+
+def test_backward_child_error_is_raised_by_the_parent(tmp_path, monkeypatch):
+    def backward(config):
+        raise ValueError("backward dt %r failed" % config.dt)
+    _on_the_backward_child(monkeypatch, backward)
+    with pytest.raises(ValueError) as exc:
+        ex.run(dict(WPM_SMALL, sign=-1), out_dir=str(tmp_path))
+    assert type(exc.value) is ValueError and str(exc.value) == "backward dt 0.01 failed"
+
+
+def test_backward_child_exit_is_an_error(tmp_path, monkeypatch):
+    _on_the_backward_child(monkeypatch, lambda config: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"trace_backward exited \(code 3\)"):
+        ex.run(dict(WPM_SMALL, sign=-1), out_dir=str(tmp_path))
+
+
 def test_classify_run_from_field_file(tmp_path):
     # a subcritical gaussian pulse disperses well before the reflection horizon
     grid = dz.build_grid(**SMALL_GRID)
