@@ -9,7 +9,8 @@ Subcommands map to experiment scenarios:
     nlslab classify       --config cfg.json  [--out DIR] [--check]
     nlslab sweep          --config cfg.json  [--out DIR] [--workers N] [--check]
 
-Exit status: 0 on success, 1 when --check assertions fail, 2 on config errors.
+Exit status: 0 on success, 1 when --check assertions fail, 2 on config errors
+and a --workers below 1.
 """
 
 import argparse
@@ -51,15 +52,19 @@ def build_parser():
                            help="which threshold solution to run")
         if name == "sweep":
             p.add_argument("--workers", type=int, default=1,
-                           help="worker cap for sweep cells; the cells call BLAS, so "
-                                "with more than one worker set OPENBLAS_NUM_THREADS=1, "
-                                "or the BLAS threads oversubscribe the cores")
+                           help="number of processes for the sweep cells: at least 1, "
+                                "capped at the allowed CPUs; with a multi-threaded BLAS "
+                                "(set OPENBLAS_NUM_THREADS=1 to avoid one) the cells "
+                                "run serially")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     scenario = _SCENARIO_OF[args.command]
+    if getattr(args, "workers", 1) < 1:
+        print("--workers: expected an integer >= 1, got %d" % args.workers, file=sys.stderr)
+        return 2
     if args.config is not None:
         try:
             cfg = _load_config(args.config)

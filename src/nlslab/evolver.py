@@ -45,10 +45,12 @@ process dies.  The fits stay in the evolving process when "fork" is not an
 available start method or the process may run on fewer than two CPUs: the
 worker then has no CPU of its own to overlap on (pinned to one CPU, the
 benchmark's classify-dense run took 1.16-1.45 s with the worker against
-1.03-1.32 s without, six runs each).  Python >= 3.12 warns when a process
-with more than one thread forks, and a multi-threaded BLAS makes it one; the
-fork is made from the evolving thread, and the worker runs only the fit's
-numpy code.
+1.03-1.32 s without, six runs each).  The evolving process moves to the
+first CPU it may run on and the worker to the second (``_move_to_cpu``), so
+that a worker forked where the kernel does not balance load does not stay
+on its parent's CPU.  Python >= 3.12 warns when a process with more than one
+thread forks, and a multi-threaded BLAS makes it one; the fork is made from
+the evolving thread, and the worker runs only the fit's numpy code.
 """
 
 import mmap
@@ -330,13 +332,14 @@ def _fit(u, grid):
 
 
 def _fit_worker(conn, parent_end, ring, grid):
-    """The fit worker's loop: for each ring slot index received on conn,
-    send back ``_fit`` of that slot or the exception it raised.  It closes
-    its copy of the parent's end first, so it sees end of file, and exits,
-    when the parent closes that end or dies.  Interrupts go to the parent,
-    which then closes the pipe."""
+    """The fit worker's loop, on the second allowed CPU: for each ring slot
+    index received on conn, send back ``_fit`` of that slot or the exception
+    it raised.  It closes its copy of the parent's end first, so it sees end
+    of file, and exits, when the parent closes that end or dies.  Interrupts
+    go to the parent, which then closes the pipe."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _move_to_cpu(1)
     while True:
         try:
             slot = conn.recv()
@@ -358,6 +361,22 @@ def _cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _move_to_cpu(k):
+    """Move the calling process to the k-th CPU it may run on, modulo their
+    number, and allow it all of them again.  A process that never sleeps
+    changes CPU only by the kernel's periodic load balancing; where a cpuset
+    turns that off (sched_load_balance 0), a forked child stays on its
+    parent's CPU.  On such a 2-vCPU machine wpm's forward evolution took
+    0.71-1.10 s beside its backward child, against 0.37-0.48 s alone.  Does
+    nothing without the affinity calls."""
+    try:
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {sorted(cpus)[k % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # no affinity calls, or a CPU went offline
+        pass
 
 
 def _fork_context():
@@ -383,10 +402,11 @@ class _Fits:
     slot k mod RING of an anonymous shared mmap and sends only the slot
     index over a pipe to one process forked at construction, which runs the
     fits while the caller steps on; it waits only when RING fits are in
-    flight.  A fit's exception is re-raised here with its type and message.
-    With ctx None each fit runs in the caller on submit.  ``drain`` waits
-    for every fit in flight; used as a context manager, the worker is joined
-    on every exit.
+    flight.  The caller moves to the first allowed CPU and the worker to the
+    second (_move_to_cpu).  A fit's exception is re-raised here with its
+    type and message.  With ctx None each fit runs in the caller on submit.
+    ``drain`` waits for every fit in flight; used as a context manager, the
+    worker is joined on every exit.
     """
 
     def __init__(self, grid, record, ctx):
@@ -401,6 +421,7 @@ class _Fits:
                                     args=(child_end, self.conn, self.ring, grid))
             self.proc.start()
             child_end.close()
+            _move_to_cpu(0)
 
     def submit(self, k, u):
         if self.proc is None:

@@ -11,7 +11,8 @@ stage seconds under "timings" (a sweep's spectra and unit series and its
 cells; evolve-near-solution's spectrum, series, forward and backward
 evolution, and the stage that runs both as evolve_s; classify-custom's
 evolution), each evolution's steps and seconds under "evolutions" (W+'s dt/2
-blowup refinement as "backward_refined"), the sorted relative paths of every
+blowup refinement as "backward_refined"), a sweep's number of processes
+that ran its cells as "cell_processes", the sorted relative paths of every
 other file in the run directory under "outputs", and the pass/fail record of
 every embedded check.
 Only the evolving scenarios (evolve-near-solution, classify-custom) read an
@@ -22,16 +23,19 @@ Numerics are deterministic (fixed iteration orders), so rerunning a config
 reproduces every output but the manifest byte-for-byte.  A pipeline builds one
 background per grid and passes it through series, evolution and classification.
 
+Independent jobs run on one kind of process pool, _forked_map: the caller
+and children forked by the fit worker's rule (evolver._fork_context), each
+on a CPU of its own, at most as many as the process may run on.
 evolve-near-solution evolves its seed forward, with the fit worker, in the
-calling process and backward on a forked child at the same time
-(_evolve_steps), so forward_s and backward_s overlap by forward_s +
-backward_s - evolve_s.  Where the fit worker's rule (evolver._fork_context)
-allows no child, the two run one after the other in the caller; the outputs
-are the same bytes either way.  W+'s dt/2 refinement runs afterwards, and
-only when the backward evolution reports a blowup.
+calling process and backward on a forked child at the same time, so
+forward_s and backward_s overlap by forward_s + backward_s - evolve_s.  A
+sweep runs its cells on at most `workers` processes, and in the caller
+alone unless the environment makes BLAS single-threaded (_blas_threads).
+Where no child may be forked, the jobs run one after the other in the
+caller; the outputs are the same bytes either way.  W+'s dt/2 refinement
+runs afterwards, and only when the backward evolution reports a blowup.
 """
 
-import concurrent.futures
 import copy
 import hashlib
 import json
@@ -263,75 +267,91 @@ def _evolve_step(u0, ecfg, bg, path):
     return trace.termination, dg.classify(trace), record
 
 
-def _move_to_cpu(k):
-    """Move the calling process to the k-th CPU it may run on, modulo their
-    number, and allow it all of them again.  A process that never sleeps
-    changes CPU only by the kernel's periodic load balancing; where a cpuset
-    turns that off (sched_load_balance 0), a forked child stays on its
-    parent's CPU.  On such a 2-vCPU machine wpm's forward evolution took
-    0.71-1.10 s beside its backward child, against 0.37-0.48 s alone.  Does
-    nothing without the affinity calls."""
-    try:
-        cpus = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {sorted(cpus)[k % len(cpus)]})
-        os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError):  # no affinity calls, or a CPU went offline
-        pass
+# the variables OpenBLAS takes its thread count from, in the order it reads them
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _evolve_child(conn, k, u0, ecfg, bg, path):
-    """A forked child's _evolve_step on its k-th CPU (_move_to_cpu), whose
-    result, or the exception it raised, it sends on conn.  Interrupts go to
-    the parent, which then terminates the child."""
+def _blas_threads():
+    """The BLAS thread count this process's environment asks for: the first
+    of _BLAS_VARS set to a positive integer, else one per allowed CPU, as
+    OpenBLAS reads them."""
+    for var in _BLAS_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:  # unset, or not a number: OpenBLAS reads 0
+            continue
+        if threads > 0:
+            return threads
+    return ev._cpus()
+
+
+def _processes(procs, njobs):
+    """The number of processes _forked_map runs njobs jobs on for a cap of
+    procs: min(procs, evolver._cpus(), njobs) when evolver._fork_context()
+    allows a child, else 1."""
+    count = min(procs, ev._cpus(), njobs)
+    return count if count > 1 and ev._fork_context() is not None else 1
+
+
+def _map_child(conn, p, fn, jobs):
+    """Process p of _forked_map: on its p-th CPU (evolver._move_to_cpu), send
+    fn(job), or the exception it raised, on conn as each of jobs finishes,
+    up to the first exception.  Interrupts go to the parent, which then
+    terminates the child."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _move_to_cpu(k)
-    try:
-        out = _evolve_step(u0, ecfg, bg, path)
-    except Exception as exc:  # re-raised by the parent
-        out = exc
-    conn.send(out)
+    ev._move_to_cpu(p)
+    for job in jobs:
+        try:
+            out = fn(job)
+        except Exception as exc:  # re-raised by the parent
+            out = exc
+        conn.send(out)
+        if isinstance(out, Exception):
+            return
 
 
-def _evolve_steps(u0, jobs, bg):
-    """_evolve_step(u0, ecfg, bg, path) for each (ecfg, path) of jobs, in
-    job order.  When evolver._fork_context() allows, every job but the first
-    runs on its own forked child while the caller runs the first; the
-    children are forked before that, so none inherits the pipe to the
-    caller's fit worker.  Job k starts on the k-th CPU (_move_to_cpu).  A
-    child's exception is re-raised here with its type and message, a child
-    that exits without a result is a RuntimeError that gives its exit code,
-    and every child is joined on every exit.  A child is daemonic, so a job
-    on it that fits the modulation fits in the child.  Without a context the
-    jobs run one after the other in the caller."""
+def _forked_map(fn, jobs, procs):
+    """[fn(job) for job in jobs] on P = _processes(procs, len(jobs))
+    processes.  Process p, the caller for p = 0 and a daemonic forked child
+    otherwise, moves to its p-th allowed CPU (evolver._move_to_cpu) and runs
+    jobs p, p + P, p + 2P, ...  The children are forked before the caller
+    starts its jobs, so none inherits a pipe the caller then opens (such as
+    its fit worker's), and a job on a child fits the modulation in the child.
+    A child's exception is re-raised here with its type and message, a child
+    that exits without a result is a RuntimeError naming the job it was
+    running and giving its exit code, and every child is joined on every
+    exit.  With P = 1 the jobs run one after the other in the caller."""
+    count = _processes(procs, len(jobs))
+    if count == 1:
+        return [fn(job) for job in jobs]
     ctx = ev._fork_context()
-    if ctx is None:
-        return [_evolve_step(u0, ecfg, bg, path) for ecfg, path in jobs]
     children, done = [], False
     try:
-        for k, (ecfg, path) in enumerate(jobs[1:], 1):
+        for p in range(1, count):
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_evolve_child, daemon=True,
-                               args=(writer, k, u0, ecfg, bg, path))
+            proc = ctx.Process(target=_map_child, daemon=True,
+                               args=(writer, p, fn, jobs[p::count]))
             proc.start()
             writer.close()
-            children.append((proc, reader, path))
-        _move_to_cpu(0)
-        ecfg, path = jobs[0]
-        out = [_evolve_step(u0, ecfg, bg, path)]
-        for proc, reader, path in children:
-            try:
-                res = reader.recv()
-            except EOFError:
-                proc.join(ev.JOIN_S)
-                raise RuntimeError("the evolution writing %s exited (code %s)"
-                                   % (os.path.basename(path), proc.exitcode)) from None
-            if isinstance(res, Exception):
-                raise res
-            out.append(res)
+            children.append((proc, reader))
+        ev._move_to_cpu(0)
+        out = [None] * len(jobs)
+        out[::count] = [fn(job) for job in jobs[::count]]
+        for p, (proc, reader) in enumerate(children, 1):
+            for i in range(p, len(jobs), count):
+                try:
+                    res = reader.recv()
+                except EOFError:
+                    proc.join(ev.JOIN_S)
+                    raise RuntimeError("job %s exited (code %s)"
+                                       % (jobs[i], proc.exitcode)) from None
+                if isinstance(res, Exception):
+                    raise res
+                out[i] = res
         done = True
         return out
     finally:
-        for proc, reader, _ in children:
+        for proc, reader in children:
             reader.close()
             if done:
                 proc.join(ev.JOIN_S)
@@ -406,10 +426,11 @@ def _run_wpm(cfg, rundir):
 
     fwd = dict(ecfg, t_span=(seed_t0, seed_t0 + t_fwd), track_modulation=True)
     bwd = dict(ecfg, t_span=(seed_t0, seed_t0 - cfg["backward_span"]), track_modulation=False)
+    spans = {"trace_forward": fwd, "trace_backward": bwd}
     t2 = _time.perf_counter()
-    (_, rep_f, rec_f), (term_b, rep_b, rec_b) = _evolve_steps(
-        u0, [(fwd, os.path.join(rundir, "trace_forward")),
-             (bwd, os.path.join(rundir, "trace_backward"))], bg)
+    (_, rep_f, rec_f), (term_b, rep_b, rec_b) = _forked_map(
+        lambda name: _evolve_step(u0, spans[name], bg, os.path.join(rundir, name)),
+        list(spans), 2)
     timings["evolve_s"] = _time.perf_counter() - t2
     evolutions = {"forward": rec_f, "backward": rec_b}
     timings["forward_s"] = rec_f["seconds"]
@@ -488,31 +509,35 @@ def _run_sweep(cfg, rundir, workers=1):
     def cell(params):
         d, n, k, a = params
         unit = units[(d, n)]
-        profiles = [None] + [a ** j * unit.profiles[j] for j in range(1, k + 1)]
-        near = sb.NearSolution(unit.background, k, a, unit.e0, profiles,
-                               {j: unit.conditioning[j] for j in range(2, k + 1)})
-        report = sb.residual_rate(near)
+        try:
+            profiles = [None] + [a ** j * unit.profiles[j] for j in range(1, k + 1)]
+            near = sb.NearSolution(unit.background, k, a, unit.e0, profiles,
+                                   {j: unit.conditioning[j] for j in range(2, k + 1)})
+            report = sb.residual_rate(near)
+        except Exception as exc:  # per-cell failures recorded, sweep continues
+            return "%s: %s" % (type(exc).__name__, exc)
         return {"d": d, "n": n, "k": k, "a": a, "e0": unit.e0,
                 "t_k": report.t_k, "rate": report.rate,
                 "rate_target": (k + 1) * unit.e0}
 
+    # forked cells only with single-threaded BLAS: with OpenBLAS's default of
+    # one thread per CPU in each process, the bench sweep's 32 cells took
+    # 1.3-8.0 s on two processes against 0.8-0.9 s serially (2 vCPU)
     t1 = _time.perf_counter()
     cells = [(d, n, k, a) for d, n in units for k in ks for a in aa]
+    procs = _processes(workers if _blas_threads() == 1 else 1, len(cells))
     rows = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futs = {pool.submit(cell, c): c for c in cells}
-        for fut in concurrent.futures.as_completed(futs):
-            c = futs[fut]
-            try:
-                rows[c] = fut.result()
-            except Exception as exc:  # per-cell failures recorded, sweep continues
-                failures[c] = "%s: %s" % (type(exc).__name__, exc)
+    for c, res in zip(cells, _forked_map(cell, cells, procs)):
+        if isinstance(res, str):
+            failures[c] = res
+        else:
+            rows[c] = res
     timings = {"spectra_s": t1 - t0, "cells_s": _time.perf_counter() - t1}
 
     cols = ["d", "n", "k", "a", "e0", "t_k", "rate", "rate_target"]
     with open(os.path.join(rundir, "aggregate.csv"), "w") as f:
         f.write(",".join(cols) + "\n")
-        for c in sorted(rows):  # deterministic order regardless of completion
+        for c in sorted(rows):  # by cell key, whatever the order of the ranges
             f.write(",".join("%.17g" % rows[c][col] if isinstance(rows[c][col], float)
                              else str(rows[c][col]) for col in cols) + "\n")
     if failures:
@@ -520,7 +545,7 @@ def _run_sweep(cfg, rundir, workers=1):
                      {str(k): v for k, v in failures.items()})
     checks = {"all-cells-completed": {"passed": not failures,
                                       "failed_cells": len(failures)}}
-    return checks, {"timings": timings}
+    return checks, {"timings": timings, "cell_processes": procs}
 
 
 _PIPELINES = {
@@ -533,10 +558,14 @@ _PIPELINES = {
 
 
 def run(cfg, out_dir=".", workers=1, check=False):
-    """Execute a scenario config; returns the manifest dict.
+    """Execute a scenario config; returns the manifest dict.  workers caps
+    the processes that run a sweep's cells (_run_sweep).
 
-    Raises ConfigError before creating any output when the config is invalid.
+    Raises ConfigError before creating any output when the config is invalid,
+    and ValueError when workers is not an integer >= 1.
     """
+    if not (isinstance(workers, int) and workers >= 1):
+        raise ValueError("workers: expected an integer >= 1, got %r" % (workers,))
     cfg, errors = normalize(cfg)
     if errors:
         raise ConfigError(errors)

@@ -711,6 +711,122 @@ def test_sweep_records_a_failed_unit_series_for_each_cell(tmp_path, monkeypatch)
     assert rows.shape == (4, 8) and set(rows[:, 1]) == {800.0}
 
 
+SWEEP_SMALL = {"ranges": {"d": [6], "n": [800], "k": [1, 2, 3], "a": [1.0, -1.0]},
+               "grid": {"r_max": 40.0}}
+
+
+def _two_cpus_with_blas_threads(monkeypatch, threads):
+    """Allow two CPUs and set OPENBLAS_NUM_THREADS to threads, leaving the
+    other BLAS thread variables unset (threads None: all unset)."""
+    monkeypatch.setattr(ev, "_cpus", lambda: 2)
+    for var in ex._BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        if ev._fork_context() is None:
+            pytest.skip("no fork start method")
+
+
+def _record_cell_pids(monkeypatch, path):
+    """Append the pid of the process that runs each cell's residual_rate to path."""
+    rate = sb.residual_rate
+
+    def recorded(near):
+        with open(path, "a") as f:
+            f.write("%d\n" % os.getpid())
+        return rate(near)
+    monkeypatch.setattr(sb, "residual_rate", recorded)
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 2), ({"OMP_NUM_THREADS": "1"}, 1), ({"GOTO_NUM_THREADS": "3"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1)])
+def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch, env, threads):
+    # the first variable set to a positive integer, else one per CPU
+    _two_cpus_with_blas_threads(monkeypatch, None)
+    for var, val in env.items():
+        monkeypatch.setenv(var, val)
+    assert ex._blas_threads() == threads
+
+
+def test_sweep_cells_run_on_two_processes(tmp_path, monkeypatch):
+    # two CPUs and single-threaded BLAS: the caller and one forked child run
+    # the cells, the aggregate is the serial run's, and the caller's CPU
+    # affinity is as it was
+    _two_cpus_with_blas_threads(monkeypatch, "1")
+    pids = tmp_path / "pids"
+    _record_cell_pids(monkeypatch, pids)
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    allowed = affinity(0)
+    texts = []
+    for workers in (2, 1):
+        manifest = ex.sweep(SWEEP_SMALL, out_dir=str(tmp_path / str(workers)), workers=workers)
+        assert manifest["ok"] and manifest["cell_processes"] == workers
+        with open(os.path.join(manifest["run_dir"], "aggregate.csv"), "rb") as f:
+            texts.append(f.read())
+    assert texts[0] == texts[1]
+    ran = pids.read_text().split()
+    assert len(ran) == 12
+    assert len(set(ran[:6])) == 2 and str(os.getpid()) in ran[:6]
+    assert set(ran[6:]) == {str(os.getpid())}
+    assert affinity(0) == allowed
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_sweep_cells_stay_in_the_caller_with_multithreaded_blas(tmp_path, monkeypatch, threads):
+    _two_cpus_with_blas_threads(monkeypatch, threads)
+    pids = tmp_path / "pids"
+    _record_cell_pids(monkeypatch, pids)
+    manifest = ex.sweep(SWEEP_SMALL, out_dir=str(tmp_path), workers=2)
+    assert manifest["ok"] and manifest["cell_processes"] == 1
+    assert pids.read_text().split() == 6 * [str(os.getpid())]
+
+
+def test_sweep_cell_error_on_a_child_is_recorded_as_serially(tmp_path, monkeypatch):
+    # the k = 2 cells are the third and fourth: one in the caller, one on the child
+    _two_cpus_with_blas_threads(monkeypatch, "1")
+    rate = sb.residual_rate
+
+    def failing(near):
+        if near.k == 2:
+            raise ValueError("no rate for k = %d, a = %g" % (near.k, near.a))
+        return rate(near)
+    monkeypatch.setattr(sb, "residual_rate", failing)
+    outputs = []
+    for workers in (2, 1):
+        manifest = ex.sweep(SWEEP_SMALL, out_dir=str(tmp_path / str(workers)), workers=workers)
+        assert manifest["cell_processes"] == workers
+        assert manifest["checks"]["all-cells-completed"]["failed_cells"] == 2
+        outputs.append({name: data for name, data in _output_bytes(manifest["run_dir"]).items()
+                        if name != "manifest.json"})
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]["failures.json"]) == {
+        str((6, 800, 2, a)): "ValueError: no rate for k = 2, a = %g" % a for a in (1.0, -1.0)}
+
+
+def test_sweep_cell_exit_is_an_error(tmp_path, monkeypatch):
+    # the child's first cell is the second, (6, 800, 1, -1.0)
+    _two_cpus_with_blas_threads(monkeypatch, "1")
+    caller, rate = os.getpid(), sb.residual_rate
+    monkeypatch.setattr(sb, "residual_rate",
+                        lambda near: rate(near) if os.getpid() == caller else os._exit(3))
+    with pytest.raises(RuntimeError, match=r"job \(6, 800, 1, -1\.0\) exited \(code 3\)"):
+        ex.sweep(SWEEP_SMALL, out_dir=str(tmp_path), workers=2)
+
+
+def test_workers_below_one_fail_before_a_run_directory(tmp_path, capsys):
+    cfg = {"scenario": "sweep", "ranges": {"n": [400]}, "grid": {"r_max": 40.0}}
+    path = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "runs"
+    for workers in ("0", "-3"):
+        assert cli.main(["sweep", "--config", path, "--workers", workers, "--out", str(out)]) == 2
+        assert "--workers: expected an integer >= 1, got %s" % workers in capsys.readouterr().err
+    with pytest.raises(ValueError, match="workers"):
+        ex.run(cfg, out_dir=str(out), workers=0)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
