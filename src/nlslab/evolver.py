@@ -33,26 +33,31 @@ checked every step; single-criterion detectors misfire on focusing transients.
 ``evolve`` runs on the ground_state.Background the spectrum and the series
 were built on, and the trace carries it to the classifier.
 
-The modulation fits of the samples (diagnostics.fit_modulation) need only
-the sampled state, so ``evolve`` runs them on one worker process, forked
-after the input checks, while it steps on.  Each sampled state is copied
-into one of RING slots of an anonymous shared mmap and only the slot index
-goes over a pipe; stepping waits only while RING fits are in flight.  The
-fits are recorded in sample order and a fit's exception is re-raised by
-``evolve``, so the trace is the one in-process fits give, byte for byte.
-The worker is joined on every exit, and exits by itself when the evolving
-process dies.  The fits stay in the evolving process when "fork" is not an
-available start method or the process may run on fewer than two CPUs: the
-worker then has no CPU of its own to overlap on (pinned to one CPU, the
-benchmark's classify-dense run took 1.16-1.45 s with the worker against
-1.03-1.32 s without, six runs each).  The evolving process moves to the
-first CPU it may run on and the worker to the second (``_move_to_cpu``), so
-that a worker forked where the kernel does not balance load does not stay
-on its parent's CPU.  Python >= 3.12 warns when a process with more than one
-thread forks, and a multi-threaded BLAS makes it one; the fork is made from
-the evolving thread, and the worker runs only the fit's numpy code.
+Independent work runs on forked workers (``_Worker``): a daemonic child
+runs fn(i) for each job index i the caller submits and sends back the
+result or the exception, re-raised by the caller in submit order.  fn and
+what it reads are inherited through the fork; only indices and results
+cross the pipe.  The caller moves to the first CPU it may run on and worker
+p to the p-th (``_move_to_cpu``).  Workers are forked only where
+``_fork_context`` allows; elsewhere the work runs in the caller, and the
+outputs are the same bytes either way.  Python >= 3.12 warns when a process
+with more than one thread forks, and a multi-threaded BLAS makes it one;
+the fork is made from the calling thread, and a worker runs only numpy code.
+The workers have two clients:
+
+* ``evolve`` runs the samples' modulation fits (diagnostics.fit_modulation)
+  on one worker forked after the input checks, while it steps on.  Each
+  sampled state is copied into one of RING slots of an anonymous shared
+  mmap and only the sample number goes over the pipe; stepping waits only
+  while RING fits are in flight.  With one CPU the worker has none of its
+  own to overlap on (pinned to one CPU, the benchmark's classify-dense run
+  took 1.16-1.45 s with the worker against 1.03-1.32 s without).
+* ``forked_map`` runs independent jobs on the caller and up to P - 1
+  workers: the experiments' forward and backward evolutions of
+  evolve-near-solution and the cells of a sweep.
 """
 
+import contextlib
 import mmap
 import os
 import signal
@@ -76,7 +81,7 @@ AMP_FACTOR = GRAD_FACTOR = 10.0
 # slots of the shared ring that carries sampled states to the fit worker:
 # the fits that may be in flight before a sample waits for the oldest
 RING = 8
-# seconds a closed fit worker gets to exit before it is terminated
+# seconds a closed worker gets to exit before it is terminated
 JOIN_S = 10.0
 
 
@@ -331,30 +336,6 @@ def _fit(u, grid):
             fit.diagnostics["at_bracket_edge"], time.perf_counter() - t0)
 
 
-def _fit_worker(conn, parent_end, ring, grid):
-    """The fit worker's loop, on the second allowed CPU: for each ring slot
-    index received on conn, send back ``_fit`` of that slot or the exception
-    it raised.  It closes its copy of the parent's end first, so it sees end
-    of file, and exits, when the parent closes that end or dies.  Interrupts
-    go to the parent, which then closes the pipe."""
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _move_to_cpu(1)
-    while True:
-        try:
-            slot = conn.recv()
-        except EOFError:
-            return
-        try:
-            out = _fit(ring[slot], grid)
-        except Exception as exc:  # re-raised by the parent, in sample order
-            out = exc
-        try:
-            conn.send(out)
-        except ConnectionError:  # the parent has closed its end
-            return
-
-
 def _cpus():
     """The number of CPUs this process may run on."""
     try:
@@ -380,91 +361,169 @@ def _move_to_cpu(k):
 
 
 def _fork_context():
-    """The "fork" multiprocessing context when a fit worker can overlap the
-    step loop, else None: the process must be allowed two or more CPUs, the
+    """The "fork" multiprocessing context when a ``_Worker`` can run beside
+    the caller, else None: the process must be allowed two or more CPUs, the
     platform must offer fork, and the process must not be a daemonic
     multiprocessing worker (such as a multiprocessing.Pool's), which may
     not start children."""
     if _cpus() < 2:
         return None
-    import multiprocessing  # 9 ms of import that only fitting evolutions need
+    import multiprocessing  # 9 ms of import that only forking callers need
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
         return None
     return multiprocessing.get_context("fork")
 
 
-class _Fits:
-    """Modulation fits of the sampled states, handed to record(k, fit) in
-    sample order (fit as ``_fit`` returns it).
-
-    Given a multiprocessing context ctx, ``submit`` copies the state into
-    slot k mod RING of an anonymous shared mmap and sends only the slot
-    index over a pipe to one process forked at construction, which runs the
-    fits while the caller steps on; it waits only when RING fits are in
-    flight.  The caller moves to the first allowed CPU and the worker to the
-    second (_move_to_cpu).  A fit's exception is re-raised here with its
-    type and message.  With ctx None each fit runs in the caller on submit.
-    ``drain`` waits for every fit in flight; used as a context manager, the
-    worker is joined on every exit.
-    """
-
-    def __init__(self, grid, record, ctx):
-        self.grid, self.record = grid, record
-        self.pending = deque()
-        self.proc = None
-        if ctx is not None:
-            buf = mmap.mmap(-1, RING * grid.nnodes * np.dtype(complex).itemsize)
-            self.ring = np.frombuffer(buf, complex).reshape(RING, grid.nnodes)
-            self.conn, child_end = ctx.Pipe()
-            self.proc = ctx.Process(target=_fit_worker, daemon=True,
-                                    args=(child_end, self.conn, self.ring, grid))
-            self.proc.start()
-            child_end.close()
-            _move_to_cpu(0)
-
-    def submit(self, k, u):
-        if self.proc is None:
-            self.record(k, _fit(u, self.grid))
-            return
-        if len(self.pending) == RING:
-            self._collect()
-        self.ring[k % RING] = u
+def _work(conn, parent_end, fn, p):
+    """A ``_Worker``'s loop, on its p-th allowed CPU: for each job index i
+    received on conn, send back fn(i) or the exception it raised.  It closes
+    its copy of the parent's end first, so it sees end of file, and exits,
+    when the parent closes that end or dies.  Interrupts go to the parent."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _move_to_cpu(p)
+    while True:
         try:
-            self.conn.send(k % RING)
+            i = conn.recv()
+        except EOFError:
+            return
+        try:
+            out = fn(i)
+        except Exception as exc:  # re-raised by the parent, in submit order
+            out = exc
+        try:
+            conn.send(out)
+        except ConnectionError:  # the parent has closed its end
+            return
+
+
+class _Worker:
+    """A forked worker (see the module docstring), forked from ctx, on the
+    p-th allowed CPU.  ``submit(i)`` sends job index i; ``result`` returns
+    (i, fn(i)) for the oldest index in flight (``pending``) or re-raises
+    the exception fn raised.  A worker that exits without a result is a
+    RuntimeError "<name(i)> exited (code N)".  As a context manager it joins
+    the worker after a clean exit and terminates it at once after an error,
+    which then does not wait out the worker's job."""
+
+    def __init__(self, ctx, fn, p, name):
+        self.name, self.pending = name, deque()
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_work, daemon=True,
+                                args=(child_end, self.conn, fn, p))
+        self.proc.start()
+        child_end.close()
+
+    def submit(self, i):
+        self.pending.append(i)
+        try:
+            self.conn.send(i)
         except ConnectionError:
             self._exited()
-        self.pending.append(k)
 
-    def _collect(self):
+    def result(self):
         try:
             out = self.conn.recv()
         except (EOFError, ConnectionError):
             self._exited()
-        k = self.pending.popleft()
+        i = self.pending.popleft()
         if isinstance(out, Exception):
             raise out
-        self.record(k, out)
+        return i, out
 
     def _exited(self):
         self.proc.join(JOIN_S)
-        raise RuntimeError("the modulation fit worker exited (code %s)"
-                           % self.proc.exitcode) from None
-
-    def drain(self):
-        while self.pending:
-            self._collect()
+        raise RuntimeError("%s exited (code %s)" % (self.name(self.pending[0]),
+                                                    self.proc.exitcode)) from None
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        if self.proc is not None:
-            self.conn.close()
+    def __exit__(self, exc_type, *exc):
+        self.conn.close()
+        if exc_type is None:
             self.proc.join(JOIN_S)
-            if self.proc.is_alive():
-                self.proc.terminate()
-                self.proc.join()
+        if self.proc.is_alive():
+            self.proc.terminate()
+        self.proc.join()
+
+
+def _processes(procs, njobs):
+    """The number of processes ``forked_map`` runs njobs jobs on for a cap
+    of procs: min(procs, _cpus(), njobs) when _fork_context() allows a
+    child, else 1."""
+    count = min(procs, _cpus(), njobs)
+    return count if count > 1 and _fork_context() is not None else 1
+
+
+def forked_map(fn, jobs, procs):
+    """[fn(job) for job in jobs] on P = _processes(procs, len(jobs))
+    processes: the caller, on its first allowed CPU, runs jobs 0, P, 2P, ...
+    and a ``_Worker`` on CPU p runs jobs p, p + P, ...  A job is any value
+    fn reads, as only its index is sent.  The workers are forked before the
+    caller starts its jobs, so none inherits a pipe the caller then opens
+    (such as its fit worker's).  A worker that exits without a result is a
+    RuntimeError "job <job> exited (code N)".  With P = 1 the jobs run one
+    after the other in the caller."""
+    count = _processes(procs, len(jobs))
+    if count == 1:
+        return [fn(job) for job in jobs]
+    ctx = _fork_context()
+    out = [None] * len(jobs)
+    # exited last-forked first: a worker holds the parent's ends of the
+    # pipes forked before it, so an earlier one sees end of file only
+    # after the later ones have exited
+    with contextlib.ExitStack() as stack:
+        workers = []
+        for p in range(1, count):
+            worker = stack.enter_context(_Worker(ctx, lambda i: fn(jobs[i]), p,
+                                                 lambda i: "job %s" % (jobs[i],)))
+            for i in range(p, len(jobs), count):
+                worker.submit(i)
+            workers.append(worker)
+        _move_to_cpu(0)
+        out[::count] = [fn(job) for job in jobs[::count]]
+        for worker in workers:
+            while worker.pending:
+                i, out[i] = worker.result()
+    return out
+
+
+class _Fits:
+    """Modulation fits of the sampled states, handed to record(k, fit) in
+    sample order (fit as ``_fit`` returns it).
+
+    Given a multiprocessing context ctx, ``submit`` copies sample k's state
+    into slot k mod RING of an anonymous shared mmap and submits k to a
+    ``_Worker`` on the second allowed CPU, which fits that slot while the
+    caller steps on; the caller moves to the first allowed CPU and waits
+    only when RING fits are in flight.  With ctx None each fit runs in the
+    caller on submit, and ``worker`` is None.  ``drain`` waits for every fit
+    in flight.
+    """
+
+    def __init__(self, grid, record, ctx):
+        self.grid, self.record, self.worker = grid, record, None
+        if ctx is not None:
+            buf = mmap.mmap(-1, RING * grid.nnodes * np.dtype(complex).itemsize)
+            self.ring = ring = np.frombuffer(buf, complex).reshape(RING, grid.nnodes)
+            self.worker = _Worker(ctx, lambda k: _fit(ring[k % RING], grid), 1,
+                                  lambda k: "the modulation fit worker")
+            _move_to_cpu(0)
+
+    def submit(self, k, u):
+        if self.worker is None:
+            self.record(k, _fit(u, self.grid))
+            return
+        if len(self.worker.pending) == RING:
+            self.record(*self.worker.result())
+        self.ring[k % RING] = u
+        self.worker.submit(k)
+
+    def drain(self):
+        while self.worker and self.worker.pending:
+            self.record(*self.worker.result())
 
 
 def evolve(u0, config, bg):
@@ -542,7 +601,8 @@ def evolve(u0, config, bg):
             trace.reflection["horizon_exceeded"] = True
 
     ctx = _fork_context() if config.track_modulation else None
-    with _Fits(grid, trace.add_fit, ctx) as fits:
+    fits = _Fits(grid, trace.add_fit, ctx)
+    with fits.worker or contextlib.nullcontext():
         sample(t0, u)
         # v is the state after the linear substep; the true state is
         # N(dt/2) v, and |v| = |u|, so m2 serves the next rotation and the

@@ -23,17 +23,16 @@ Numerics are deterministic (fixed iteration orders), so rerunning a config
 reproduces every output but the manifest byte-for-byte.  A pipeline builds one
 background per grid and passes it through series, evolution and classification.
 
-Independent jobs run on one kind of process pool, _forked_map: the caller
-and children forked by the fit worker's rule (evolver._fork_context), each
-on a CPU of its own, at most as many as the process may run on.
+Independent jobs run on evolver.forked_map: the caller and forked workers,
+each on a CPU of its own, at most as many as the process may run on.
 evolve-near-solution evolves its seed forward, with the fit worker, in the
-calling process and backward on a forked child at the same time, so
-forward_s and backward_s overlap by forward_s + backward_s - evolve_s.  A
-sweep runs its cells on at most `workers` processes, and in the caller
-alone unless the environment makes BLAS single-threaded (_blas_threads).
-Where no child may be forked, the jobs run one after the other in the
-caller; the outputs are the same bytes either way.  W+'s dt/2 refinement
-runs afterwards, and only when the backward evolution reports a blowup.
+calling process and backward on a worker at the same time, so forward_s and
+backward_s overlap by forward_s + backward_s - evolve_s.  A sweep runs its
+cells on at most `workers` processes, and in the caller alone unless the
+environment makes BLAS single-threaded (_blas_threads).  Where no worker may
+be forked, the jobs run one after the other in the caller; the outputs are
+the same bytes either way.  W+'s dt/2 refinement runs afterwards, and only
+when the backward evolution reports a blowup.
 """
 
 import copy
@@ -41,7 +40,6 @@ import hashlib
 import json
 import math
 import os
-import signal
 import time as _time
 
 import numpy as np
@@ -285,81 +283,6 @@ def _blas_threads():
     return ev._cpus()
 
 
-def _processes(procs, njobs):
-    """The number of processes _forked_map runs njobs jobs on for a cap of
-    procs: min(procs, evolver._cpus(), njobs) when evolver._fork_context()
-    allows a child, else 1."""
-    count = min(procs, ev._cpus(), njobs)
-    return count if count > 1 and ev._fork_context() is not None else 1
-
-
-def _map_child(conn, p, fn, jobs):
-    """Process p of _forked_map: on its p-th CPU (evolver._move_to_cpu), send
-    fn(job), or the exception it raised, on conn as each of jobs finishes,
-    up to the first exception.  Interrupts go to the parent, which then
-    terminates the child."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    ev._move_to_cpu(p)
-    for job in jobs:
-        try:
-            out = fn(job)
-        except Exception as exc:  # re-raised by the parent
-            out = exc
-        conn.send(out)
-        if isinstance(out, Exception):
-            return
-
-
-def _forked_map(fn, jobs, procs):
-    """[fn(job) for job in jobs] on P = _processes(procs, len(jobs))
-    processes.  Process p, the caller for p = 0 and a daemonic forked child
-    otherwise, moves to its p-th allowed CPU (evolver._move_to_cpu) and runs
-    jobs p, p + P, p + 2P, ...  The children are forked before the caller
-    starts its jobs, so none inherits a pipe the caller then opens (such as
-    its fit worker's), and a job on a child fits the modulation in the child.
-    A child's exception is re-raised here with its type and message, a child
-    that exits without a result is a RuntimeError naming the job it was
-    running and giving its exit code, and every child is joined on every
-    exit.  With P = 1 the jobs run one after the other in the caller."""
-    count = _processes(procs, len(jobs))
-    if count == 1:
-        return [fn(job) for job in jobs]
-    ctx = ev._fork_context()
-    children, done = [], False
-    try:
-        for p in range(1, count):
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_map_child, daemon=True,
-                               args=(writer, p, fn, jobs[p::count]))
-            proc.start()
-            writer.close()
-            children.append((proc, reader))
-        ev._move_to_cpu(0)
-        out = [None] * len(jobs)
-        out[::count] = [fn(job) for job in jobs[::count]]
-        for p, (proc, reader) in enumerate(children, 1):
-            for i in range(p, len(jobs), count):
-                try:
-                    res = reader.recv()
-                except EOFError:
-                    proc.join(ev.JOIN_S)
-                    raise RuntimeError("job %s exited (code %s)"
-                                       % (jobs[i], proc.exitcode)) from None
-                if isinstance(res, Exception):
-                    raise res
-                out[i] = res
-        done = True
-        return out
-    finally:
-        for proc, reader in children:
-            reader.close()
-            if done:
-                proc.join(ev.JOIN_S)
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-
-
 def _run_ground_state(cfg, rundir):
     grid = dz.build_grid(**cfg["grid"])
     W = gs.sample_w(grid)
@@ -428,7 +351,7 @@ def _run_wpm(cfg, rundir):
     bwd = dict(ecfg, t_span=(seed_t0, seed_t0 - cfg["backward_span"]), track_modulation=False)
     spans = {"trace_forward": fwd, "trace_backward": bwd}
     t2 = _time.perf_counter()
-    (_, rep_f, rec_f), (term_b, rep_b, rec_b) = _forked_map(
+    (_, rep_f, rec_f), (term_b, rep_b, rec_b) = ev.forked_map(
         lambda name: _evolve_step(u0, spans[name], bg, os.path.join(rundir, name)),
         list(spans), 2)
     timings["evolve_s"] = _time.perf_counter() - t2
@@ -525,9 +448,9 @@ def _run_sweep(cfg, rundir, workers=1):
     # 1.3-8.0 s on two processes against 0.8-0.9 s serially (2 vCPU)
     t1 = _time.perf_counter()
     cells = [(d, n, k, a) for d, n in units for k in ks for a in aa]
-    procs = _processes(workers if _blas_threads() == 1 else 1, len(cells))
+    procs = ev._processes(workers if _blas_threads() == 1 else 1, len(cells))
     rows = {}
-    for c, res in zip(cells, _forked_map(cell, cells, procs)):
+    for c, res in zip(cells, ev.forked_map(cell, cells, procs)):
         if isinstance(res, str):
             failures[c] = res
         else:

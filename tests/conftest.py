@@ -2,10 +2,12 @@
 
 The acceptance suite (test_acceptance.py) builds its own reference-scale
 fixtures; everything else runs on this cheap grid.  Every test must leave
-no child process behind (the evolver's modulation fit worker included).
+no child process behind (the evolver's forked workers included) and the
+CPU affinity as it found it.
 """
 
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -42,5 +44,9 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def no_child_processes():
+    # evolver._move_to_cpu must leave the CPU affinity as it found it
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    allowed = affinity(0)
     yield
     assert multiprocessing.active_children() == []
+    assert affinity(0) == allowed

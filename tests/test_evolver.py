@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import pickle
+import time
 
 import numpy as np
 import pytest
@@ -366,6 +368,38 @@ def test_daemonic_process_fits_in_process(background, u0, fit_worker):
     finally:
         proc.join(60)
     assert not proc.is_alive() and proc.exitcode == 0
+
+
+@pytest.fixture()
+def two_processes(fit_worker):
+    """Run forked_map on the caller and one forked worker."""
+    if ev._fork_context() is None:
+        pytest.skip("no fork start method")
+
+
+def test_forked_map_jobs_need_not_be_picklable(two_processes):
+    # only job indices cross the pipe, so a job may be any value fn reads
+    jobs = [lambda k=k: (k, os.getpid()) for k in range(5)]
+    with pytest.raises(Exception):
+        pickle.dumps(jobs[1])
+    out = ev.forked_map(lambda job: job(), jobs, 2)
+    assert [k for k, _ in out] == list(range(5))
+    pids = [pid for _, pid in out]
+    assert set(pids[::2]) == {os.getpid()}
+    assert len(set(pids[1::2])) == 1 and pids[1] != os.getpid()
+
+
+def test_forked_map_error_in_the_caller_does_not_wait_for_the_worker(two_processes):
+    # the caller's job 0 raises while the worker is still in job 1; the
+    # worker is terminated at once, not joined for up to JOIN_S
+    def job(k):
+        if k == 0:
+            raise ValueError("job 0 failed")
+        time.sleep(ev.JOIN_S)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="job 0 failed"):
+        ev.forked_map(job, [0, 1], 2)
+    assert time.perf_counter() - start < 0.1 * ev.JOIN_S
 
 
 def test_stationary_w_stays_near_family(grid, background):
