@@ -25,9 +25,12 @@ are bit-identical to it without importing scipy.optimize.
 
 Classification mirrors the forward/backward trichotomy: blowup if the
 detector fired; convergence to the modulated W family if the fitted distance
-decays to a small value at a positive rate; scattering proxy if the
-potential-to-kinetic energy ratio drops below a threshold before the
-reflection horizon; undetermined otherwise (a valid outcome).  ||grad W||
+decays to a small value at a positive rate; "scattering-proxy" if the
+evolver stopped the run as "scattering-detected": its critical space-time
+norm S = int int |u|^{2(d+2)/(d-2)} dx dt had settled within the reflection
+horizon (finite S, the scattering criterion of Kenig-Merle and
+Duyckaerts-Merle; see evolver.evolve); undetermined otherwise (a valid
+outcome).  ||grad W||
 is the plain flux quadrature (discretization.kinetic_sq) of the background
 the trace was evolved on, the same quadrature as the trace's kinetic norms.
 """
@@ -41,7 +44,7 @@ from . import ground_state as gs
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # the classification thresholds, echoed in every report
-THRESHOLDS = {"proxy_threshold": 0.05, "dist_tol": 0.25, "floor": 1e-3, "deadband": 1e-6}
+THRESHOLDS = {"tail_fraction": 0.01, "dist_tol": 0.25, "floor": 1e-3, "deadband": 1e-6}
 
 
 class ModulationFit:
@@ -231,9 +234,9 @@ def classify(trace):
 
     converges-to-W: the modulated H1-dot distance decays (positive fitted rate
     over the pre-departure window, trimmed at the distance minimum, above
-    10x floor) down to below dist_tol.  scattering-proxy: the potential/kinetic
-    ratio falls below proxy_threshold before the recorded reflection horizon.
-    The thresholds are THRESHOLDS.
+    10x floor) down to below dist_tol.  scattering-proxy: the evolution
+    stopped as "scattering-detected" (the evolver's space-time norm rule,
+    which reads tail_fraction).  The thresholds are THRESHOLDS.
     """
     side, viol = kinetic_dichotomy(trace)
     thresholds = dict(THRESHOLDS)
@@ -263,18 +266,9 @@ def classify(trace):
             return ClassificationReport("converges-to-W", side, rate=fit,
                                         thresholds=thresholds, details=details)
 
-    ratio = trace.potential_ratio()
-    below = np.nonzero(ratio < THRESHOLDS["proxy_threshold"])[0]
-    if below.size:
-        t_reach = float(t[below[0]])
-        details["proxy_reached_t"] = t_reach
-        horizon = trace.reflection.get("horizon_elapsed", np.inf)
-        elapsed = abs(t_reach - t[0])
-        details["reflection_horizon"] = horizon
-        if elapsed <= horizon:
-            return ClassificationReport("scattering-proxy", side, rate=fit,
-                                        thresholds=thresholds, details=details)
-        details["proxy_after_horizon"] = True
-
+    if trace.termination.get("status") == "scattering-detected":
+        details["reflection_horizon"] = trace.reflection["horizon_elapsed"]
+        return ClassificationReport("scattering-proxy", side, rate=fit,
+                                    thresholds=thresholds, details=details)
     return ClassificationReport("undetermined", side, rate=fit,
                                 thresholds=thresholds, details=details)

@@ -29,6 +29,10 @@ Backward evolution is requested through the time span: t_span = (0, -T)
 steps with negative dt.  Blowup detection is the conjunction of an amplitude
 and a gradient-norm threshold (AMP_FACTOR and GRAD_FACTOR times those of W),
 checked every step; single-criterion detectors misfire on focusing transients.
+Scattering detection is its counterpart: a run stops once its critical
+space-time norm S = int int |u|^{2(d+2)/(d-2)} has settled within the
+reflection horizon (see ``evolve``), so a dispersing run costs its decision
+time, not its span.
 
 ``evolve`` runs on the ground_state.Background the spectrum and the series
 were built on, and the trace carries it to the classifier.
@@ -58,6 +62,7 @@ The workers have two clients:
 """
 
 import contextlib
+import math
 import mmap
 import os
 import signal
@@ -288,6 +293,8 @@ class EvolutionTrace:
         self.config = config
         self.times, self.energy, self.kinetic, self.max_amp = [], [], [], []
         self.h1_dist, self.theta, self.mu = [], [], []
+        # s(t) = int |u|^{2(d+2)/(d-2)} per sample, in units of that of W
+        self.s_crit = []
         self.termination = {"status": "completed"}
         self.steps = 0
         self.reflection = {}
@@ -310,16 +317,11 @@ class EvolutionTrace:
                 mod["first_edge_t"] = self.times[k]
         self.fit_seconds += seconds
 
-    def potential_ratio(self):
-        """Potential-to-kinetic energy ratio 1 - 2E/K^2 per sample
-        (the scattering proxy; equals 2/3 at W, -> 0 for dispersed fields)."""
-        return 1.0 - 2.0 * np.asarray(self.energy) / np.asarray(self.kinetic) ** 2
-
     def save(self, csv_path, json_path):
         with open(csv_path, "w") as f:
-            f.write("t,E,kinetic,max_amp,h1_dist_to_modW,theta_fit,mu_fit\n")
+            f.write("t,E,kinetic,max_amp,h1_dist_to_modW,theta_fit,mu_fit,s_crit\n")
             for row in zip(self.times, self.energy, self.kinetic, self.max_amp,
-                           self.h1_dist, self.theta, self.mu):
+                           self.h1_dist, self.theta, self.mu, self.s_crit):
                 f.write(",".join("%.17g" % x for x in row) + "\n")
         dz.save_json(json_path, {"termination": self.termination,
                                  "reflection": self.reflection,
@@ -535,6 +537,17 @@ def evolve(u0, config, bg):
     go non-finite.  The trace records a reflection-horizon estimate (round
     trip of radiation at group speed 2 k_bar, k_bar = ||grad u0|| / ||u0||_2)
     and a boundary-amplitude monitor flagging actual boundary activity.
+    Declares scattering at a sample (status "scattering-detected", with the
+    decision time, S and the tail estimate) when s, the sample's
+    s(t) = int |u|^{2(d+2)/(d-2)} in units of W's, fell since the previous
+    sample, the geometric tail s |dt_s| / ln(s_prev / s) of the critical
+    norm S = int s dt (trapezoid rule over the samples so far) is below
+    diagnostics.THRESHOLDS["tail_fraction"] of S, and the elapsed time is
+    within the reflection horizon.  The rule is scale-invariant: under
+    u -> l^{(d-2)/2} u(l^2 t, l r), s scales by l^2 and the time by l^{-2},
+    so S and tail / S are unchanged, and a stationary W never fires it.  The
+    run stops at that sample, so its trace and final state are those of the
+    run whose t_span ends there.
     Adjacent nonlinear half-steps are merged (see the module docstring);
     samples, the blowup test and final_state see the true state.
     trace.steps counts the steps taken.  The step and sample counts are
@@ -542,7 +555,8 @@ def evolve(u0, config, bg):
     ends up to dt/2 from t1.  Scenario configs reject such spans, and
     evolve-near-solution snaps the forward horizon it derives to the grid.
     The potential |u|^{p_c+1} of each sample's energy is formed by products
-    when 2(p_c + 1) is an integer (d = 3, 4, 6, 10), see ground_state._power.
+    when 2(p_c + 1) is an integer (d = 3, 4, 6, 10), see ground_state._power;
+    s(t) multiplies it by |u|^{4/(d-2)} (|u| itself at d = 6).
     With config.track_modulation, each sample's modulation fit runs on the
     fit worker (see the module docstring) when it can overlap the stepping;
     trace.fit_seconds sums the fits' busy time wherever they ran.
@@ -577,16 +591,27 @@ def evolve(u0, config, bg):
                         "boundary_amp_initial": bnd0,
                         "first_boundary_activity": None}
 
+    # |u|^{2(d+2)/(d-2)} = |u|^{p_c+1} |u|^{4/(d-2)}
+    spow = Fraction(4, grid.d - 2)
+    s_w = float(np.dot(gs._power(bg.W, bg.p_c + 1) * gs._power(bg.W, spow), grid.w))
+    tail_fraction = dg.THRESHOLDS["tail_fraction"]
+    S = 0.0
+
     def sample(t, u):
+        """Record the sample of u at t; True when it decides scattering."""
+        nonlocal S
         K = np.sqrt(dz.kinetic_sq(u, grid))
         amp = np.abs(u)
         mx = float(np.max(amp))
-        E = 0.5 * K ** 2 - (grid.d - 2) / (2 * grid.d) * \
-            dz.integrate(gs._power(amp, bg.p_c + 1), grid)
+        pot = gs._power(amp, bg.p_c + 1)
+        E = 0.5 * K ** 2 - (grid.d - 2) / (2 * grid.d) * dz.integrate(pot, grid)
+        pot *= gs._power(amp, spow)
+        s = float(np.dot(pot, grid.w)) / s_w
         trace.times.append(t)
         trace.energy.append(E)
         trace.kinetic.append(float(K))
         trace.max_amp.append(mx)
+        trace.s_crit.append(s)
         # the fit, when tracked, fills these in (add_fit)
         trace.h1_dist.append(np.nan)
         trace.theta.append(np.nan)
@@ -597,8 +622,19 @@ def evolve(u0, config, bg):
         if (trace.reflection["first_boundary_activity"] is None
                 and bnd > max(100.0 * bnd0, 1e-10)):
             trace.reflection["first_boundary_activity"] = t
+        if len(trace.times) == 1:
+            return False
+        s_prev, span = trace.s_crit[-2], abs(t - trace.times[-2])
+        S += 0.5 * (s_prev + s) * span
         if abs(t - t0) > horizon:
             trace.reflection["horizon_exceeded"] = True
+        elif 0 < s < s_prev:
+            tail = s * span / math.log(s_prev / s)
+            if tail < tail_fraction * S:
+                trace.termination = {"status": "scattering-detected",
+                                     "t_decision": t, "S": S, "tail": tail}
+                return True
+        return False
 
     ctx = _fork_context() if config.track_modulation else None
     fits = _Fits(grid, trace.add_fit, ctx)
@@ -624,8 +660,8 @@ def evolve(u0, config, bg):
                 trace.termination = {"status": "blowup-detected", "t_star": t,
                                      "bracket": [t - dt, t]}
                 break
-            if (i + 1) % per == 0:
-                sample(t, _rotate(v, half, m2, pexp))
+            if (i + 1) % per == 0 and sample(t, _rotate(v, half, m2, pexp)):
+                break
         fits.drain()
     trace.final_state = _rotate(v, half, m2, pexp) if nsteps else u
     return trace

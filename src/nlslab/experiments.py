@@ -10,11 +10,12 @@ manifest.json echoing the filled-in config, library versions, wall time,
 stage seconds under "timings" (a sweep's spectra and unit series and its
 cells; evolve-near-solution's spectrum, series, forward and backward
 evolution, and the stage that runs both as evolve_s; classify-custom's
-evolution), each evolution's steps and seconds under "evolutions" (W+'s dt/2
-blowup refinement as "backward_refined"), a sweep's number of processes
-that ran its cells as "cell_processes", the sorted relative paths of every
-other file in the run directory under "outputs", and the pass/fail record of
-every embedded check.
+evolution), each evolution's steps, seconds and termination status (e.g.
+"scattering-detected" for a run stopped at its scattering decision) under
+"evolutions" (W+'s dt/2 blowup refinement as "backward_refined"), a sweep's
+number of processes that ran its cells as "cell_processes", the sorted
+relative paths of every other file in the run directory under "outputs", and
+the pass/fail record of every embedded check.
 Only the evolving scenarios (evolve-near-solution, classify-custom) read an
 evolver section; the others reject one.
 The spans an evolving scenario steps through (classify-custom's t_span,
@@ -27,8 +28,10 @@ Independent jobs run on evolver.forked_map: the caller and forked workers,
 each on a CPU of its own, at most as many as the process may run on.
 evolve-near-solution evolves its seed forward, with the fit worker, in the
 calling process and backward on a worker at the same time, so forward_s and
-backward_s overlap by forward_s + backward_s - evolve_s.  A sweep runs its
-cells on at most `workers` processes, and in the caller alone unless the
+backward_s overlap by forward_s + backward_s - evolve_s.  W-'s backward run
+stops at its scattering decision (evolver.evolve), W+'s at its blowup, so
+neither runs the whole backward_span.  A sweep runs its cells on at most
+`workers` processes, and in the caller alone unless the
 environment makes BLAS single-threaded (_blas_threads).  Where no worker may
 be forked, the jobs run one after the other in the caller; the outputs are
 the same bytes either way.  W+'s dt/2 refinement runs afterwards, and only
@@ -245,12 +248,14 @@ def _spectrum(grid):
 # manifest: "timings" in seconds and "evolutions", where it has them))
 
 def _evolve(u0, ecfg, bg):
-    """Evolve u0 on bg under the evolver settings ecfg: (trace, its steps and
-    seconds, stepper set-up and samples included, and for an evolution that
-    fits the modulation, the seconds its fits took as fit_seconds)."""
+    """Evolve u0 on bg under the evolver settings ecfg: (trace, its steps,
+    seconds, stepper set-up and samples included, and termination status,
+    and for an evolution that fits the modulation, the seconds its fits took
+    as fit_seconds)."""
     t0 = _time.perf_counter()
     trace = ev.evolve(u0, ev.EvolverConfig(**ecfg), bg)
-    record = {"steps": trace.steps, "seconds": _time.perf_counter() - t0}
+    record = {"steps": trace.steps, "seconds": _time.perf_counter() - t0,
+              "status": trace.termination["status"]}
     if trace.config.track_modulation:
         record["fit_seconds"] = trace.fit_seconds
     return trace, record

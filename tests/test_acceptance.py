@@ -7,6 +7,8 @@ that test reports the measured values and fails by design (see the README's
 "Known red").
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,17 @@ def test_criterion_8_w_minus_behavior(tmp_path):
     assert set(manifest["timings"]) == {"spectrum_s", "series_s", "forward_s",
                                         "backward_s", "evolve_s"}
     assert set(manifest["evolutions"]) == {"forward", "backward"}
+    # the backward run stops once its critical norm has settled, before the
+    # end of its span
+    backward = manifest["evolutions"]["backward"]
+    span_steps = round(manifest["config"]["backward_span"]
+                       / manifest["config"]["evolver"]["dt"])
+    assert backward["status"] == "scattering-detected"
+    assert backward["steps"] < span_steps
+    trace = dz.load_json(os.path.join(manifest["run_dir"], "trace_backward.json"))
+    assert trace["termination"]["status"] == "scattering-detected"
+    assert trace["termination"]["t_decision"] == pytest.approx(
+        manifest["config"]["seed_t0"] - backward["steps"] * manifest["config"]["evolver"]["dt"])
 
 
 def test_criterion_9_w_plus_behavior(tmp_path):

@@ -199,7 +199,7 @@ def test_rate_fit_recovers_random_rates(rate, logc):
 # trace-level diagnostics on synthetic traces
 
 def _trace(background, times, kinetic, energy=None, h1_dist=None,
-           status="completed", horizon=np.inf):
+           status="completed"):
     cfg = ev.EvolverConfig(dt=0.01, t_span=(times[0], times[-1]),
                            sample_every=0.5, track_modulation=True)
     tr = ev.EvolutionTrace(background, cfg)
@@ -212,7 +212,6 @@ def _trace(background, times, kinetic, energy=None, h1_dist=None,
     tr.theta = [0.0] * len(times)
     tr.mu = [1.0] * len(times)
     tr.termination = {"status": status}
-    tr.reflection = {"horizon_elapsed": horizon}
     return tr
 
 
@@ -245,7 +244,6 @@ def test_classify_converges_to_w(grid, background):
     kin_w = np.sqrt(dz.kinetic_sq(gs.sample_w(grid), grid))
     t = np.linspace(0, 30, 61)
     dist = 2.0 * np.exp(-0.14 * t)
-    # keep the proxy ratio away from the scattering threshold
     K = kin_w * np.ones_like(t)
     E = 0.2 * K ** 2
     tr = _trace(background, t, 0.99 * K, energy=E, h1_dist=dist)
@@ -254,32 +252,74 @@ def test_classify_converges_to_w(grid, background):
     assert rep.rate.rate == pytest.approx(0.14, rel=0.05)
 
 
-def test_classify_scattering_proxy(background):
-    t = np.linspace(0, 20, 41)
-    K = np.ones_like(t)
-    ratio = 0.6 * np.exp(-0.5 * t)  # crosses 0.05 around t ~ 5
-    E = 0.5 * K ** 2 * (1 - ratio)
-    tr = _trace(background, t, K, energy=E, horizon=50.0)
-    rep = dg.classify(tr)
+def _rule_times(trace):
+    """The sample times at which the evolver's scattering rule holds, the
+    reflection horizon aside, recomputed from the trace's s_crit column."""
+    t, s, S, out = trace.times, trace.s_crit, 0.0, []
+    for k in range(1, len(t)):
+        span = abs(t[k] - t[k - 1])
+        S += 0.5 * (s[k - 1] + s[k]) * span
+        if (0 < s[k] < s[k - 1] and s[k] * span / math.log(s[k - 1] / s[k])
+                < dg.THRESHOLDS["tail_fraction"] * S):
+            out.append(t[k])
+    return out
+
+
+def _evolve(u0, background, t1, dt=0.01):
+    cfg = ev.EvolverConfig(dt=dt, t_span=(0.0, t1), sample_every=0.5,
+                           track_modulation=False)
+    return ev.evolve(u0.astype(complex), cfg, background)
+
+
+def test_classify_scattering_detected(grid, background):
+    # the subcritical gaussian pulse of the field-file scenario test: its
+    # critical norm settles within a few time units, far inside the horizon
+    trace = _evolve(0.8 * np.exp(-grid.r ** 2 / 4), background, 15.0)
+    term = trace.termination
+    assert term["status"] == "scattering-detected"
+    assert term["t_decision"] == trace.times[-1] == _rule_times(trace)[0]
+    assert term["t_decision"] < trace.reflection["horizon_elapsed"]
+    assert trace.steps == round(term["t_decision"] / 0.01) < 1500
+    assert 0 < term["tail"] < dg.THRESHOLDS["tail_fraction"] * term["S"]
+    rep = dg.classify(trace)
     assert rep.regime == "scattering-proxy"
-    assert rep.details["proxy_reached_t"] < 6.0
+    assert rep.details["termination"] == term
+    assert rep.thresholds["tail_fraction"] == 0.01
 
 
-def test_classify_respects_reflection_horizon(background):
-    t = np.linspace(0, 20, 41)
-    K = np.ones_like(t)
-    ratio = 0.6 * np.exp(-0.5 * t)
-    E = 0.5 * K ** 2 * (1 - ratio)
-    tr = _trace(background, t, K, energy=E, horizon=2.0)
-    rep = dg.classify(tr)
+@pytest.mark.parametrize("mu", [1.0, 4.0])
+def test_stationary_w_never_fires_the_scattering_rule(grid, background, mu):
+    # s(t) of W_mu stays at mu^-2 (units of W's, up to the box): no floor on
+    # s is needed, the rule needs s to fall and S to settle
+    trace = _evolve(gs.w_family(0.0, mu, grid), background, 20.0)
+    assert trace.termination["status"] == "completed"
+    assert trace.steps == 2000
+    assert _rule_times(trace) == []
+    assert np.allclose(trace.s_crit, mu ** -2, rtol=0.02)
+    assert dg.classify(trace).regime == "undetermined"
+
+
+def test_scattering_past_the_horizon_is_undetermined():
+    # 0.999 W in a box of r_max = 20 disperses, but its critical norm settles
+    # only after the reflection horizon: the run completes its span
+    g = dz.build_grid(6, 20.0, 400)
+    bg = gs.Background(g)
+    trace = _evolve(0.999 * bg.W, bg, 120.0)
+    horizon = trace.reflection["horizon_elapsed"]
+    assert trace.termination["status"] == "completed"
+    assert trace.steps == 12000
+    assert trace.reflection["horizon_exceeded"] is True
+    late = _rule_times(trace)
+    assert late and min(late) > horizon
+    rep = dg.classify(trace)
     assert rep.regime == "undetermined"
-    assert rep.details.get("proxy_after_horizon") is True
+    assert "reflection_horizon" not in rep.details
 
 
 def test_classify_undetermined(background):
     t = np.linspace(0, 10, 21)
     K = np.ones_like(t)
-    E = 0.2 * K ** 2  # ratio fixed at 0.6, no distance data
+    E = 0.2 * K ** 2  # no distance data, no termination
     tr = _trace(background, t, K, energy=E)
     rep = dg.classify(tr)
     assert rep.regime == "undetermined"

@@ -435,9 +435,10 @@ def test_trace_save_round_trip(tmp_path, grid, background, u0):
     trace.save(csv, js)
     with open(csv) as f:
         header = f.readline().strip()
-    assert header == "t,E,kinetic,max_amp,h1_dist_to_modW,theta_fit,mu_fit"
+    assert header == "t,E,kinetic,max_amp,h1_dist_to_modW,theta_fit,mu_fit,s_crit"
     data = np.loadtxt(csv, delimiter=",", skiprows=1)
-    assert data.shape == (len(trace.times), 7)
+    assert data.shape == (len(trace.times), 8)
+    assert np.array_equal(data[:, 7], trace.s_crit)
     meta = dz.load_json(js)
     assert meta["termination"]["status"] == "completed"
     assert meta["config"]["dt"] == 0.01
@@ -445,3 +446,82 @@ def test_trace_save_round_trip(tmp_path, grid, background, u0):
     assert meta["modulation"]["nfev"] >= 3
     assert meta["modulation"]["edge_hits"] == 0
     assert meta["modulation"]["first_edge_t"] is None
+
+
+def test_scattering_stop_is_the_prefix_of_the_full_run(grid, lapl, background):
+    # the run stopped at the decision equals, bit for bit, the run whose span
+    # ends there, and its final state is that of repeated full steps: the
+    # stop leaves no half-rotation pending
+    u0 = (0.8 * np.exp(-grid.r ** 2 / 4)).astype(complex)
+
+    def config(t1):
+        return ev.EvolverConfig(dt=0.01, t_span=(0.0, t1), sample_every=0.25,
+                                track_modulation=True)
+    stopped = ev.evolve(u0, config(15.0), background)
+    assert stopped.termination["status"] == "scattering-detected"
+    prefix = ev.evolve(u0, config(stopped.termination["t_decision"]), background)
+    assert stopped.steps == prefix.steps < 1500
+    for name in ("times", "energy", "kinetic", "max_amp", "h1_dist", "theta",
+                 "mu", "s_crit"):
+        assert np.array_equal(getattr(stopped, name), getattr(prefix, name)), name
+    assert np.array_equal(stopped.final_state, prefix.final_state)
+    assert prefix.termination == stopped.termination
+    u = _stepwise(u0, grid, lapl, config(stopped.termination["t_decision"]))[0]
+    assert np.max(np.abs(stopped.final_state - u)) <= 1e-9 * np.max(np.abs(u))
+
+
+def _symmetry_data(grid):
+    """Real data that stop by each rule within 25 time units on (d, 20, 400):
+    a dispersing gaussian pulse, 0.9 W (runs its span) and 1.2 W (blows up)."""
+    W = gs.sample_w(grid)
+    return {"gaussian": 0.8 * np.exp(-grid.r ** 2 / 4), "0.9W": 0.9 * W,
+            "1.2W": 1.2 * W}
+
+
+def _run(u0, bg, t1, dt, every):
+    cfg = ev.EvolverConfig(dt=dt, t_span=(0.0, t1), sample_every=every,
+                           track_modulation=False)
+    return ev.evolve(u0.astype(complex), cfg, bg)
+
+
+@pytest.mark.parametrize("d", [6, 7, 8, 10])
+def test_backward_evolution_of_real_data_is_the_conjugate(d):
+    # u(-t) = conj u(t) for real data, bit for bit: the factorization, the
+    # scans and the rotation are conjugation-symmetric
+    g = dz.build_grid(d, 20.0, 400)
+    bg = gs.Background(g)
+    statuses = set()
+    for name, u0 in _symmetry_data(g).items():
+        fwd, bwd = (_run(u0, bg, t1, 0.01, 0.5) for t1 in (25.0, -25.0))
+        assert fwd.termination["status"] == bwd.termination["status"], name
+        assert fwd.steps == bwd.steps, name
+        assert np.array_equal(fwd.final_state, np.conj(bwd.final_state)), name
+        assert np.array_equal(fwd.times, -np.asarray(bwd.times)), name
+        for col in ("energy", "kinetic", "max_amp", "s_crit"):
+            assert np.array_equal(getattr(fwd, col), getattr(bwd, col)), (name, col)
+        statuses.add(fwd.termination["status"])
+    assert statuses == {"scattering-detected", "completed", "blowup-detected"}
+
+
+@pytest.mark.parametrize("d", [6, 8, 10])
+def test_scaled_evolution_is_the_scaled_state(d):
+    # 2^{(d-2)/2} u(2r) on half the box, with dt/4 over a quarter of the span,
+    # evolves into the scaled state bit for bit where the amplitude factor is
+    # a power of two.  Blowup is left out: its thresholds are multiples of the
+    # grid's own W, which does not scale with the data
+    lam = 2.0 ** ((d - 2) / 2)
+    big = dz.build_grid(d, 20.0, 400)
+    small = gs.Background(dz.build_grid(d, 10.0, 400))
+    statuses = set()
+    for name in ("gaussian", "0.9W"):
+        u0 = _symmetry_data(big)[name]
+        a = _run(u0, gs.Background(big), 25.0, 0.01, 0.5)
+        b = _run(lam * u0, small, 25.0 / 4, 0.01 / 4, 0.5 / 4)
+        assert a.termination["status"] == b.termination["status"], name
+        assert a.steps == b.steps, name
+        assert np.array_equal(lam * a.final_state, b.final_state), name
+        assert np.array_equal(np.asarray(a.times) / 4, b.times), name
+        assert np.array_equal(a.kinetic, b.kinetic), name
+        assert np.array_equal(lam * np.asarray(a.max_amp), b.max_amp), name
+        statuses.add(a.termination["status"])
+    assert statuses == {"scattering-detected", "completed"}

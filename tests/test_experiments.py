@@ -529,7 +529,8 @@ def test_classify_run_blowup(tmp_path):
     # the trace stops at the detected blowup, t_star / dt steps in
     trace = dz.load_json(os.path.join(manifest["run_dir"], "trace.json"))
     assert record["steps"] == round(trace["termination"]["t_star"] / 0.005) < 6000
-    assert set(record) == {"steps", "seconds"}
+    assert set(record) == {"steps", "seconds", "status"}
+    assert record["status"] == "blowup-detected"
     report = dz.load_json(os.path.join(manifest["run_dir"], "report.json"))
     assert report["regime"] == "blowup"
 
@@ -618,6 +619,10 @@ def test_classify_run_from_field_file(tmp_path):
                        "track_modulation": False}}
     manifest = ex.run(cfg, out_dir=str(tmp_path))
     assert manifest["checks"]["classified"]["value"] == "scattering-proxy"
+    # the evolution stops at the decision, and the manifest shows it
+    record = manifest["evolutions"]["evolve"]
+    assert record["status"] == "scattering-detected"
+    assert record["steps"] < 1500
 
 
 def test_sweep_run(tmp_path):
