@@ -15,7 +15,9 @@ the pivots unchanged, and their real parts stay >= 1/2.
 symmetrized Laplacian from a one-time eigendecomposition (no phase error on
 stiff modes), as the reference of step-doubling studies; its N x N float64
 eigenvectors, N = n + 1, take 288 MB at n = 6000 and are refused above
-EXACT_MAX_BYTES = 1 GiB, i.e. for n >= 11585.
+EXACT_MAX_BYTES = 1 GiB, i.e. for n >= 11585.  scipy.linalg's
+eigh_tridiagonal is imported on the first such eigendecomposition, so an
+evolution that steps by Cayley, as every scenario does, loads no scipy.
 
 N leaves |u| unchanged, so adjacent half-rotations compose into one:
 ``evolve`` carries the state v after each linear substep (true state
@@ -58,7 +60,11 @@ The workers have two clients:
   took 1.16-1.45 s with the worker against 1.03-1.32 s without).
 * ``forked_map`` runs independent jobs on the caller and up to P - 1
   workers: the experiments' forward and backward evolutions of
-  evolve-near-solution and the cells of a sweep.
+  evolve-near-solution and the cells of a sweep.  Both scenarios compute
+  their spectra in the caller before the fork, so the workers inherit
+  scipy.linalg, which the spectrum's factorization imports
+  (linearized_spectrum.factor_block); keep that order, since a worker that
+  is the first in its process to factor pays the whole ~0.26 s import.
 """
 
 import contextlib
@@ -71,7 +77,6 @@ from collections import deque
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import discretization as dz
 from . import diagnostics as dg
@@ -122,6 +127,7 @@ def _symmetric_eig(lapl):
     self-adjoint in the cell-volume inner product; cached on the operator."""
     if getattr(lapl, "_eig", None) is None:
         check_exact_size(lapl.grid.n)
+        from scipy.linalg import eigh_tridiagonal
         D = np.sqrt(lapl.grid.cellv)
         offdiag = lapl.up[:-1] * D[:-1] / D[1:]
         evals, evecs = eigh_tridiagonal(lapl.di, offdiag)

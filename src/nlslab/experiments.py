@@ -160,11 +160,54 @@ def normalize(cfg):
         # at n = 6001, above its 1e-6 check
         errors.append("grid.n: the ground-state scenario needs an even n, got %d"
                       % out["grid"]["n"])
-    if out.get("initial", {}).get("kind") == "field":
-        errors += _field_errors(out["initial"]["path"], dz.build_grid(**out["grid"]))
+    errors += _grid_errors(out)
+    if errors:
+        return out, errors
+    init = out.get("initial", {})
+    if init.get("kind") == "field":
+        errors += _field_errors(init["path"], dz.build_grid(**out["grid"]))
+    elif init.get("kind") == "scaled-w":
+        errors += _factor_errors(init["factor"], out["grid"]["d"])
     if "evolver" in out and not errors:
         errors += _whole_steps(out)
     return out, errors
+
+
+def _grid_errors(cfg):
+    """[an error for each grid of cfg whose DiscreteLaplacian overflows or
+    has non-finite bands] (r_max far from 1 against d and n: the face fluxes
+    and cell volumes go as r^(d-1) and r^d), under grid.r_max, naming the
+    paths that give the grid's d and n."""
+    grid = cfg["grid"]
+    if cfg["scenario"] == "sweep":
+        grids = [("ranges.d[%d]" % i, d, "ranges.n[%d]" % j, n)
+                 for i, d in enumerate(cfg["ranges"]["d"])
+                 for j, n in enumerate(cfg["ranges"]["n"])]
+    else:
+        grids = [("grid.d", grid["d"], "grid.n", grid["n"])]
+    errors = []
+    for d_path, d, n_path, n in grids:
+        try:
+            with np.errstate(all="ignore"):
+                lapl = dz.DiscreteLaplacian(dz.build_grid(d, grid["r_max"], n))
+            ok = all(np.all(np.isfinite(band)) for band in (lapl.lo, lapl.di, lapl.up))
+        except OverflowError:
+            ok = False
+        if not ok:
+            errors.append("grid.r_max: %r gives a Laplacian with non-finite bands at "
+                          "%s = %d, %s = %d" % (grid["r_max"], d_path, d, n_path, n))
+    return errors
+
+
+def _factor_errors(factor, d):
+    """[the error for a scaled-w factor whose (|factor| max W)^(2(d+2)/(d-2)),
+    the largest power a sample forms, is not finite (max W = W(0) = 1)], else []."""
+    try:
+        ok = math.isfinite(abs(factor) ** (2 * (d + 2) / (d - 2)))
+    except OverflowError:
+        ok = False
+    return [] if ok else ["initial.factor: %r overflows (|factor| max W)^%g, the largest "
+                          "power a sample forms at d = %d" % (factor, 2 * (d + 2) / (d - 2), d)]
 
 
 def _field_errors(path, grid):

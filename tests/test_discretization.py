@@ -281,9 +281,41 @@ def test_import_leaves_scipy_optimize_and_integrate_unloaded():
         "print(gs.potential_term(gs.sample_w(g), g) > 0)",
         "print('scipy.integrate' in sys.modules)",
     ])
+    assert _fresh_process(code) == ["[]", "True", "False", "True", "True"]
+
+
+def test_import_leaves_scipy_unloaded_until_a_factorization():
+    # a fresh process, since the evolver and spectrum tests import
+    # scipy.linalg themselves: the package and its CLI load no scipy module,
+    # an evolution-only scenario leaves scipy.linalg unloaded (the manifest
+    # imports only the top-level package for its version), and the banded
+    # block factorization of a spectrum and the exact substep load it
+    code = "\n".join([
+        "import sys, tempfile",
+        "import numpy as np",
+        "import nlslab, nlslab.cli",
+        "from nlslab import evolver as ev, experiments as ex, ground_state as gs",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "out = tempfile.mkdtemp()",
+        "grid = {'d': 6, 'r_max': 20.0, 'n': 400}",
+        "m = ex.run({'scenario': 'classify-custom', 'grid': grid,",
+        "            'initial': {'kind': 'scaled-w', 'factor': 1.02},",
+        "            'evolver': {'t_span': [0.0, 2.0], 'track_modulation': True}},",
+        "           out_dir=out)",
+        "print(m['evolutions']['evolve']['steps'], 'scipy.linalg' in sys.modules)",
+        "m = ex.run({'scenario': 'spectrum', 'grid': grid}, out_dir=out)",
+        "print(m['ok'], 'scipy.linalg' in sys.modules)",
+        "bg = gs.Background(nlslab.discretization.build_grid(**grid))",
+        "u = ev.make_stepper(bg.lapl, 0.01, 'exact')(1.02 * bg.W.astype(complex))",
+        "print(bool(np.all(np.isfinite(u))))",
+    ])
+    assert _fresh_process(code) == ["[]", "200", "False", "True", "True", "True"]
+
+
+def _fresh_process(code):
+    """The whitespace-split stdout of code run by a new interpreter on src."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
-    assert out == ["[]", "True", "False", "True", "True"]
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()

@@ -267,6 +267,19 @@ def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
         (dict(scaled, evolver={"t_span": [20.0]}), "evolver.t_span: expected"),
         ({"scenario": "build-series", "series": {"a": "one"}},
          "series.a: expected a finite number"),
+        # a Laplacian whose bands are not finite (0/0 face fluxes over cell
+        # volumes at r_max = 1e-300, an overflowing boundary flux at 1e300)
+        # and a factor whose |u|^4 overflows in the first sample
+        ({"scenario": "spectrum", "grid": dict(SMALL_GRID, r_max=1e-300)},
+         "grid.r_max: 1e-300 gives a Laplacian with non-finite bands at grid.d = 6, "
+         "grid.n = 800"),
+        (dict(scaled, grid=dict(SMALL_GRID, r_max=1e300)),
+         "grid.r_max: 1e+300 gives a Laplacian with non-finite bands at grid.d = 6"),
+        (dict(scaled, initial={"kind": "scaled-w", "factor": 1e200}),
+         "initial.factor: 1e+200 overflows (|factor| max W)^4"),
+        (dict(sweep, grid={"r_max": 1e-300}, ranges={"n": [400]}),
+         "grid.r_max: 1e-300 gives a Laplacian with non-finite bands at "
+         "ranges.d[0] = 6, ranges.n[0] = 400"),
         # the ground-state checks need the Richardson-refined kinetic norm
         ({"scenario": "ground-state", "grid": {"d": 7, "r_max": 60.0, "n": 801}},
          "grid.n: the ground-state scenario needs an even n, got 801"),
@@ -276,7 +289,9 @@ def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
         with pytest.raises(ex.ConfigError) as exc:
             ex.run(cfg, out_dir=str(out))
         assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith(msg), cfg
-    for command, (cfg, msg) in (("sweep", cases[0]), ("ground-state", cases[-1])):
+    cli_cases = (("sweep", cases[0]), ("spectrum", cases[-5]), ("classify", cases[-4]),
+                 ("classify", cases[-3]), ("ground-state", cases[-1]))
+    for command, (cfg, msg) in cli_cases:
         rc = cli.main([command, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
         assert rc == 2
         assert msg in capsys.readouterr().err
