@@ -53,9 +53,7 @@ def build_parser():
         if name == "sweep":
             p.add_argument("--workers", type=int, default=1,
                            help="number of processes for the sweep cells: at least 1, "
-                                "capped at the allowed CPUs; with a multi-threaded BLAS "
-                                "(set OPENBLAS_NUM_THREADS=1 to avoid one) the cells "
-                                "run serially")
+                                "capped at the allowed CPUs")
     return parser
 
 

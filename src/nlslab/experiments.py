@@ -31,11 +31,10 @@ calling process and backward on a worker at the same time, so forward_s and
 backward_s overlap by forward_s + backward_s - evolve_s.  W-'s backward run
 stops at its scattering decision (evolver.evolve), W+'s at its blowup, so
 neither runs the whole backward_span.  A sweep runs its cells on at most
-`workers` processes, and in the caller alone unless the
-environment makes BLAS single-threaded (_blas_threads).  Where no worker may
-be forked, the jobs run one after the other in the caller; the outputs are
-the same bytes either way.  W+'s dt/2 refinement runs afterwards, and only
-when the backward evolution reports a blowup.
+`workers` processes.  Where no worker may be forked, the jobs run one after
+the other in the caller; the outputs are the same bytes either way.  W+'s
+dt/2 refinement runs afterwards, and only when the backward evolution
+reports a blowup.
 """
 
 import copy
@@ -71,6 +70,8 @@ _READS = {scen: ("scenario", "schema_version") + paths for scen, paths in {
     "sweep": ("grid.r_max", "ranges.d", "ranges.n", "ranges.k", "ranges.a"),
 }.items()}
 SCENARIOS = tuple(_READS)
+# the scenarios whose pipeline computes a spectrum (ls.ground_mode)
+_SPECTRAL = ("spectrum", "build-series", "evolve-near-solution", "sweep")
 # path -> (check, default); a key without a default is required, a section's
 # default fills it when it is absent (so a given grid must be complete), and
 # initial.factor and initial.path are required by the initial.kind that reads
@@ -176,8 +177,10 @@ def normalize(cfg):
 def _grid_errors(cfg):
     """[an error for each grid of cfg whose DiscreteLaplacian overflows or
     has non-finite bands] (r_max far from 1 against d and n: the face fluxes
-    and cell volumes go as r^(d-1) and r^d), under grid.r_max, naming the
-    paths that give the grid's d and n."""
+    and cell volumes go as r^(d-1) and r^d), and for a scenario that computes
+    a spectrum, [an error for each grid whose coarse shift fails] (no unstable
+    mode on the coarse grid), under grid.r_max, naming the paths that give
+    the grid's d and n.  The shift is memoized, so the pipeline reuses it."""
     grid = cfg["grid"]
     if cfg["scenario"] == "sweep":
         grids = [("ranges.d[%d]" % i, d, "ranges.n[%d]" % j, n)
@@ -187,6 +190,7 @@ def _grid_errors(cfg):
         grids = [("grid.d", grid["d"], "grid.n", grid["n"])]
     errors = []
     for d_path, d, n_path, n in grids:
+        where = "%s = %d, %s = %d" % (d_path, d, n_path, n)
         try:
             with np.errstate(all="ignore"):
                 lapl = dz.DiscreteLaplacian(dz.build_grid(d, grid["r_max"], n))
@@ -194,8 +198,15 @@ def _grid_errors(cfg):
         except OverflowError:
             ok = False
         if not ok:
-            errors.append("grid.r_max: %r gives a Laplacian with non-finite bands at "
-                          "%s = %d, %s = %d" % (grid["r_max"], d_path, d, n_path, n))
+            errors.append("grid.r_max: %r gives a Laplacian with non-finite bands at %s"
+                          % (grid["r_max"], where))
+        elif cfg["scenario"] in _SPECTRAL:
+            try:
+                with np.errstate(all="ignore"):
+                    ls._coarse_shift(d, grid["r_max"], min(ls.N_COARSE, n))
+            except (RuntimeError, np.linalg.LinAlgError) as exc:
+                errors.append("grid.r_max: %r gives no coarse-grid shift at %s: %s"
+                              % (grid["r_max"], where, exc))
     return errors
 
 
@@ -313,24 +324,6 @@ def _evolve_step(u0, ecfg, bg, path):
     return trace.termination, dg.classify(trace), record
 
 
-# the variables OpenBLAS takes its thread count from, in the order it reads them
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _blas_threads():
-    """The BLAS thread count this process's environment asks for: the first
-    of _BLAS_VARS set to a positive integer, else one per allowed CPU, as
-    OpenBLAS reads them."""
-    for var in _BLAS_VARS:
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:  # unset, or not a number: OpenBLAS reads 0
-            continue
-        if threads > 0:
-            return threads
-    return ev._cpus()
-
-
 def _run_ground_state(cfg, rundir):
     grid = dz.build_grid(**cfg["grid"])
     W = gs.sample_w(grid)
@@ -394,6 +387,11 @@ def _run_wpm(cfg, rundir):
     t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / cfg["departure_floor"])
     # on the step grid, so the trace ends at the reported horizon
     t_fwd = round(t_fwd / ecfg["dt"]) * ecfg["dt"]
+    if t_fwd <= 0:  # a floor at or above d0 would run the "forward" trace backward
+        raise RuntimeError(
+            "departure_floor = %r leaves no forward step: the horizon 0.75/(2 e0) "
+            "ln(d0/departure_floor) rounds to %g for the seed's H^1 distance from W, "
+            "d0 = %.6g" % (cfg["departure_floor"], t_fwd, d0))
 
     fwd = dict(ecfg, t_span=(seed_t0, seed_t0 + t_fwd), track_modulation=True)
     bwd = dict(ecfg, t_span=(seed_t0, seed_t0 - cfg["backward_span"]), track_modulation=False)
@@ -491,12 +489,9 @@ def _run_sweep(cfg, rundir, workers=1):
                 "t_k": report.t_k, "rate": report.rate,
                 "rate_target": (k + 1) * unit.e0}
 
-    # forked cells only with single-threaded BLAS: with OpenBLAS's default of
-    # one thread per CPU in each process, the bench sweep's 32 cells took
-    # 1.3-8.0 s on two processes against 0.8-0.9 s serially (2 vCPU)
     t1 = _time.perf_counter()
     cells = [(d, n, k, a) for d, n in units for k in ks for a in aa]
-    procs = ev._processes(workers if _blas_threads() == 1 else 1, len(cells))
+    procs = ev._processes(workers, len(cells))
     rows = {}
     for c, res in zip(cells, ev.forked_map(cell, cells, procs)):
         if isinstance(res, str):
@@ -537,13 +532,13 @@ def run(cfg, out_dir=".", workers=1, check=False):
     """
     if not (isinstance(workers, int) and workers >= 1):
         raise ValueError("workers: expected an integer >= 1, got %r" % (workers,))
+    t0 = _time.time()  # normalize runs a spectrum's coarse shift (_grid_errors)
     cfg, errors = normalize(cfg)
     if errors:
         raise ConfigError(errors)
     scen = cfg["scenario"]
     rundir = os.path.join(out_dir, "%s-%s" % (scen, _digest(cfg)))
     os.makedirs(rundir, exist_ok=True)
-    t0 = _time.time()
     if scen == "sweep":
         checks, entries = _run_sweep(cfg, rundir, workers=workers)
     else:

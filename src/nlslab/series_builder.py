@@ -254,7 +254,9 @@ def _residual_norms(near, ts, sup_weight, lap_w):
         eps += lap_w
         eps += np.abs(u) ** (pc - 1) * u
         mag = np.abs(eps)
-        l2s[lo:lo + rows] = np.sqrt(mag[:, :-1] ** 2 @ w)
+        # numpy's pairwise row sum, as dz.l2_norm takes it: a BLAS GEMV's
+        # order, and so its last digit, depends on the thread count
+        l2s[lo:lo + rows] = np.sqrt(np.sum(w * mag[:, :-1] ** 2, axis=1))
         sups[lo:lo + rows] = (mag * jw).max(axis=1)
     # max propagates nan and inf, so a non-finite entry of eps shows in sups
     if not np.all(np.isfinite(sups)):

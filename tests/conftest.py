@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from nlslab import discretization as dz
+from nlslab import evolver as ev
 from nlslab import ground_state as gs
 from nlslab import linearized_spectrum as ls
 
@@ -40,6 +41,16 @@ def pair(background):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Allow the process two CPUs, so that the evolver forks its fit worker
+    and forked_map one worker beside the caller, whatever the CPU count;
+    skipped where no worker can be forked."""
+    monkeypatch.setattr(ev, "_cpus", lambda: 2)
+    if ev._fork_context() is None:
+        pytest.skip("no fork start method")
 
 
 @pytest.fixture(autouse=True)

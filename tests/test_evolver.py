@@ -294,13 +294,7 @@ def test_trace_counts_fits_on_the_bracket_edge(grid, background):
     assert 2.0 < mod["first_edge_t"] < trace.termination["t_star"]
 
 
-@pytest.fixture()
-def fit_worker(monkeypatch):
-    """Run the modulation fits on the forked worker, whatever the CPU count."""
-    monkeypatch.setattr(ev, "_cpus", lambda: 2)
-
-
-def test_fit_worker_is_joined_after_a_nan(background, u0, fit_worker, monkeypatch):
+def test_fit_worker_is_joined_after_a_nan(background, u0, two_cpus, monkeypatch):
     make = ev.make_stepper
 
     def poisoned(lapl, dt, linear_step):
@@ -323,7 +317,7 @@ def test_fit_worker_is_joined_after_a_nan(background, u0, fit_worker, monkeypatc
     assert np.all(np.isfinite(trace.h1_dist))
 
 
-def test_fit_worker_error_is_raised_by_evolve(background, u0, fit_worker, monkeypatch):
+def test_fit_worker_error_is_raised_by_evolve(background, u0, two_cpus, monkeypatch):
     # the k-th fit raises in the worker, with fits after it in flight
     fit, calls = dg.fit_modulation, []
 
@@ -340,7 +334,7 @@ def test_fit_worker_error_is_raised_by_evolve(background, u0, fit_worker, monkey
     assert type(exc.value) is RuntimeError and str(exc.value) == "fit 11 failed"
 
 
-def test_fit_worker_exit_is_an_error(background, u0, fit_worker, monkeypatch):
+def test_fit_worker_exit_is_an_error(background, u0, two_cpus, monkeypatch):
     monkeypatch.setattr(dg, "fit_modulation", lambda u, grid: os._exit(3))
     cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.0), sample_every=0.05,
                            track_modulation=True)
@@ -354,7 +348,7 @@ def _fits_in_a_daemon(conn, u0, background):
     conn.send(ev.evolve(u0, cfg, background).modulation["fits"])
 
 
-def test_daemonic_process_fits_in_process(background, u0, fit_worker):
+def test_daemonic_process_fits_in_process(background, u0, two_cpus):
     # a multiprocessing.Pool worker is daemonic and may not start a child
     ctx = multiprocessing.get_context("fork")
     parent_end, child_end = ctx.Pipe()
@@ -370,14 +364,7 @@ def test_daemonic_process_fits_in_process(background, u0, fit_worker):
     assert not proc.is_alive() and proc.exitcode == 0
 
 
-@pytest.fixture()
-def two_processes(fit_worker):
-    """Run forked_map on the caller and one forked worker."""
-    if ev._fork_context() is None:
-        pytest.skip("no fork start method")
-
-
-def test_forked_map_jobs_need_not_be_picklable(two_processes):
+def test_forked_map_jobs_need_not_be_picklable(two_cpus):
     # only job indices cross the pipe, so a job may be any value fn reads
     jobs = [lambda k=k: (k, os.getpid()) for k in range(5)]
     with pytest.raises(Exception):
@@ -389,7 +376,7 @@ def test_forked_map_jobs_need_not_be_picklable(two_processes):
     assert len(set(pids[1::2])) == 1 and pids[1] != os.getpid()
 
 
-def test_forked_map_error_in_the_caller_does_not_wait_for_the_worker(two_processes):
+def test_forked_map_error_in_the_caller_does_not_wait_for_the_worker(two_cpus):
     # the caller's job 0 raises while the worker is still in job 1; the
     # worker is terminated at once, not joined for up to JOIN_S
     def job(k):

@@ -192,9 +192,10 @@ def test_build_series_finds_t_k_once(tmp_path, monkeypatch):
 
 
 def test_one_sample_w_per_grid(tmp_path, monkeypatch):
-    # W is sampled once per grid a run builds: build-series samples its grid
-    # and the coarse grid of the spectrum's shift sweep, classify-custom its
-    # grid, and every later layer reads W off that background
+    # W is sampled once per grid a run builds: build-series samples the
+    # coarse grid of the spectrum's shift sweep (checked by normalize) and its
+    # grid, classify-custom its grid, and every later layer reads W off that
+    # background
     grids = []
     sample_w = gs.sample_w
 
@@ -206,7 +207,7 @@ def test_one_sample_w_per_grid(tmp_path, monkeypatch):
     ls._coarse_shift.cache_clear()  # an earlier test may have swept this coarse grid
     ex.run({"scenario": "build-series", "grid": dict(SMALL_GRID)},
            out_dir=str(tmp_path))
-    assert grids == [dz.build_grid(**SMALL_GRID), dz.build_grid(6, 40.0, 400)]
+    assert grids == [dz.build_grid(6, 40.0, 400), dz.build_grid(**SMALL_GRID)]
     del grids[:]
     ex.run({"scenario": "classify-custom", "grid": dict(SMALL_GRID),
             "initial": {"kind": "scaled-w", "factor": 1.8},
@@ -280,6 +281,14 @@ def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
         (dict(sweep, grid={"r_max": 1e-300}, ranges={"n": [400]}),
          "grid.r_max: 1e-300 gives a Laplacian with non-finite bands at "
          "ranges.d[0] = 6, ranges.n[0] = 400"),
+        # finite bands, but no unstable mode for the spectrum's coarse shift
+        ({"scenario": "spectrum", "grid": {"d": 6, "r_max": 1e-40, "n": 400}},
+         "grid.r_max: 1e-40 gives no coarse-grid shift at grid.d = 6, grid.n = 400: "
+         "no negative eigenvalue"),
+        ({"scenario": "spectrum", "grid": {"d": 6, "r_max": 1e40, "n": 400}},
+         "grid.r_max: 1e+40 gives no coarse-grid shift at grid.d = 6, grid.n = 400"),
+        (dict(sweep, grid={"r_max": 1e40}, ranges={"n": [400]}),
+         "grid.r_max: 1e+40 gives no coarse-grid shift at ranges.d[0] = 6, ranges.n[0] = 400"),
         # the ground-state checks need the Richardson-refined kinetic norm
         ({"scenario": "ground-state", "grid": {"d": 7, "r_max": 60.0, "n": 801}},
          "grid.n: the ground-state scenario needs an even n, got 801"),
@@ -289,8 +298,9 @@ def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
         with pytest.raises(ex.ConfigError) as exc:
             ex.run(cfg, out_dir=str(out))
         assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith(msg), cfg
-    cli_cases = (("sweep", cases[0]), ("spectrum", cases[-5]), ("classify", cases[-4]),
-                 ("classify", cases[-3]), ("ground-state", cases[-1]))
+    cli_cases = (("sweep", cases[0]), ("spectrum", cases[-8]), ("classify", cases[-7]),
+                 ("classify", cases[-6]), ("spectrum", cases[-4]), ("spectrum", cases[-3]),
+                 ("ground-state", cases[-1]))
     for command, (cfg, msg) in cli_cases:
         rc = cli.main([command, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
         assert rc == 2
@@ -469,8 +479,9 @@ def test_outputs_are_byte_reproducible_across_roots(tmp_path):
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the coarse shift's dense eigvals differ in the 12th digit between 1 and
     # 2 BLAS threads; ground_mode rounds it, and takes its norms and Rayleigh
-    # quotient by numpy sums (BLAS reductions differ at n = 12000), so the
-    # eigenpair and a k = 4 series come out bit-identical
+    # quotient by numpy sums, as residual_rate takes its L^2 norms (BLAS
+    # reductions differ at n = 12000), so the eigenpair, a k = 4 series and
+    # its residual report come out bit-identical
     cfgs = {}
     for n in (6000, 12000):
         grid = {"d": 6, "r_max": 60.0, "n": n}
@@ -488,11 +499,12 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             subprocess.run([sys.executable, "-m", "nlslab.cli", command, "--config",
                             str(path), "--out", str(root)], env=env, check=True,
                            capture_output=True, timeout=300)
+        # every output but each run's own manifest, which carries timings
         outputs.append({name: data for name, data in _output_bytes(str(root)).items()
-                        if os.path.basename(name) != "manifest.json"})
+                        if name.split("/", 1)[1] != "manifest.json"})
     names = sorted(name.split("/", 1)[1] for name in outputs[0])
-    assert names == sorted(2 * (["eigenpair.csv", "eigenpair.json"] + [
-        "near_solution/profile_%d.csv" % j for j in range(1, 5)])), names
+    assert names == sorted(2 * (["eigenpair.csv", "eigenpair.json", "near_solution/manifest.json"]
+                                + ["near_solution/profile_%d.csv" % j for j in range(1, 5)])), names
     assert outputs[0] == outputs[1]
 
 
@@ -509,6 +521,16 @@ def test_forward_horizon_is_on_the_step_grid(tmp_path):
     # only the forward evolution fits the modulation, and records the fit time
     assert 0 < manifest["evolutions"]["forward"]["fit_seconds"]
     assert "fit_seconds" not in manifest["evolutions"]["backward"]
+
+
+def test_departure_floor_above_the_seed_distance_fails_before_evolving(tmp_path, monkeypatch):
+    # a floor at or above d0 gives a forward horizon <= 0, which would step
+    # the "forward" trace backward
+    monkeypatch.setattr(ev, "evolve", lambda *args: pytest.fail("evolve called"))
+    cfg = dict(WPM_SMALL, departure_floor=100)
+    with pytest.raises(RuntimeError, match=r"departure_floor = 100 leaves no forward step: "
+                                           r".* rounds to -\d.*, d0 = \d"):
+        ex.run(cfg, out_dir=str(tmp_path))
 
 
 def test_spectrum_run(tmp_path):
@@ -594,11 +616,8 @@ def test_backward_child_writes_the_outputs_of_the_serial_run(tmp_path, monkeypat
 
 
 def _on_the_backward_child(monkeypatch, backward):
-    """Evolve backward on a forked child, which calls backward(config)
-    before each backward evolution; forward evolutions run as before."""
-    monkeypatch.setattr(ev, "_cpus", lambda: 2)
-    if ev._fork_context() is None:
-        pytest.skip("no fork start method")
+    """Call backward(config) before each backward evolution, which runs on a
+    forked child under the two_cpus fixture; forward evolutions run as before."""
     evolve = ev.evolve
 
     def patched(u0, config, bg):
@@ -608,7 +627,7 @@ def _on_the_backward_child(monkeypatch, backward):
     monkeypatch.setattr(ev, "evolve", patched)
 
 
-def test_backward_child_error_is_raised_by_the_parent(tmp_path, monkeypatch):
+def test_backward_child_error_is_raised_by_the_parent(tmp_path, monkeypatch, two_cpus):
     def backward(config):
         raise ValueError("backward dt %r failed" % config.dt)
     _on_the_backward_child(monkeypatch, backward)
@@ -617,7 +636,7 @@ def test_backward_child_error_is_raised_by_the_parent(tmp_path, monkeypatch):
     assert type(exc.value) is ValueError and str(exc.value) == "backward dt 0.01 failed"
 
 
-def test_backward_child_exit_is_an_error(tmp_path, monkeypatch):
+def test_backward_child_exit_is_an_error(tmp_path, monkeypatch, two_cpus):
     _on_the_backward_child(monkeypatch, lambda config: os._exit(3))
     with pytest.raises(RuntimeError, match=r"trace_backward exited \(code 3\)"):
         ex.run(dict(WPM_SMALL, sign=-1), out_dir=str(tmp_path))
@@ -731,18 +750,6 @@ SWEEP_SMALL = {"ranges": {"d": [6], "n": [800], "k": [1, 2, 3], "a": [1.0, -1.0]
                "grid": {"r_max": 40.0}}
 
 
-def _two_cpus_with_blas_threads(monkeypatch, threads):
-    """Allow two CPUs and set OPENBLAS_NUM_THREADS to threads, leaving the
-    other BLAS thread variables unset (threads None: all unset)."""
-    monkeypatch.setattr(ev, "_cpus", lambda: 2)
-    for var in ex._BLAS_VARS:
-        monkeypatch.delenv(var, raising=False)
-    if threads is not None:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-        if ev._fork_context() is None:
-            pytest.skip("no fork start method")
-
-
 def _record_cell_pids(monkeypatch, path):
     """Append the pid of the process that runs each cell's residual_rate to path."""
     rate = sb.residual_rate
@@ -754,22 +761,9 @@ def _record_cell_pids(monkeypatch, path):
     monkeypatch.setattr(sb, "residual_rate", recorded)
 
 
-@pytest.mark.parametrize("env, threads", [
-    ({}, 2), ({"OMP_NUM_THREADS": "1"}, 1), ({"GOTO_NUM_THREADS": "3"}, 3),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1)])
-def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch, env, threads):
-    # the first variable set to a positive integer, else one per CPU
-    _two_cpus_with_blas_threads(monkeypatch, None)
-    for var, val in env.items():
-        monkeypatch.setenv(var, val)
-    assert ex._blas_threads() == threads
-
-
-def test_sweep_cells_run_on_two_processes(tmp_path, monkeypatch):
-    # two CPUs and single-threaded BLAS: the caller and one forked child run
-    # the cells, and the aggregate is the serial run's
-    _two_cpus_with_blas_threads(monkeypatch, "1")
+def test_sweep_cells_run_on_two_processes(tmp_path, monkeypatch, two_cpus):
+    # the caller and one forked child run the cells, and the aggregate is the
+    # serial run's
     pids = tmp_path / "pids"
     _record_cell_pids(monkeypatch, pids)
     texts = []
@@ -786,18 +780,24 @@ def test_sweep_cells_run_on_two_processes(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [None, "2"])
-def test_sweep_cells_stay_in_the_caller_with_multithreaded_blas(tmp_path, monkeypatch, threads):
-    _two_cpus_with_blas_threads(monkeypatch, threads)
-    pids = tmp_path / "pids"
-    _record_cell_pids(monkeypatch, pids)
-    manifest = ex.sweep(SWEEP_SMALL, out_dir=str(tmp_path), workers=2)
-    assert manifest["ok"] and manifest["cell_processes"] == 1
-    assert pids.read_text().split() == 6 * [str(os.getpid())]
+def test_sweep_cells_fork_whatever_the_blas_variables_say(tmp_path, monkeypatch, two_cpus,
+                                                          threads):
+    # a cell makes no threaded BLAS call, so a multi-threaded BLAS (OpenBLAS's
+    # default when the variable is unset) does not keep the cells serial
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    texts = []
+    for workers in (2, 1):
+        manifest = ex.sweep(SWEEP_SMALL, out_dir=str(tmp_path / str(workers)), workers=workers)
+        assert manifest["ok"] and manifest["cell_processes"] == workers
+        with open(os.path.join(manifest["run_dir"], "aggregate.csv"), "rb") as f:
+            texts.append(f.read())
+    assert texts[0] == texts[1]
 
 
-def test_sweep_cell_error_on_a_child_is_recorded_as_serially(tmp_path, monkeypatch):
+def test_sweep_cell_error_on_a_child_is_recorded_as_serially(tmp_path, monkeypatch, two_cpus):
     # the k = 2 cells are the third and fourth: one in the caller, one on the child
-    _two_cpus_with_blas_threads(monkeypatch, "1")
     rate = sb.residual_rate
 
     def failing(near):
@@ -817,9 +817,8 @@ def test_sweep_cell_error_on_a_child_is_recorded_as_serially(tmp_path, monkeypat
         str((6, 800, 2, a)): "ValueError: no rate for k = 2, a = %g" % a for a in (1.0, -1.0)}
 
 
-def test_sweep_cell_exit_is_an_error(tmp_path, monkeypatch):
+def test_sweep_cell_exit_is_an_error(tmp_path, monkeypatch, two_cpus):
     # the child's first cell is the second, (6, 800, 1, -1.0)
-    _two_cpus_with_blas_threads(monkeypatch, "1")
     caller, rate = os.getpid(), sb.residual_rate
     monkeypatch.setattr(sb, "residual_rate",
                         lambda near: rate(near) if os.getpid() == caller else os._exit(3))
