@@ -39,16 +39,19 @@ time, not its span.
 ``evolve`` runs on the ground_state.Background the spectrum and the series
 were built on, and the trace carries it to the classifier.
 
-Independent work runs on forked workers (``_Worker``): a daemonic child
-runs fn(i) for each job index i the caller submits and sends back the
-result or the exception, re-raised by the caller in submit order.  fn and
-what it reads are inherited through the fork; only indices and results
-cross the pipe.  The caller moves to the first CPU it may run on and worker
-p to the p-th (``_move_to_cpu``).  Workers are forked only where
+Independent work runs on forked workers (``_Worker``): a daemonic child runs
+fn(i) for each job index i the caller submits and sends back the result or
+the exception, re-raised by the caller in submit order.  fn and what it
+reads are inherited through the fork; only indices and results cross the
+pipe.  The caller moves to the first CPU it may run on and each worker to
+the p-th, p = 1 + its parent's live workers, modulo their number
+(``_move_to_cpu``): a sweep's workers take CPUs 1..P-1, classify's fit
+worker CPU 1, and wpm's forward fit worker CPU 2 (the caller's on two), not
+the critical backward worker's.  Workers are forked only where
 ``_fork_context`` allows; elsewhere the work runs in the caller, and the
 outputs are the same bytes either way.  Python >= 3.12 warns when a process
-with more than one thread forks, and a multi-threaded BLAS makes it one;
-the fork is made from the calling thread, and a worker runs only numpy code.
+with more than one thread forks, and a multi-threaded BLAS makes it one; the
+fork is made from the calling thread, and a worker runs only numpy code.
 The workers have two clients:
 
 * ``evolve`` runs the samples' modulation fits (diagnostics.fit_modulation)
@@ -59,9 +62,9 @@ The workers have two clients:
   own to overlap on (pinned to one CPU, the benchmark's classify-dense run
   took 1.16-1.45 s with the worker against 1.03-1.32 s without).
 * ``forked_map`` runs independent jobs on the caller and up to P - 1
-  workers: the experiments' forward and backward evolutions of
-  evolve-near-solution and the cells of a sweep.  Both scenarios compute
-  their spectra in the caller before the fork, so the workers inherit
+  workers: evolve-near-solution's backward evolution beside its bundle and
+  forward evolution, and a sweep's cells.  Both scenarios compute their
+  spectra in the caller before the fork, so the workers inherit
   scipy.linalg, which the spectrum's factorization imports
   (linearized_spectrum.factor_block); keep that order, since a worker that
   is the first in its process to factor pays the whole ~0.26 s import.
@@ -407,19 +410,20 @@ def _work(conn, parent_end, fn, p):
 
 
 class _Worker:
-    """A forked worker (see the module docstring), forked from ctx, on the
-    p-th allowed CPU.  ``submit(i)`` sends job index i; ``result`` returns
+    """A forked worker (see the module docstring), forked from ctx, on CPU
+    ``cpu``.  ``submit(i)`` sends job index i; ``result`` returns
     (i, fn(i)) for the oldest index in flight (``pending``) or re-raises
     the exception fn raised.  A worker that exits without a result is a
     RuntimeError "<name(i)> exited (code N)".  As a context manager it joins
     the worker after a clean exit and terminates it at once after an error,
     which then does not wait out the worker's job."""
 
-    def __init__(self, ctx, fn, p, name):
+    def __init__(self, ctx, fn, name):
         self.name, self.pending = name, deque()
+        self.cpu = 1 + len(ctx.active_children())
         self.conn, child_end = ctx.Pipe()
         self.proc = ctx.Process(target=_work, daemon=True,
-                                args=(child_end, self.conn, fn, p))
+                                args=(child_end, self.conn, fn, self.cpu))
         self.proc.start()
         child_end.close()
 
@@ -468,7 +472,7 @@ def _processes(procs, njobs):
 def forked_map(fn, jobs, procs):
     """[fn(job) for job in jobs] on P = _processes(procs, len(jobs))
     processes: the caller, on its first allowed CPU, runs jobs 0, P, 2P, ...
-    and a ``_Worker`` on CPU p runs jobs p, p + P, ...  A job is any value
+    and the p-th ``_Worker`` runs jobs p, p + P, ...  A job is any value
     fn reads, as only its index is sent.  The workers are forked before the
     caller starts its jobs, so none inherits a pipe the caller then opens
     (such as its fit worker's).  A worker that exits without a result is a
@@ -485,7 +489,7 @@ def forked_map(fn, jobs, procs):
     with contextlib.ExitStack() as stack:
         workers = []
         for p in range(1, count):
-            worker = stack.enter_context(_Worker(ctx, lambda i: fn(jobs[i]), p,
+            worker = stack.enter_context(_Worker(ctx, lambda i: fn(jobs[i]),
                                                  lambda i: "job %s" % (jobs[i],)))
             for i in range(p, len(jobs), count):
                 worker.submit(i)
@@ -504,11 +508,10 @@ class _Fits:
 
     Given a multiprocessing context ctx, ``submit`` copies sample k's state
     into slot k mod RING of an anonymous shared mmap and submits k to a
-    ``_Worker`` on the second allowed CPU, which fits that slot while the
-    caller steps on; the caller moves to the first allowed CPU and waits
-    only when RING fits are in flight.  With ctx None each fit runs in the
-    caller on submit, and ``worker`` is None.  ``drain`` waits for every fit
-    in flight.
+    ``_Worker``, which fits that slot while the caller steps on; the caller
+    moves to the first allowed CPU and waits only when RING fits are in
+    flight.  With ctx None each fit runs in the caller on submit, and
+    ``worker`` is None.  ``drain`` waits for every fit in flight.
     """
 
     def __init__(self, grid, record, ctx):
@@ -516,7 +519,7 @@ class _Fits:
         if ctx is not None:
             buf = mmap.mmap(-1, RING * grid.nnodes * np.dtype(complex).itemsize)
             self.ring = ring = np.frombuffer(buf, complex).reshape(RING, grid.nnodes)
-            self.worker = _Worker(ctx, lambda k: _fit(ring[k % RING], grid), 1,
+            self.worker = _Worker(ctx, lambda k: _fit(ring[k % RING], grid),
                                   lambda k: "the modulation fit worker")
             _move_to_cpu(0)
 
@@ -657,8 +660,8 @@ def evolve(u0, config, bg):
             trace.steps = i + 1
             m2 = _abs2(v)
             t = t0 + (i + 1) * dt
-            mx = np.sqrt(np.max(m2))
-            if not np.isfinite(mx):
+            mx = math.sqrt(m2.max())
+            if not math.isfinite(mx):
                 trace.termination = {"status": "nan", "t_star": t,
                                      "bracket": [t - dt, t]}
                 break

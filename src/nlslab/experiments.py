@@ -8,14 +8,14 @@ hash of the filled-in config (an implicit default and the same default
 written out share a directory), containing the declared outputs plus a
 manifest.json echoing the filled-in config, library versions, wall time,
 stage seconds under "timings" (a sweep's spectra and unit series and its
-cells; evolve-near-solution's spectrum, series, forward and backward
-evolution, and the stage that runs both as evolve_s; classify-custom's
-evolution), each evolution's steps, seconds and termination status (e.g.
-"scattering-detected" for a run stopped at its scattering decision) under
-"evolutions" (W+'s dt/2 blowup refinement as "backward_refined"), a sweep's
-number of processes that ran its cells as "cell_processes", the sorted
-relative paths of every other file in the run directory under "outputs", and
-the pass/fail record of every embedded check.
+cells; evolve-near-solution's spectrum, series, bundle writes, forward and
+backward evolution, and the stage that runs the last three as evolve_s;
+classify-custom's evolution), each evolution's steps, seconds and
+termination status (e.g. "scattering-detected" for a run stopped at its
+scattering decision) under "evolutions" (W+'s dt/2 blowup refinement as
+"backward_refined"), a sweep's number of processes that ran its cells as
+"cell_processes", the sorted relative paths of every other file in the run
+directory under "outputs", and the pass/fail record of every embedded check.
 Only the evolving scenarios (evolve-near-solution, classify-custom) read an
 evolver section; the others reject one.
 The spans an evolving scenario steps through (classify-custom's t_span,
@@ -26,15 +26,17 @@ background per grid and passes it through series, evolution and classification.
 
 Independent jobs run on evolver.forked_map: the caller and forked workers,
 each on a CPU of its own, at most as many as the process may run on.
-evolve-near-solution evolves its seed forward, with the fit worker, in the
-calling process and backward on a worker at the same time, so forward_s and
-backward_s overlap by forward_s + backward_s - evolve_s.  W-'s backward run
-stops at its scattering decision (evolver.evolve), W+'s at its blowup, so
-neither runs the whole backward_span.  A sweep runs its cells on at most
-`workers` processes.  Where no worker may be forked, the jobs run one after
-the other in the caller; the outputs are the same bytes either way.  W+'s
-dt/2 refinement runs afterwards, and only when the backward evolution
-reports a blowup.
+evolve-near-solution forks its backward evolution onto a worker as soon as
+the seed exists; meanwhile the caller writes the eigenpair and near-solution
+bundle (save_s) and evolves the seed forward with its fit worker.  evolve_s
+times that whole stage, so the backward run overlaps the caller's work by
+save_s + forward_s + backward_s - evolve_s.  W-'s backward run stops at
+its scattering decision (evolver.evolve), W+'s at its blowup, so neither
+runs the whole backward_span.  A sweep runs its cells on at most `workers`
+processes.  Where no worker may be forked, the jobs run one after the other
+in the caller; the outputs are the same bytes either way.  W+'s dt/2
+refinement runs afterwards, and only when the backward evolution reports a
+blowup.
 """
 
 import copy
@@ -373,10 +375,8 @@ def _run_wpm(cfg, rundir):
 
     t0 = _time.perf_counter()
     bg, pair = _spectrum(grid)
-    ls.save_eigenpair(os.path.join(rundir, "eigenpair"), pair, grid)
     t1 = _time.perf_counter()
     near = sb.build_near_solution(cfg["series"]["k"], float(sign), pair, bg)
-    sb.save_near_solution(os.path.join(rundir, "near_solution"), near)
     u0 = sb.assemble(near, seed_t0)
     timings = {"spectrum_s": t1 - t0, "series_s": _time.perf_counter() - t1}
 
@@ -395,11 +395,21 @@ def _run_wpm(cfg, rundir):
 
     fwd = dict(ecfg, t_span=(seed_t0, seed_t0 + t_fwd), track_modulation=True)
     bwd = dict(ecfg, t_span=(seed_t0, seed_t0 - cfg["backward_span"]), track_modulation=False)
-    spans = {"trace_forward": fwd, "trace_backward": bwd}
+    spans = {"trace_backward": bwd, "trace_forward": fwd}
+
+    def job(name):
+        if name in spans:
+            return _evolve_step(u0, spans[name], bg, os.path.join(rundir, name))
+        t = _time.perf_counter()
+        ls.save_eigenpair(os.path.join(rundir, "eigenpair"), pair, grid)
+        sb.save_near_solution(os.path.join(rundir, "near_solution"), near)
+        return _time.perf_counter() - t
+
+    # the caller writes the bundle, then evolves forward, while the worker
+    # evolves backward, the critical path, from the moment the seed exists
     t2 = _time.perf_counter()
-    (_, rep_f, rec_f), (term_b, rep_b, rec_b) = ev.forked_map(
-        lambda name: _evolve_step(u0, spans[name], bg, os.path.join(rundir, name)),
-        list(spans), 2)
+    timings["save_s"], (term_b, rep_b, rec_b), (_, rep_f, rec_f) = ev.forked_map(
+        job, ["bundle"] + list(spans), 2)
     timings["evolve_s"] = _time.perf_counter() - t2
     evolutions = {"forward": rec_f, "backward": rec_b}
     timings["forward_s"] = rec_f["seconds"]

@@ -212,7 +212,7 @@ def test_criterion_8_w_minus_behavior(tmp_path):
                  "backward-scatters"):
         assert checks[name]["passed"], (name, checks[name])
     assert checks["kinetic-side"]["value"] == "below"
-    assert set(manifest["timings"]) == {"spectrum_s", "series_s", "forward_s",
+    assert set(manifest["timings"]) == {"spectrum_s", "series_s", "save_s", "forward_s",
                                         "backward_s", "evolve_s"}
     assert set(manifest["evolutions"]) == {"forward", "backward"}
     # the backward run stops once its critical norm has settled, before the

@@ -1,6 +1,7 @@
 """Experiment orchestration: configs, manifests, determinism, CLI."""
 
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -642,6 +643,19 @@ def test_backward_child_exit_is_an_error(tmp_path, monkeypatch, two_cpus):
         ex.run(dict(WPM_SMALL, sign=-1), out_dir=str(tmp_path))
 
 
+def test_backward_child_runs_while_the_bundle_is_written(tmp_path, monkeypatch, two_cpus):
+    # the backward evolution is forked as soon as the seed exists, so it is
+    # running when the caller writes the eigenpair and the near solution
+    children = []
+    for mod, name in ((ls, "save_eigenpair"), (sb, "save_near_solution")):
+        def recorded(*args, save=getattr(mod, name), **kwargs):
+            children.append(len(multiprocessing.active_children()))
+            return save(*args, **kwargs)
+        monkeypatch.setattr(mod, name, recorded)
+    ex.run(dict(WPM_SMALL, sign=-1), out_dir=str(tmp_path))
+    assert len(children) == 2 and min(children) >= 1
+
+
 def test_classify_run_from_field_file(tmp_path):
     # a subcritical gaussian pulse disperses well before the reflection horizon
     grid = dz.build_grid(**SMALL_GRID)
@@ -777,6 +791,33 @@ def test_sweep_cells_run_on_two_processes(tmp_path, monkeypatch, two_cpus):
     assert len(ran) == 12
     assert len(set(ran[:6])) == 2 and str(os.getpid()) in ran[:6]
     assert set(ran[6:]) == {str(os.getpid())}
+
+
+def test_each_worker_takes_the_first_cpu_no_live_worker_holds(tmp_path, monkeypatch, two_cpus,
+                                                              background):
+    # a fit worker forked beside a forked_map worker lands on CPU 2, the
+    # caller's modulo 2; alone it, and a sweep's one worker, take CPU 1.
+    # Only the workers this process constructs are recorded.
+    cpus, init = [], ev._Worker.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        cpus.append(self.cpu)
+    monkeypatch.setattr(ev._Worker, "__init__", recorded)
+    u0 = (0.9 * background.W).astype(complex)
+
+    def job(fits):
+        cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 0.5), sample_every=0.05,
+                               track_modulation=fits)
+        return ev.evolve(u0, cfg, background).modulation["fits"]
+    assert ev.forked_map(job, [True, False], 2) == [11, 0]
+    assert cpus == [1, 2]
+    cpus.clear()
+    assert job(True) == 11
+    assert cpus == [1]
+    cpus.clear()
+    assert ex.sweep(SWEEP_SMALL, out_dir=str(tmp_path), workers=2)["cell_processes"] == 2
+    assert cpus == [1]
 
 
 @pytest.mark.parametrize("threads", [None, "2"])
