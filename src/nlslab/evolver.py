@@ -544,8 +544,7 @@ def evolve(u0, config, bg):
     Declares blowup when max|u| > AMP_FACTOR * max W  AND
     ||grad u|| > GRAD_FACTOR * ||grad W|| (checked every step), or when values
     go non-finite.  The trace records a reflection-horizon estimate (round
-    trip of radiation at group speed 2 k_bar, k_bar = ||grad u0|| / ||u0||_2)
-    and a boundary-amplitude monitor flagging actual boundary activity.
+    trip of radiation at group speed 2 k_bar, k_bar = ||grad u0|| / ||u0||_2).
     Declares scattering at a sample (status "scattering-detected", with the
     decision time, S and the tail estimate) when s, the sample's
     s(t) = int |u|^{2(d+2)/(d-2)} in units of W's, fell since the previous
@@ -593,12 +592,8 @@ def evolve(u0, config, bg):
     k_bar = np.sqrt(dz.kinetic_sq(u, grid) / mass0)
     v_g = 2.0 * k_bar
     horizon = 2.0 * grid.r_max / v_g
-    nb = max(2, grid.nnodes // 20)
-    bnd0 = float(np.max(np.abs(u[-nb:])))
     trace.reflection = {"k_bar": float(k_bar), "group_speed": float(v_g),
-                        "horizon_elapsed": float(horizon),
-                        "boundary_amp_initial": bnd0,
-                        "first_boundary_activity": None}
+                        "horizon_elapsed": float(horizon)}
 
     # |u|^{2(d+2)/(d-2)} = |u|^{p_c+1} |u|^{4/(d-2)}
     spow = Fraction(4, grid.d - 2)
@@ -627,10 +622,6 @@ def evolve(u0, config, bg):
         trace.mu.append(np.nan)
         if config.track_modulation:
             fits.submit(len(trace.times) - 1, u)
-        bnd = float(np.max(amp[-nb:]))
-        if (trace.reflection["first_boundary_activity"] is None
-                and bnd > max(100.0 * bnd0, 1e-10)):
-            trace.reflection["first_boundary_activity"] = t
         if len(trace.times) == 1:
             return False
         s_prev, span = trace.s_crit[-2], abs(t - trace.times[-2])

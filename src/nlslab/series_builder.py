@@ -41,7 +41,9 @@ the profiles except for its last term:
 so the Laplacian is applied once per profile, and the time samples are
 evaluated together, in row chunks of at most CHUNK_BYTES: one
 (samples x k)(k x nodes) product for u, one for the linear part, then the
-nonlinearity and the norms along rows.
+nonlinearity and the norms along rows.  residual_rate takes the chunks in
+time order and stops after the first one by which both norms have been
+within 10x their static floors: the rate fits keep no later sample.
 
 W, p_c, the potential W^{p_c-1} and the Laplacian come from bg, the
 ground_state.Background the profiles are solved on; a NearSolution keeps it.
@@ -232,10 +234,14 @@ def time_derivative(near, t):
     return ut
 
 
-def _residual_norms(near, ts, sup_weight, lap_w):
+def _residual_norms(near, ts, sup_weight, lap_w, floors=None):
     """Interior weighted L^2 and <r>^sup_weight-sup norms of the PDE residual
     eps_k^a(t) = (i d/dt + Lap) W_k^a + |W_k^a|^{p_c-1} W_k^a at the times ts,
-    given lap_w = Lap W (see the module docstring for the evaluation)."""
+    given lap_w = Lap W (see the module docstring for the evaluation).
+
+    With floors = (L^2 floor, sup floor) the row chunks stop after the first
+    one by which each norm has been at most 10x its floor at some sample, and
+    the norms of the samples evaluated so far are returned."""
     grid, e0 = near.grid, near.e0
     pc = near.background.p_c
     rates = -e0 * np.arange(1, near.k + 1)
@@ -248,7 +254,8 @@ def _residual_norms(near, ts, sup_weight, lap_w):
     rows = max(1, CHUNK_BYTES // (16 * grid.nnodes))
     l2s, sups = np.empty(len(ts)), np.empty(len(ts))
     for lo in range(0, len(ts), rows):
-        c = np.exp(np.outer(ts[lo:lo + rows], rates))
+        hi = lo + rows
+        c = np.exp(np.outer(ts[lo:hi], rates))
         u = near.W + (c @ phis).view(complex)
         eps = (c @ glin).view(complex)
         eps += lap_w
@@ -256,11 +263,14 @@ def _residual_norms(near, ts, sup_weight, lap_w):
         mag = np.abs(eps)
         # numpy's pairwise row sum, as dz.l2_norm takes it: a BLAS GEMV's
         # order, and so its last digit, depends on the thread count
-        l2s[lo:lo + rows] = np.sqrt(np.sum(w * mag[:, :-1] ** 2, axis=1))
-        sups[lo:lo + rows] = (mag * jw).max(axis=1)
-    # max propagates nan and inf, so a non-finite entry of eps shows in sups
-    if not np.all(np.isfinite(sups)):
-        raise ValueError("non-finite residual")
+        l2s[lo:hi] = np.sqrt(np.sum(w * mag[:, :-1] ** 2, axis=1))
+        sups[lo:hi] = (mag * jw).max(axis=1)
+        # max propagates nan and inf, so a non-finite entry of eps shows in sups
+        if not np.all(np.isfinite(sups[lo:hi])):
+            raise ValueError("non-finite residual")
+        if floors is not None and np.any(l2s[:hi] <= 10 * floors[0]) \
+                and np.any(sups[:hi] <= 10 * floors[1]):
+            return l2s[:hi], sups[:hi]
     return l2s, sups
 
 
@@ -353,9 +363,13 @@ def residual_rate(near):
 
     121 samples span [t_k, t_k + 60], starting at t_k (smallness
     max|v_k|/W <= 1/2); diagnostics.rate_fit trims the window to the samples
-    up to the last one at least 10x above the static-equation discretization
-    floor.  Norms are interior weighted L^2; a weighted-sup variant <r>^2 is
-    fitted alongside (nan when fewer than 5 samples clear its floor).
+    up to the last one above 10x the static-equation discretization floor.
+    The residual is evaluated only up to the row chunk by which each norm has
+    come within 10x its floor.  That gives the report of all 121 samples as
+    long as neither norm rises back above 10x its floor after the stop (true
+    of all 450 cells checked: d = 5..10, n = 800..6000, k = 1..5,
+    |a| = 0.5..1.6).  Norms are interior weighted L^2; a weighted-sup variant
+    <r>^2 is fitted alongside (nan when fewer than 5 samples clear its floor).
     """
     grid, bg = near.grid, near.background
     lap_w = bg.lapl.apply(near.W)
@@ -364,7 +378,8 @@ def residual_rate(near):
     sup_floor = dz.weighted_sup_norm(floor_field, 2, grid)
     t_k = validity_start(near)
     ts = np.linspace(t_k, t_k + 60.0, 121)
-    l2s, sups = _residual_norms(near, ts, 2, lap_w)
+    l2s, sups = _residual_norms(near, ts, 2, lap_w, (floor, sup_floor))
+    ts = ts[:len(l2s)]
     try:
         fit = dg.rate_fit(ts, l2s, floor)
     except ValueError:

@@ -482,30 +482,35 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 2 BLAS threads; ground_mode rounds it, and takes its norms and Rayleigh
     # quotient by numpy sums, as residual_rate takes its L^2 norms (BLAS
     # reductions differ at n = 12000), so the eigenpair, a k = 4 series and
-    # its residual report come out bit-identical
-    cfgs = {}
+    # its residual report come out bit-identical, and so does a sweep's
+    # aggregate, whose residual ladders stop at thresholds on those norms
+    cfgs = []
     for n in (6000, 12000):
         grid = {"d": 6, "r_max": 60.0, "n": n}
-        cfgs["spectrum", n] = {"grid": grid}
-        cfgs["build-series", n] = {"grid": grid, "series": {"k": 4, "a": 1.0}}
+        cfgs.append(("spectrum", {"grid": grid}))
+        cfgs.append(("build-series", {"grid": grid, "series": {"k": 4, "a": 1.0}}))
+    cfgs.append(("sweep", {"grid": {"r_max": 60.0}, "ranges": {
+        "d": [6], "n": [6000, 12000], "k": [1, 4], "a": [1.0, -1.6]}}))
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
                        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
         root = tmp_path / threads
-        for (command, n), cfg in cfgs.items():
-            path = tmp_path / ("%s-%d.json" % (command, n))
+        for i, (command, cfg) in enumerate(cfgs):
+            path = tmp_path / ("%d.json" % i)
             path.write_text(json.dumps(cfg))
+            workers = ["--workers", "2"] if command == "sweep" else []
             subprocess.run([sys.executable, "-m", "nlslab.cli", command, "--config",
-                            str(path), "--out", str(root)], env=env, check=True,
+                            str(path), "--out", str(root)] + workers, env=env, check=True,
                            capture_output=True, timeout=300)
         # every output but each run's own manifest, which carries timings
         outputs.append({name: data for name, data in _output_bytes(str(root)).items()
                         if name.split("/", 1)[1] != "manifest.json"})
     names = sorted(name.split("/", 1)[1] for name in outputs[0])
     assert names == sorted(2 * (["eigenpair.csv", "eigenpair.json", "near_solution/manifest.json"]
-                                + ["near_solution/profile_%d.csv" % j for j in range(1, 5)])), names
+                                + ["near_solution/profile_%d.csv" % j for j in range(1, 5)])
+                           + ["aggregate.csv"]), names
     assert outputs[0] == outputs[1]
 
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import binom
 
+from nlslab import diagnostics as dg
 from nlslab import discretization as dz
 from nlslab import ground_state as gs
 from nlslab import linearized_spectrum as ls
@@ -188,6 +189,85 @@ def test_residual_rate_k2_exceeds_k1(grid, pair, background, near2):
     r1 = sb.residual_rate(near1)
     r2 = sb.residual_rate(near2)
     assert r2.rate > r1.rate
+
+
+def _full_window_report(near):
+    """residual_rate's report from all 121 samples: the norms evaluated
+    without the stop and fitted by the same rate_fit calls; "window empty"
+    where the L^2 fit finds no window."""
+    bg = near.background
+    lap_w = bg.lapl.apply(near.W)
+    floor_field = lap_w + near.W ** bg.p_c
+    floor = dz.l2_norm(floor_field, near.grid)
+    sup_floor = dz.weighted_sup_norm(floor_field, 2, near.grid)
+    t_k = sb.validity_start(near)
+    ts = np.linspace(t_k, t_k + 60.0, 121)
+    l2s, sups = sb._residual_norms(near, ts, 2, lap_w)
+    assert len(l2s) == len(sups) == 121
+    try:
+        fit = dg.rate_fit(ts, l2s, floor)
+    except ValueError:
+        return "window empty"
+    try:
+        rate_sup = dg.rate_fit(ts, sups, sup_floor).rate
+    except ValueError:
+        rate_sup = float("nan")
+    return sb.ResidualReport(fit, rate_sup, floor, t_k).as_dict()
+
+
+def _unit_cells(pair, bg, ks, amplitudes):
+    # the sweep's cells: one a = 1 series scaled by a^j
+    unit = sb.build_near_solution(max(ks), 1.0, pair, bg)
+    for k in ks:
+        for a in amplitudes:
+            profiles = [None] + [a ** j * unit.profiles[j] for j in range(1, k + 1)]
+            yield sb.NearSolution(bg, k, a, unit.e0, profiles)
+
+
+# d = 10's order-2 warning comes from the non-normal operator, not a resonance
+@pytest.mark.filterwarnings("ignore:order-2 resolvent is near-singular")
+@pytest.mark.parametrize("d", [6, 8, 10])
+def test_stopping_at_the_floor_changes_no_report(d, pair, background):
+    # the stop keeps every sample either rate fit keeps, so the report is
+    # that of all 121 samples, field by field (assert_equal takes nan == nan)
+    if d == 6:
+        ks, amplitudes, bg = (1, 2, 3, 4), (1.0, -1.0, 1.6, -1.6), background
+    else:
+        ks, amplitudes = (1, 2, 3), (1.0, -1.0)
+        bg = gs.Background(dz.build_grid(d, 60.0, 800))
+        pair = ls.ground_mode(bg)
+    for near in _unit_cells(pair, bg, ks, amplitudes):
+        try:
+            got = sb.residual_rate(near).as_dict()
+        except RuntimeError as exc:
+            assert "fit window empty" in str(exc)
+            got = "window empty"
+        np.testing.assert_equal(got, _full_window_report(near),
+                                err_msg="k = %d, a = %g" % (near.k, near.a))
+
+
+def test_residual_rate_stops_at_the_floor(grid, pair, background, monkeypatch):
+    # at k = 4 both norms are within 10x their floors in the first row chunk
+    evaluated = []
+    norms = sb._residual_norms
+
+    def spy(*args):
+        out = norms(*args)
+        evaluated.append(len(out[0]))
+        return out
+    monkeypatch.setattr(sb, "_residual_norms", spy)
+    near = sb.build_near_solution(4, 1.0, pair, background)
+    # this coarse grid leaves 3 L^2 samples above 10x the floor, too few to fit
+    with pytest.raises(RuntimeError, match="fit window empty"):
+        sb.residual_rate(near)
+    assert evaluated and evaluated[0] < 121 / 2
+    # the non-finite guard runs on each evaluated chunk before the stop test
+    lap_w = background.lapl.apply(near.W)
+    ts = np.linspace(0.0, 60.0, 121)
+    ts[sb.CHUNK_BYTES // (16 * grid.nnodes) - 1] = np.nan  # the first chunk's last row
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="non-finite residual"):
+        norms(near, ts, 2, lap_w, (1e300, 1e300))
 
 
 def test_validity_start_shifts_with_amplitude(pair, background):
