@@ -7,7 +7,7 @@ defaults, and rejects every key its scenario's pipeline does not read
 hash of the filled-in config (an implicit default and the same default
 written out share a directory), containing the declared outputs plus a
 manifest.json echoing the filled-in config, library versions, wall time,
-stage seconds under "timings" (a sweep's spectra and unit series and its
+stage seconds under "timings" (a sweep's spectra, its unit series and its
 cells; evolve-near-solution's spectrum, series, bundle writes, forward and
 backward evolution, and the stage that runs the last three as evolve_s;
 classify-custom's evolution), each evolution's steps, seconds and
@@ -474,25 +474,27 @@ def _run_sweep(cfg, rundir, workers=1):
     # scales its prefix by Phi_j^a = a^j Phi_j^1 (acceptance criterion 6 checks
     # this against the direct solve) and still evaluates its own PDE residual.
     # Grids of one d share the memoized coarse shift of the spectrum.
-    t0 = _time.perf_counter()
-    units, failures = {}, {}
+    units, failures, timings = {}, {}, {"spectra_s": 0.0, "series_s": 0.0}
     for d in ds:
         for n in ns:
+            t0 = _time.perf_counter()
             bg, pair = _spectrum(dz.build_grid(d, r_max, n))
+            t1 = _time.perf_counter()
             try:
                 units[(d, n)] = sb.build_near_solution(max(ks), 1.0, pair, bg)
             except Exception as exc:  # recorded for each of the grid's cells
                 failures.update(dict.fromkeys([(d, n, k, a) for k in ks for a in aa],
                                               "%s: %s" % (type(exc).__name__, exc)))
+            timings["spectra_s"] += t1 - t0
+            timings["series_s"] += _time.perf_counter() - t1
 
     def cell(params):
         d, n, k, a = params
         unit = units[(d, n)]
         try:
             profiles = [None] + [a ** j * unit.profiles[j] for j in range(1, k + 1)]
-            near = sb.NearSolution(unit.background, k, a, unit.e0, profiles,
-                                   {j: unit.conditioning[j] for j in range(2, k + 1)})
-            report = sb.residual_rate(near)
+            report = sb.residual_rate(sb.NearSolution(unit.background, k, a, unit.e0,
+                                                      profiles))
         except Exception as exc:  # per-cell failures recorded, sweep continues
             return "%s: %s" % (type(exc).__name__, exc)
         return {"d": d, "n": n, "k": k, "a": a, "e0": unit.e0,
@@ -508,7 +510,7 @@ def _run_sweep(cfg, rundir, workers=1):
             failures[c] = res
         else:
             rows[c] = res
-    timings = {"spectra_s": t1 - t0, "cells_s": _time.perf_counter() - t1}
+    timings["cells_s"] = _time.perf_counter() - t1
 
     cols = ["d", "n", "k", "a", "e0", "t_k", "rate", "rate_target"]
     with open(os.path.join(rundir, "aggregate.csv"), "w") as f:

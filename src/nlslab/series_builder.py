@@ -26,10 +26,9 @@ block system
 
 solved as it stands (no Schur complement, which would square the condition
 number of the Laplacian) with the banded LU of linearized_spectrum.factor_block,
-the same factorization the eigenmode is computed with.  The reported
-conditioning needs ||A_s^{-1}||_1, whose estimate costs ten times the profile
-solve; no scenario solves one grid at one s = j e0 twice (a sweep scales one
-unit-amplitude series, Phi_j^a = a^j Phi_j^1), so it is not memoized.
+the same factorization the eigenmode is computed with.  Its conditioning takes
+about ten banded solves, so it is estimated only where a bundle reports it
+(resolvent_conditioning); a sweep's cells' residual rates certify its profiles.
 
 The residual eps_k = (i d/dt + Lap) W_k^a + |W_k^a|^{p_c-1} W_k^a is linear in
 the profiles except for its last term:
@@ -156,47 +155,42 @@ def _inverse_onenorm(solve, n):
 
 
 def solve_profile(j, forcing, pair, bg):
-    """Solve the order-j resolvent system for Phi_j (2N block form).
-
-    Solves A_j (f, g) = (-Re F_j, -Im F_j) with
-    A_j = [[L_plus, j e0 I], [-j e0 I, L_minus]] by banded LU on the
-    interleaved unknowns, and returns (Phi_j, condition_estimate), the latter
-    ||A_j||_1 ||A_j^{-1}||_1 with the inverse norm estimated.  Invertibility is
-    reported, not assumed: A_j is a signed row permutation of B - j e0 I, with
-    B (y1, y2) = (L_minus y2, -L_plus y1) the eigen-block, whose only real
-    eigenvalues are +-e0; so absent resonance the smallest singular value of
-    A_j is ~ (j - 1) e0.  A warning fires, on every call, when the estimated
-    smallest singular value drops far below that baseline, i.e. when j*e0
-    comes close to the discrete spectrum.
-    """
+    """Solve the order-j resolvent system A_j (f, g) = (-Re F_j, -Im F_j) of the
+    module docstring by banded LU and return Phi_j = f + i g."""
     if j < 2:
         raise ValueError("solve_profile needs j >= 2; Phi_1 = a * Y_plus")
-    e0 = pair.e0
-    solve, norm_a = ls.factor_block(bg, j * e0)
     # complex storage is exactly the interleaved (Re, Im) layout
     rhs = (-np.asarray(forcing, dtype=complex)).view(float)
-    phi = solve(rhs).view(complex)
-    inv_norm = _inverse_onenorm(solve, rhs.size)
-    sigma_min_est = 1.0 / inv_norm
+    return ls.factor_block(bg, j * pair.e0)[0](rhs).view(complex)
+
+
+def resolvent_conditioning(j, e0, bg):
+    """||A_j||_1 ||A_j^{-1}||_1 of the order-j resolvent block, the inverse
+    norm estimated from below.  A_j is a signed row permutation of B - j e0 I,
+    with B (y1, y2) = (L_minus y2, -L_plus y1) the eigen-block, whose only real
+    eigenvalues are +-e0; so absent resonance the smallest singular value of
+    A_j is ~ (j - 1) e0.  A warning fires, on every call, when its estimate
+    drops below 1% of that baseline, i.e. when j*e0 nears the discrete spectrum."""
+    solve, norm_a = ls.factor_block(bg, j * e0)
+    inv_norm = _inverse_onenorm(solve, 2 * bg.grid.nnodes)
     baseline = (j - 1) * e0
-    if sigma_min_est < 0.01 * baseline:
+    if 1.0 / inv_norm < 0.01 * baseline:
         warnings.warn("order-%d resolvent is near-singular (sigma_min ~ %.2e "
                       "vs baseline %.2e): %d*e0 may resonate with the discrete "
-                      "spectrum" % (j, sigma_min_est, baseline, j))
-    return phi, norm_a * inv_norm
+                      "spectrum" % (j, 1.0 / inv_norm, baseline, j))
+    return norm_a * inv_norm
 
 
 class NearSolution:
     """W plus profiles {Phi_j^a} on a background, evaluable at any time t."""
 
-    def __init__(self, background, k, a, e0, profiles, conditioning=None):
+    def __init__(self, background, k, a, e0, profiles):
         self.background = background
         self.grid, self.W = background.grid, background.W
         self.k = int(k)
         self.a = float(a)
         self.e0 = float(e0)
         self.profiles = profiles  # profiles[j] for 1 <= j <= k; index 0 is None
-        self.conditioning = conditioning or {}
 
 
 def build_near_solution(k, a, pair, bg):
@@ -204,13 +198,9 @@ def build_near_solution(k, a, pair, bg):
     if k < 1:
         raise ValueError("k must be >= 1")
     profiles = [None, a * pair.y_plus]
-    conditioning = {}
     for j in range(2, k + 1):
-        F = order_forcing(j, profiles, bg)
-        phi, cond = solve_profile(j, F, pair, bg)
-        profiles.append(phi)
-        conditioning[j] = cond
-    return NearSolution(bg, k, a, pair.e0, profiles, conditioning=conditioning)
+        profiles.append(solve_profile(j, order_forcing(j, profiles, bg), pair, bg))
+    return NearSolution(bg, k, a, pair.e0, profiles)
 
 
 def perturbation(near, t):
@@ -256,11 +246,16 @@ def _residual_norms(near, ts, sup_weight, lap_w, floors=None):
     for lo in range(0, len(ts), rows):
         hi = lo + rows
         c = np.exp(np.outer(ts[lo:hi], rates))
-        u = near.W + (c @ phis).view(complex)
+        u = (c @ phis).view(complex)
+        u.real += near.W
         eps = (c @ glin).view(complex)
-        eps += lap_w
-        eps += np.abs(u) ** (pc - 1) * u
-        mag = np.abs(eps)
+        eps.real += lap_w
+        mag = np.abs(u)
+        if pc != 2:  # |u|^{p_c-1}; the power is 1 at d = 6
+            mag **= pc - 1
+        u *= mag
+        eps += u
+        np.abs(eps, out=mag)
         # numpy's pairwise row sum, as dz.l2_norm takes it: a BLAS GEMV's
         # order, and so its last digit, depends on the thread count
         l2s[lo:hi] = np.sqrt(np.sum(w * mag[:, :-1] ** 2, axis=1))
@@ -382,9 +377,10 @@ def residual_rate(near):
     ts = ts[:len(l2s)]
     try:
         fit = dg.rate_fit(ts, l2s, floor)
-    except ValueError:
-        raise RuntimeError("fit window empty after floor filtering "
-                           "(floor=%.3e); extend the window to smaller t" % floor)
+    except ValueError as exc:  # the window cannot start before t_k
+        raise RuntimeError("fit window empty after floor filtering: %d samples from t_k on lie "
+                           "above 10x the static floor %.3e at k = %d on %r (%s); a finer grid "
+                           "lowers the floor" % (np.sum(l2s > 10 * floor), floor, near.k, grid, exc))
     # smallness of the series on the fitted window (expansion domain of P)
     worst = max(np.max(np.abs(perturbation(near, t)) / near.W) for t in fit.window)
     if worst > 0.75:
@@ -402,7 +398,8 @@ def residual_rate(near):
 
 def save_near_solution(dirpath, near, report=None):
     """Write the near-solution bundle: per-profile CSVs plus a JSON manifest
-    (t_k taken from the residual report when one is given)."""
+    (t_k taken from the residual report when one is given), with each order's
+    resolvent_conditioning, estimated here (and warned of, if near-singular)."""
     import os
     os.makedirs(dirpath, exist_ok=True)
     for j in range(1, near.k + 1):
@@ -412,7 +409,8 @@ def save_near_solution(dirpath, near, report=None):
         "d": near.grid.d, "r_max": near.grid.r_max, "n": near.grid.n,
         "k": near.k, "a": near.a, "e0": near.e0,
         "t_k": validity_start(near) if report is None else report.t_k,
-        "conditioning": {str(j): c for j, c in near.conditioning.items()},
+        "conditioning": {str(j): resolvent_conditioning(j, near.e0, near.background)
+                         for j in range(2, near.k + 1)},
     }
     if report is not None:
         manifest["residual_report"] = report.as_dict()

@@ -650,15 +650,30 @@ def test_backward_child_exit_is_an_error(tmp_path, monkeypatch, two_cpus):
 
 def test_backward_child_runs_while_the_bundle_is_written(tmp_path, monkeypatch, two_cpus):
     # the backward evolution is forked as soon as the seed exists, so it is
-    # running when the caller writes the eigenpair and the near solution
+    # running when the caller writes the eigenpair and the near solution and
+    # makes the bundle's k - 1 = 2 inverse-norm estimates
     children = []
-    for mod, name in ((ls, "save_eigenpair"), (sb, "save_near_solution")):
+    for mod, name in ((ls, "save_eigenpair"), (sb, "save_near_solution"),
+                      (sb, "_inverse_onenorm")):
         def recorded(*args, save=getattr(mod, name), **kwargs):
             children.append(len(multiprocessing.active_children()))
             return save(*args, **kwargs)
         monkeypatch.setattr(mod, name, recorded)
     ex.run(dict(WPM_SMALL, sign=-1), out_dir=str(tmp_path))
-    assert len(children) == 2 and min(children) >= 1
+    assert len(children) == 4 and min(children) >= 1
+
+
+def test_build_series_estimates_each_order_once(tmp_path, monkeypatch):
+    # the bundle's conditioning of orders j = 2..k (k = 3), one estimate each
+    estimates = []
+    estimate = sb._inverse_onenorm
+    monkeypatch.setattr(sb, "_inverse_onenorm",
+                        lambda *args: estimates.append(args) or estimate(*args))
+    manifest = ex.run({"scenario": "build-series", "grid": dict(SMALL_GRID)},
+                      out_dir=str(tmp_path))
+    assert len(estimates) == 2
+    meta = dz.load_json(os.path.join(manifest["run_dir"], "near_solution", "manifest.json"))
+    assert list(meta["conditioning"]) == ["2", "3"]
 
 
 def test_classify_run_from_field_file(tmp_path):
@@ -699,7 +714,7 @@ def test_sweep_aggregate_independent_of_workers(tmp_path):
         manifest = ex.sweep(cfg, out_dir=str(tmp_path / str(workers)),
                             workers=workers)
         assert manifest["ok"]
-        assert set(manifest["timings"]) == {"spectra_s", "cells_s"}
+        assert set(manifest["timings"]) == {"spectra_s", "series_s", "cells_s"}
         with open(os.path.join(manifest["run_dir"], "aggregate.csv"), "rb") as f:
             texts.append(f.read())
     assert texts[0] == texts[1]
@@ -727,11 +742,14 @@ def test_sweep_rows_match_direct_cells(tmp_path):
 
 def test_sweep_solves_one_series_and_one_coarse_sweep(tmp_path, monkeypatch):
     # one unit series per grid (k_max - 1 profile solves), and the two grids
-    # of one (d, r_max) share one dense coarse-shift eigensolve
-    solves, sweeps = [], []
-    solve_profile, eigvals = sb.solve_profile, np.linalg.eigvals
+    # of one (d, r_max) share one dense coarse-shift eigensolve; a sweep
+    # writes no bundle, so it makes no inverse-norm estimate
+    solves, sweeps, estimates = [], [], []
+    solve_profile, eigvals, estimate = sb.solve_profile, np.linalg.eigvals, sb._inverse_onenorm
     monkeypatch.setattr(sb, "solve_profile",
                         lambda j, *args: solves.append(j) or solve_profile(j, *args))
+    monkeypatch.setattr(sb, "_inverse_onenorm",
+                        lambda *args: estimates.append(args) or estimate(*args))
     monkeypatch.setattr(np.linalg, "eigvals",
                         lambda a: sweeps.append(a.shape) or eigvals(a))
     ls._coarse_shift.cache_clear()
@@ -741,6 +759,7 @@ def test_sweep_solves_one_series_and_one_coarse_sweep(tmp_path, monkeypatch):
     assert manifest["ok"]
     assert sorted(solves) == [2, 2, 3, 3]
     assert sweeps == [(401, 401)]
+    assert estimates == []
 
 
 def test_sweep_records_a_failed_unit_series_for_each_cell(tmp_path, monkeypatch):

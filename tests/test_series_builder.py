@@ -88,7 +88,7 @@ def test_solve_profile_satisfies_block_equations(grid, pair, background):
     #   L_plus f + j e0 g = -Re F,   L_minus g - j e0 f = -Im F
     profiles = [None, 1.0 * pair.y_plus]
     F = sb.order_forcing(2, profiles, background)
-    phi, cond = sb.solve_profile(2, F, pair, background)
+    phi = sb.solve_profile(2, F, pair, background)
     f, g = phi.real, phi.imag
     je0 = 2 * pair.e0
     lapl, pot = background.lapl, background.pot
@@ -97,40 +97,34 @@ def test_solve_profile_satisfies_block_equations(grid, pair, background):
     scale = dz.l2_norm(F, grid)
     assert dz.l2_norm(r1, grid) / scale < 1e-8
     assert dz.l2_norm(r2, grid) / scale < 1e-8
-    assert cond > 1
     with pytest.raises(ValueError):
         sb.solve_profile(1, F, pair, background)
 
 
-def test_solve_profile_reports_block_conditioning(grid, pair, background):
+def test_resolvent_conditioning_reports_block_conditioning(grid, pair, background):
     # the reported conditioning is ||A_j||_1 ||A_j^{-1}||_1 of the block
-    # system that is solved, estimated from below, the same on every call; no
-    # resonance warning fires away from the discrete spectrum
-    profiles = [None, 1.0 * pair.y_plus]
+    # system solve_profile solves, estimated from below, the same on every
+    # call; no resonance warning fires away from the discrete spectrum
     N = grid.nnodes
     lapl, pot = background.lapl, background.pot
     Lp, Lm = lapl.apply(np.eye(N), background.p_c * pot), lapl.apply(np.eye(N), pot)
     for j in (2, 3, 4):
-        F = sb.order_forcing(j, profiles, background)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            phi, cond = sb.solve_profile(j, F, pair, background)
-        profiles.append(phi)
+            cond = sb.resolvent_conditioning(j, pair.e0, background)
         A = np.block([[Lp, j * pair.e0 * np.eye(N)],
                       [-j * pair.e0 * np.eye(N), Lm]])
         exact = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
         assert 0.9 * exact <= cond <= exact * (1 + 1e-9), (j, cond, exact)
-        assert sb.solve_profile(j, F, pair, background)[1] == cond
+        assert sb.resolvent_conditioning(j, pair.e0, background) == cond
 
 
-def test_solve_profile_warns_at_resonance(grid, pair, background):
+def test_resolvent_conditioning_warns_at_resonance(pair, background):
     # with the rate halved, 2 * e0 hits the eigenvalue e0 of the eigen-block;
     # every call warns
-    F = sb.order_forcing(2, [None, pair.y_plus], background)
-    half = ls.EigenPair(pair.e0 / 2, pair.y1, pair.y2)
     for _ in range(2):
         with pytest.warns(UserWarning, match="near-singular"):
-            sb.solve_profile(2, F, half, background)
+            sb.resolvent_conditioning(2, pair.e0 / 2, background)
 
 
 def test_batched_residual_matches_per_time_oracle(grid, pair, background):
@@ -224,8 +218,6 @@ def _unit_cells(pair, bg, ks, amplitudes):
             yield sb.NearSolution(bg, k, a, unit.e0, profiles)
 
 
-# d = 10's order-2 warning comes from the non-normal operator, not a resonance
-@pytest.mark.filterwarnings("ignore:order-2 resolvent is near-singular")
 @pytest.mark.parametrize("d", [6, 8, 10])
 def test_stopping_at_the_floor_changes_no_report(d, pair, background):
     # the stop keeps every sample either rate fit keeps, so the report is
@@ -268,6 +260,20 @@ def test_residual_rate_stops_at_the_floor(grid, pair, background, monkeypatch):
     with np.errstate(all="ignore"), \
             pytest.raises(ValueError, match="non-finite residual"):
         norms(near, ts, 2, lap_w, (1e300, 1e300))
+
+
+def test_empty_fit_window_reports_the_samples_above_the_floor(grid, pair, background):
+    # on this coarse grid only 3 samples from t_k on lie above 10x the static
+    # floor at k = 4; the window cannot start before t_k, so the error says
+    # what the fit saw and that a finer grid, with its lower floor, helps
+    near = sb.build_near_solution(4, 1.0, pair, background)
+    with pytest.raises(RuntimeError) as info:
+        sb.residual_rate(near)
+    msg = str(info.value)
+    assert "3 samples from t_k on lie above 10x the static floor 8.309e-03" in msg
+    assert "k = 4 on %r" % (grid,) in msg
+    assert "need at least 5 samples above floor, got 3" in msg
+    assert "a finer grid lowers the floor" in msg and "smaller t" not in msg
 
 
 def test_validity_start_shifts_with_amplitude(pair, background):
@@ -360,5 +366,5 @@ def test_near_solution_round_trip(tmp_path, grid, pair, background, near2):
     loaded = sb.NearSolution(background, meta["k"], meta["a"], meta["e0"], profiles)
     t = 12.0
     assert np.array_equal(sb.assemble(loaded, t), sb.assemble(near2, t))
-    assert meta["conditioning"] == {str(j): c for j, c in near2.conditioning.items()}
+    assert meta["conditioning"] == {"2": sb.resolvent_conditioning(2, pair.e0, background)}
     assert meta["residual_report"]["rate"] == report.rate
