@@ -60,9 +60,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     scenario = _SCENARIO_OF[args.command]
-    if getattr(args, "workers", 1) < 1:
-        print("--workers: expected an integer >= 1, got %d" % args.workers, file=sys.stderr)
-        return 2
     if args.config is not None:
         try:
             cfg = _load_config(args.config)
@@ -74,13 +71,14 @@ def main(argv=None):
             print("%s requires --config" % args.command, file=sys.stderr)
             return 2
         cfg = {}
-    cfg.setdefault("scenario", scenario)
-    if cfg["scenario"] != scenario:
-        print("config scenario %r does not match subcommand %r"
-              % (cfg["scenario"], args.command), file=sys.stderr)
-        return 2
-    if args.command == "wpm" and args.sign is not None:
-        cfg["sign"] = args.sign
+    if isinstance(cfg, dict):  # else ex.run reports it as a config error
+        cfg.setdefault("scenario", scenario)
+        if cfg["scenario"] != scenario:
+            print("config scenario %r does not match subcommand %r"
+                  % (cfg["scenario"], args.command), file=sys.stderr)
+            return 2
+        if args.command == "wpm" and args.sign is not None:
+            cfg["sign"] = args.sign
 
     try:
         manifest = ex.run(cfg, out_dir=args.out, workers=getattr(args, "workers", 1),

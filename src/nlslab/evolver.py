@@ -537,14 +537,22 @@ class _Fits:
             self.record(*self.worker.result())
 
 
+def reflection_horizon(u, grid):
+    """u's reflection record on grid: k_bar = ||grad u|| / ||u||_2, the group speed
+    v_g = 2 k_bar, and horizon_elapsed = 2 r_max / v_g, radiation's round trip."""
+    k_bar = float(np.sqrt(dz.kinetic_sq(u, grid) / np.sum(grid.cellv * np.abs(u) ** 2)))
+    return {"k_bar": k_bar, "group_speed": 2.0 * k_bar,
+            "horizon_elapsed": 2.0 * grid.r_max / (2.0 * k_bar)}
+
+
 def evolve(u0, config, bg):
     """March the Cayley splitting scheme over config.t_span on the background
     bg (a ground_state.Background), sampling diagnostics.
 
     Declares blowup when max|u| > AMP_FACTOR * max W  AND
     ||grad u|| > GRAD_FACTOR * ||grad W|| (checked every step), or when values
-    go non-finite.  The trace records a reflection-horizon estimate (round
-    trip of radiation at group speed 2 k_bar, k_bar = ||grad u0|| / ||u0||_2).
+    go non-finite.  The trace records u0's reflection_horizon (round trip of
+    radiation at group speed 2 k_bar, k_bar = ||grad u0|| / ||u0||_2).
     Declares scattering at a sample (status "scattering-detected", with the
     decision time, S and the tail estimate) when s, the sample's
     s(t) = int |u|^{2(d+2)/(d-2)} in units of W's, fell since the previous
@@ -561,7 +569,8 @@ def evolve(u0, config, bg):
     trace.steps counts the steps taken.  The step and sample counts are
     |t1 - t0| / dt and sample_every / dt rounded, so a span off the step grid
     ends up to dt/2 from t1.  Scenario configs reject such spans, and
-    evolve-near-solution snaps the forward horizon it derives to the grid.
+    evolve-near-solution snaps the horizons it derives to the grid: the
+    forward one, and backward the seed's reflection horizon, rounded down.
     The potential |u|^{p_c+1} of each sample's energy is formed by products
     when 2(p_c + 1) is an integer (d = 3, 4, 6, 10), see ground_state._power;
     s(t) multiplies it by |u|^{4/(d-2)} (|u| itself at d = 6).
@@ -587,13 +596,7 @@ def evolve(u0, config, bg):
     step_fn = make_stepper(bg.lapl, dt, "cayley")
 
     trace = EvolutionTrace(bg, config)
-    # reflection horizon estimate from the initial data
-    mass0 = float(np.sum(grid.cellv * np.abs(u) ** 2))
-    k_bar = np.sqrt(dz.kinetic_sq(u, grid) / mass0)
-    v_g = 2.0 * k_bar
-    horizon = 2.0 * grid.r_max / v_g
-    trace.reflection = {"k_bar": float(k_bar), "group_speed": float(v_g),
-                        "horizon_elapsed": float(horizon)}
+    trace.reflection = reflection_horizon(u, grid)
 
     # |u|^{2(d+2)/(d-2)} = |u|^{p_c+1} |u|^{4/(d-2)}
     spow = Fraction(4, grid.d - 2)
@@ -626,7 +629,7 @@ def evolve(u0, config, bg):
             return False
         s_prev, span = trace.s_crit[-2], abs(t - trace.times[-2])
         S += 0.5 * (s_prev + s) * span
-        if abs(t - t0) > horizon:
+        if abs(t - t0) > trace.reflection["horizon_elapsed"]:
             trace.reflection["horizon_exceeded"] = True
         elif 0 < s < s_prev:
             tail = s * span / math.log(s_prev / s)

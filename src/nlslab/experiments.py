@@ -18,8 +18,8 @@ scattering decision) under "evolutions" (W+'s dt/2 blowup refinement as
 directory under "outputs", and the pass/fail record of every embedded check.
 Only the evolving scenarios (evolve-near-solution, classify-custom) read an
 evolver section; the others reject one.
-The spans an evolving scenario steps through (classify-custom's t_span,
-sample_every, backward_span) must be whole numbers of steps of dt.
+The spans an evolving scenario is given (t_span, sample_every) must be whole
+numbers of steps of dt; evolve-near-solution derives its spans on that grid.
 Numerics are deterministic (fixed iteration orders), so rerunning a config
 reproduces every output but the manifest byte-for-byte.  A pipeline builds one
 background per grid and passes it through series, evolution and classification.
@@ -30,13 +30,13 @@ evolve-near-solution forks its backward evolution onto a worker as soon as
 the seed exists; meanwhile the caller writes the eigenpair and near-solution
 bundle (save_s) and evolves the seed forward with its fit worker.  evolve_s
 times that whole stage, so the backward run overlaps the caller's work by
-save_s + forward_s + backward_s - evolve_s.  W-'s backward run stops at
-its scattering decision (evolver.evolve), W+'s at its blowup, so neither
-runs the whole backward_span.  A sweep runs its cells on at most `workers`
-processes.  Where no worker may be forked, the jobs run one after the other
-in the caller; the outputs are the same bytes either way.  W+'s dt/2
-refinement runs afterwards, and only when the backward evolution reports a
-blowup.
+save_s + forward_s + backward_s - evolve_s.  The backward span is the seed's
+reflection horizon, within which the scattering rule may fire (evolver.evolve),
+rounded down to the step grid; W-'s backward run stops at its scattering
+decision, W+'s at its blowup, and W+'s dt/2 refinement, run afterwards only
+on a blowup, takes the same span.  A sweep runs its cells on at most
+`workers` processes.  Where no worker may be forked, the jobs run one after
+the other in the caller; the outputs are the same bytes either way.
 """
 
 import copy
@@ -66,7 +66,7 @@ _READS = {scen: ("scenario", "schema_version") + paths for scen, paths in {
     "spectrum": _GRID,
     "build-series": _GRID + ("series.k", "series.a"),
     "evolve-near-solution": _GRID + ("series.k",) + _STEP + (
-        "sign", "seed_t0", "departure_floor", "backward_span"),
+        "sign", "seed_t0", "departure_floor"),
     "classify-custom": _GRID + ("initial.kind", "initial.factor", "initial.path") + _STEP + (
         "evolver.t_span", "evolver.track_modulation"),
     "sweep": ("grid.r_max", "ranges.d", "ranges.n", "ranges.k", "ranges.a"),
@@ -92,7 +92,6 @@ _KEYS = {
     "evolver.sample_every": ("positive", 0.5),
     "evolver.t_span": ("span", [0.0, 20.0]), "evolver.track_modulation": (bool, True),
     "sign": ((1, -1), -1), "seed_t0": ("finite", -10.5), "departure_floor": ("positive", 1e-3),
-    "backward_span": ("positive", 120.0),
     "initial": (dict,), "initial.kind": (("scaled-w", "field"),),
     "initial.factor": ("nonzero",), "initial.path": (str,),
     "ranges": (dict,), "ranges.d": (3, [6]), "ranges.n": (16, [6000]),
@@ -266,8 +265,6 @@ def _whole_steps(cfg):
     spans = {"evolver.sample_every:": ecfg["sample_every"]}
     if "t_span" in ecfg:
         spans["evolver.t_span: length"] = abs(ecfg["t_span"][1] - ecfg["t_span"][0])
-    if "backward_span" in cfg:
-        spans["backward_span:"] = cfg["backward_span"]
     errors = []
     for what, span in spans.items():
         n = span / ecfg["dt"]
@@ -393,8 +390,10 @@ def _run_wpm(cfg, rundir):
             "ln(d0/departure_floor) rounds to %g for the seed's H^1 distance from W, "
             "d0 = %.6g" % (cfg["departure_floor"], t_fwd, d0))
 
+    horizon = ev.reflection_horizon(u0, grid)["horizon_elapsed"]  # where scattering may fire
+    t_bwd = math.floor(horizon / ecfg["dt"]) * ecfg["dt"]  # rounded down to the step grid
     fwd = dict(ecfg, t_span=(seed_t0, seed_t0 + t_fwd), track_modulation=True)
-    bwd = dict(ecfg, t_span=(seed_t0, seed_t0 - cfg["backward_span"]), track_modulation=False)
+    bwd = dict(ecfg, t_span=(seed_t0, seed_t0 - t_bwd), track_modulation=False)
     spans = {"trace_backward": bwd, "trace_forward": fwd}
 
     def job(name):
@@ -539,11 +538,11 @@ def run(cfg, out_dir=".", workers=1, check=False):
     """Execute a scenario config; returns the manifest dict.  workers caps
     the processes that run a sweep's cells (_run_sweep).
 
-    Raises ConfigError before creating any output when the config is invalid,
-    and ValueError when workers is not an integer >= 1.
+    Raises ConfigError before creating any output when the config is invalid
+    or workers is not an integer >= 1.
     """
     if not (isinstance(workers, int) and workers >= 1):
-        raise ValueError("workers: expected an integer >= 1, got %r" % (workers,))
+        raise ConfigError(["workers: expected an integer >= 1, got %r" % (workers,)])
     t0 = _time.time()  # normalize runs a spectrum's coarse shift (_grid_errors)
     cfg, errors = normalize(cfg)
     if errors:

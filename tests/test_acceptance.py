@@ -218,11 +218,11 @@ def test_criterion_8_w_minus_behavior(tmp_path):
     # the backward run stops once its critical norm has settled, before the
     # end of its span
     backward = manifest["evolutions"]["backward"]
-    span_steps = round(manifest["config"]["backward_span"]
-                       / manifest["config"]["evolver"]["dt"])
+    trace = dz.load_json(os.path.join(manifest["run_dir"], "trace_backward.json"))
+    t0, t1 = trace["config"]["t_span"]
+    span_steps = round((t0 - t1) / manifest["config"]["evolver"]["dt"])
     assert backward["status"] == "scattering-detected"
     assert backward["steps"] < span_steps
-    trace = dz.load_json(os.path.join(manifest["run_dir"], "trace_backward.json"))
     assert trace["termination"]["status"] == "scattering-detected"
     assert trace["termination"]["t_decision"] == pytest.approx(
         manifest["config"]["seed_t0"] - backward["steps"] * manifest["config"]["evolver"]["dt"])

@@ -510,5 +510,7 @@ def test_scaled_evolution_is_the_scaled_state(d):
         assert np.array_equal(np.asarray(a.times) / 4, b.times), name
         assert np.array_equal(a.kinetic, b.kinetic), name
         assert np.array_equal(lam * np.asarray(a.max_amp), b.max_amp), name
+        # the reflection horizon, which bounds wpm's backward span, is a time
+        assert b.reflection["horizon_elapsed"] == a.reflection["horizon_elapsed"] / 4, name
         statuses.add(a.termination["status"])
     assert statuses == {"scattering-detected", "completed"}

@@ -1,6 +1,7 @@
 """Experiment orchestration: configs, manifests, determinism, CLI."""
 
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -83,15 +84,19 @@ def test_validate_config_rejects_unknown_keys():
 
 
 def test_unknown_key_fails_before_a_run_directory(tmp_path, capsys):
-    cfg = {"scenario": "ground-state", "grid": dict(SMALL_GRID), "evolvr": {}}
+    # wpm takes no backward span: it derives one from the seed's reflection horizon
+    cases = [("ground-state", {"scenario": "ground-state", "grid": dict(SMALL_GRID),
+                               "evolvr": {}}, "evolvr"),
+             ("wpm", {"scenario": "evolve-near-solution", "grid": dict(SMALL_GRID),
+                      "backward_span": 120.0}, "backward_span")]
     out = tmp_path / "runs"
-    with pytest.raises(ex.ConfigError) as exc:
-        ex.run(cfg, out_dir=str(out))
-    assert exc.value.errors == ["evolvr: unknown key"]
-    rc = cli.main(["ground-state", "--config", _write_cfg(tmp_path, cfg),
-                   "--out", str(out)])
-    assert rc == 2
-    assert "evolvr: unknown key" in capsys.readouterr().err
+    for command, cfg, key in cases:
+        with pytest.raises(ex.ConfigError) as exc:
+            ex.run(cfg, out_dir=str(out))
+        assert exc.value.errors == ["%s: unknown key" % key]
+        rc = cli.main([command, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "invalid config:\n  %s: unknown key\n" % key
     assert not out.exists()
 
 
@@ -137,8 +142,7 @@ def test_config_hash_fills_in_defaults():
     written = {"scenario": "evolve-near-solution", "schema_version": 1,
                "grid": {"d": 6, "r_max": 60.0, "n": 6000}, "series": {"k": 3},
                "evolver": {"dt": 0.01, "sample_every": 0.5},
-               "sign": -1, "seed_t0": -10.5, "departure_floor": 1e-3,
-               "backward_span": 120.0}
+               "sign": -1, "seed_t0": -10.5, "departure_floor": 1e-3}
     assert ex.normalize({"scenario": "evolve-near-solution"}) == (written, [])
     assert _hash({"scenario": "evolve-near-solution"}) == _hash(written)
 
@@ -261,7 +265,6 @@ def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
         (dict(scaled, initial={"kind": "scaled-w", "factor": "big"}),
          "initial.factor: expected a finite number"),
         (dict(wpm, seed_t0="early"), "seed_t0: expected a finite number"),
-        (dict(wpm, backward_span=-1.0), "backward_span: expected a positive number"),
         (dict(wpm, departure_floor=0), "departure_floor: expected a positive number"),
         (dict(wpm, evolver={"sample_every": 0.0}),
          "evolver.sample_every: expected a positive number"),
@@ -332,8 +335,8 @@ def test_zero_amplitudes_fail_before_a_run_directory(tmp_path, capsys):
 
 
 def test_spans_off_the_step_grid_fail_before_a_run_directory(tmp_path, capsys):
-    # t_span, sample_every (default 0.5 included) and backward_span must be
-    # whole numbers of steps of dt
+    # t_span and sample_every (default 0.5 included) must be whole numbers of
+    # steps of dt
     wpm = {"scenario": "evolve-near-solution", "grid": dict(SMALL_GRID)}
     scaled = {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
               "initial": {"kind": "scaled-w", "factor": 1.8}}
@@ -346,21 +349,16 @@ def test_spans_off_the_step_grid_fail_before_a_run_directory(tmp_path, capsys):
          "evolver.sample_every: 0.015 is not a whole number of steps of dt = 0.01"),
         (dict(wpm, evolver={"dt": 0.3}),
          "evolver.sample_every: 0.5 is not a whole number of steps of dt = 0.3"),
-        (dict(wpm, backward_span=100.005),
-         "backward_span: 100.005 is not a whole number of steps of dt = 0.01"),
-        (dict(wpm, evolver={"dt": 0.002}, backward_span=0.001),
-         "backward_span: 0.001 is not a whole number of steps of dt = 0.002"),
         (dict(scaled, evolver={"t_span": [-1e308, 1e308]}),
          "evolver.t_span: length inf is not a whole number of steps of dt = 0.01"),
         (dict(wpm, evolver={"dt": 1e-320, "sample_every": 1.0}),
-         ["evolver.sample_every: 1.0 is not a whole number of steps of dt = 1e-320",
-          "backward_span: 120.0 is not a whole number of steps of dt = 1e-320"]),
+         "evolver.sample_every: 1.0 is not a whole number of steps of dt = 1e-320"),
     ]
     out = tmp_path / "runs"
     for cfg, msg in cases:
         with pytest.raises(ex.ConfigError) as exc:
             ex.run(cfg, out_dir=str(out))
-        assert exc.value.errors == ([msg] if isinstance(msg, str) else msg), cfg
+        assert exc.value.errors == [msg], cfg
     rc = cli.main(["classify", "--config", _write_cfg(tmp_path, cases[0][0]),
                    "--out", str(out)])
     assert rc == 2
@@ -369,7 +367,7 @@ def test_spans_off_the_step_grid_fail_before_a_run_directory(tmp_path, capsys):
     # spans that divide evenly, up to round-off, pass
     for cfg in (dict(scaled, evolver={"dt": 0.01, "t_span": [0.0, 0.3], "sample_every": 0.07}),
                 dict(scaled, evolver={"dt": 0.005, "t_span": [0.0, 30.0]}),
-                dict(wpm, evolver={"dt": 0.1, "sample_every": 0.3}, backward_span=0.7)):
+                dict(wpm, evolver={"dt": 0.1, "sample_every": 0.3})):
         assert ex.normalize(cfg)[1] == [], cfg
 
 
@@ -518,7 +516,7 @@ def test_forward_horizon_is_on_the_step_grid(tmp_path):
     # the horizon derived from e0 is snapped to the step grid, so the
     # forward trace ends exactly at the reported forward_horizon
     cfg = {"scenario": "evolve-near-solution", "grid": {"d": 6, "r_max": 40.0, "n": 400},
-           "evolver": {"dt": 0.02}, "backward_span": 10.0}
+           "evolver": {"dt": 0.02}}
     manifest = ex.run(cfg, out_dir=str(tmp_path))
     report = dz.load_json(os.path.join(manifest["run_dir"], "report.json"))
     steps = manifest["evolutions"]["forward"]["steps"]
@@ -598,8 +596,7 @@ def test_fit_worker_writes_the_traces_of_the_direct_path(tmp_path, monkeypatch):
     assert trace["modulation"]["edge_hits"] > 0
 
 
-WPM_SMALL = {"scenario": "evolve-near-solution", "grid": {"d": 6, "r_max": 40.0, "n": 400},
-             "backward_span": 20.0}
+WPM_SMALL = {"scenario": "evolve-near-solution", "grid": {"d": 6, "r_max": 40.0, "n": 400}}
 
 
 def test_backward_child_writes_the_outputs_of_the_serial_run(tmp_path, monkeypatch):
@@ -619,6 +616,19 @@ def test_backward_child_writes_the_outputs_of_the_serial_run(tmp_path, monkeypat
             assert outputs[0][name] == outputs[1][name], (sign, name)
     assert "blowup-time-stable" in manifest["checks"]
     assert set(manifest["evolutions"]) == {"forward", "backward", "backward_refined"}
+
+
+def test_backward_span_is_the_seed_reflection_horizon_on_the_step_grid(tmp_path):
+    # the backward trace ends at the last step before the horizon, past which
+    # the scattering rule may not fire
+    for sign in (-1, 1):
+        manifest = ex.run(dict(WPM_SMALL, sign=sign), out_dir=str(tmp_path))
+        trace = dz.load_json(os.path.join(manifest["run_dir"], "trace_backward.json"))
+        seed, dt = manifest["config"]["seed_t0"], manifest["config"]["evolver"]["dt"]
+        horizon = trace["reflection"]["horizon_elapsed"]
+        assert trace["config"]["t_span"] == [seed, seed - math.floor(horizon / dt) * dt], sign
+        assert horizon - dt < seed - trace["config"]["t_span"][1] <= horizon
+        assert "horizon_exceeded" not in trace["reflection"]
 
 
 def _on_the_backward_child(monkeypatch, backward):
@@ -897,8 +907,9 @@ def test_workers_below_one_fail_before_a_run_directory(tmp_path, capsys):
     out = tmp_path / "runs"
     for workers in ("0", "-3"):
         assert cli.main(["sweep", "--config", path, "--workers", workers, "--out", str(out)]) == 2
-        assert "--workers: expected an integer >= 1, got %s" % workers in capsys.readouterr().err
-    with pytest.raises(ValueError, match="workers"):
+        assert capsys.readouterr().err == \
+            "invalid config:\n  workers: expected an integer >= 1, got %s\n" % workers
+    with pytest.raises(ex.ConfigError, match="workers: expected an integer >= 1, got 0"):
         ex.run(cfg, out_dir=str(out), workers=0)
     assert not out.exists()
 
@@ -941,6 +952,17 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # only sweep takes --workers
         cli.main(["spectrum", "--workers", "2", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    out = tmp_path / "runs"
+    for args in (["spectrum"], ["wpm", "--sign", "1"]):
+        for cfg in ([1, 2], "spectrum"):
+            path = _write_cfg(tmp_path, cfg)
+            assert cli.main(args + ["--config", path, "--out", str(out)]) == 2, (args, cfg)
+            assert capsys.readouterr().err == \
+                "invalid config:\n  config: expected a JSON object\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_unreadable_config(tmp_path, capsys):
