@@ -180,7 +180,7 @@ def _grid_errors(cfg):
     has non-finite bands] (r_max far from 1 against d and n: the face fluxes
     and cell volumes go as r^(d-1) and r^d), and for a scenario that computes
     a spectrum, [an error for each grid whose coarse shift fails] (no unstable
-    mode on the coarse grid), under grid.r_max, naming the paths that give
+    mode, or no convergence), under grid.r_max, naming the paths that give
     the grid's d and n.  The shift is memoized, so the pipeline reuses it."""
     grid = cfg["grid"]
     if cfg["scenario"] == "sweep":
@@ -260,7 +260,8 @@ def _check(where, want, val):
 
 def _whole_steps(cfg):
     """Errors for the spans of an evolving scenario that are not whole
-    numbers of steps of dt (within 1e-9 relative)."""
+    numbers of steps of dt (within 1e-9 relative), and for an evolve-near-solution
+    dt below 2^-53, too small for even a one-unit span to count exactly."""
     ecfg = cfg["evolver"]
     spans = {"evolver.sample_every:": ecfg["sample_every"]}
     if "t_span" in ecfg:
@@ -271,6 +272,9 @@ def _whole_steps(cfg):
         if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * n:
             errors.append("%s %r is not a whole number of steps of dt = %r"
                           % (what, span, ecfg["dt"]))
+    if not errors and cfg["scenario"] == "evolve-near-solution" and ecfg["dt"] < 2.0 ** -53:
+        errors.append("evolver.dt: %r is below 2^-53: the spans the run derives would not "
+                      "be whole, finite numbers of steps" % ecfg["dt"])
     return errors
 
 

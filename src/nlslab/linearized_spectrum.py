@@ -24,16 +24,18 @@ matrix with two diagonals on each side, factored by LAPACK's banded LU
 (factor_block).  A_s is a signed row permutation of B - s I: in complex
 storage y = y1 + i y2, (B - s I) y' = y exactly when A_s y' = i y.  The
 order-j profiles of the near-solution series solve A_{j e0}; the eigenmode
-comes from two stages: a dense eigenvalue sweep of L_minus L_plus on a
-coarse grid, whose most negative eigenvalue -s^2 locates the shift (avoids
-locking onto truncated-continuum artifacts), then inverse iteration on
-B - s I with the single factorization of A_s, which certifies the eigenpair
-to near round-off.
+comes from inverse iteration on B - s I with the single factorization of
+A_s, which certifies the eigenpair to near round-off.  The same iteration
+on a coarse grid of at most 400 cells gives the shift s, starting from a
+dense eigenvalue sweep of L_minus L_plus on at most 100 cells, whose most
+negative eigenvalue -s^2 locates e0 away from truncated-continuum artifacts
+(a dense eigenvalue of the squared operator errs by up to
+eps ||L_minus L_plus|| / e0^2 relative, ~h^-4, and costs O(n^3)).
 
 factor_block is the one caller of scipy: it imports scipy.linalg's LAPACK
 wrappers (dgbtrf, dgbtrs) when it runs, so importing this module, and
-nlslab, loads no scipy module; the first factorization in a process pays
-the ~0.26 s import.
+nlslab, loads no scipy module; the first factorization in a process (in a
+scenario run, the coarse shift of the config check) pays the ~0.26 s import.
 """
 
 import functools
@@ -44,7 +46,8 @@ import numpy as np
 from . import discretization as dz
 from . import ground_state as gs
 
-N_COARSE = 400    # cells of the coarse sweep grid (fewer when the grid has fewer)
+N_COARSE = 400    # cells of the coarse grid whose e0 is the shift (fewer when the grid has fewer)
+N_DENSE = 100     # cells of the dense sweep that anchors the coarse grid's iteration
 TOL = 1e-10       # block residual, relative to e0, that ends the inverse iteration
 MAX_ITER = 40
 
@@ -112,12 +115,15 @@ class EigenPair:
 
 @functools.cache
 def _coarse_shift(d, r_max, n):
-    """Coarse-grid estimate sqrt(-lambda) of e0, with lambda the most negative
-    eigenvalue of L_minus L_plus from a dense sweep on n cells.
-
-    Anchors the fine-grid inverse iteration away from truncated-continuum
-    artifacts.  Memoized: grids sharing d, r_max and n here run it once.
+    """Coarse-grid estimate of e0 on n cells: on more than N_DENSE cells, the
+    e0 of _inverse_iteration from the N_DENSE-cell shift; on at most N_DENSE,
+    sqrt(-lambda), lambda the most negative eigenvalue of L_minus L_plus by a dense sweep,
+    which keeps the iteration away from truncated-continuum artifacts.
+    Memoized: grids sharing d, r_max and n here run it once.
     """
+    if n > N_DENSE:
+        s = _coarse_shift(d, r_max, N_DENSE)
+        return _inverse_iteration(gs.Background(dz.build_grid(d, r_max, n)), s)[0]
     bg = gs.Background(dz.build_grid(d, r_max, n))
     L_plus = bg.lapl.apply(np.eye(bg.grid.nnodes), bg.p_c * bg.pot)
     lam = np.linalg.eigvals(bg.lapl.apply(L_plus, bg.pot))
@@ -136,23 +142,19 @@ def _norm(z):
     return math.sqrt(np.sum(z.real ** 2 + z.imag ** 2))
 
 
-def ground_mode(bg):
-    """Compute (e0, Y_plus) for the linearized operator.
-
-    Inverse iteration on B - s I from the coarse-grid shift s, each step one
-    back-substitution with the banded LU of A_s; stops once the block
-    residual ||B z - e0 z|| (||z|| = 1) has stopped falling tenfold per step
-    and is below TOL relative to e0 or at round-off, eps ||B||_1: its floor
-    grows like ||B||_1 ~ 1/h^2 and passes TOL e0 on fine grids (measured
-    ||B z - e0 z|| / ||B||_1 = 1.3-2.1e-17 at d = 6, n = 6000 to 48000).
+def _inverse_iteration(bg, shift):
+    """(e0, y, residuals): inverse iteration on B - s I, s the shift rounded
+    to 6 digits, each step one back-substitution with the banded LU of A_s.
+    Stops once the residual ||B y - e0 y|| (||y|| = 1; residuals, per step)
+    has stopped falling tenfold per step and is below TOL relative to e0 or at
+    round-off, eps ||B||_1: its floor grows like ||B||_1 ~ 1/h^2 and passes
+    TOL e0 on fine grids (measured 1.3-2.1e-17 ||B||_1 at d = 6, n = 6000 to 48000).
     """
     grid, lapl = bg.grid, bg.lapl
-    # rounded to 6 significant digits: the dense eigvals differ in the 12th
-    # digit between BLAS thread counts, and the shift only anchors the
-    # iteration, so e0 and Y_plus come out the same at any thread count
-    # unless the shift lies within ~1e-12 relative of a 6-digit rounding
-    # boundary (about one grid in a million)
-    s = float("%.6g" % _coarse_shift(grid.d, grid.r_max, min(N_COARSE, grid.n)))
+    # the shift only anchors the iteration, so e0 and y keep their bits
+    # wherever its 6-digit rounding does, whatever BLAS thread count the dense
+    # sweep ran on (unless the shift lies within its error of a boundary)
+    s = float("%.6g" % shift)
     solve, norm_a = factor_block(bg, s)
     pot_plus = bg.p_c * bg.pot
     # each column of |A_s| sums to that of |B| plus s
@@ -177,7 +179,14 @@ def ground_mode(bg):
     if e0 <= 0:
         raise RuntimeError("block inverse iteration found a nonpositive rate "
                            "e0=%g" % (e0,))
+    return e0, y, residuals
 
+
+def ground_mode(bg):
+    """(e0, Y_plus) of the linearized operator, by _inverse_iteration from _coarse_shift."""
+    grid = bg.grid
+    e0, y, residuals = _inverse_iteration(
+        bg, _coarse_shift(grid.d, grid.r_max, min(N_COARSE, grid.n)))
     y1, y2 = y.real.copy(), y.imag.copy()
     if y1[0] < 0:
         y1, y2 = -y1, -y2

@@ -198,8 +198,9 @@ def test_build_series_finds_t_k_once(tmp_path, monkeypatch):
 
 def test_one_sample_w_per_grid(tmp_path, monkeypatch):
     # W is sampled once per grid a run builds: build-series samples the
-    # coarse grid of the spectrum's shift sweep (checked by normalize) and its
-    # grid, classify-custom its grid, and every later layer reads W off that
+    # grids of the spectrum's coarse shift (checked by normalize), the dense
+    # sweep's 100 cells and the coarse iteration's 400, and its own grid,
+    # classify-custom its grid, and every later layer reads W off that
     # background
     grids = []
     sample_w = gs.sample_w
@@ -212,7 +213,8 @@ def test_one_sample_w_per_grid(tmp_path, monkeypatch):
     ls._coarse_shift.cache_clear()  # an earlier test may have swept this coarse grid
     ex.run({"scenario": "build-series", "grid": dict(SMALL_GRID)},
            out_dir=str(tmp_path))
-    assert grids == [dz.build_grid(6, 40.0, 400), dz.build_grid(**SMALL_GRID)]
+    assert grids == [dz.build_grid(6, 40.0, 100), dz.build_grid(6, 40.0, 400),
+                     dz.build_grid(**SMALL_GRID)]
     del grids[:]
     ex.run({"scenario": "classify-custom", "grid": dict(SMALL_GRID),
             "initial": {"kind": "scaled-w", "factor": 1.8},
@@ -310,6 +312,45 @@ def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
         assert rc == 2
         assert msg in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_coarse_iteration_that_does_not_converge_fails_before_a_run_directory(
+        tmp_path, capsys, monkeypatch):
+    # the coarse shift's 400-cell inverse iteration fails as the dense sweep
+    # does, under grid.r_max; one step never converges (the stop rule compares
+    # two residuals)
+    monkeypatch.setattr(ls, "MAX_ITER", 1)
+    ls._coarse_shift.cache_clear()
+    cfg = {"scenario": "spectrum", "grid": dict(SMALL_GRID)}
+    msg = ("grid.r_max: 40.0 gives no coarse-grid shift at grid.d = 6, grid.n = 800: "
+           "block inverse iteration did not converge")
+    errors = ex.normalize(cfg)[1]
+    assert len(errors) == 1 and errors[0].startswith(msg), errors
+    out = tmp_path / "runs"
+    rc = cli.main(["spectrum", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert rc == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_step_too_small_for_the_derived_spans_fails_before_a_run_directory(
+        tmp_path, capsys):
+    # wpm rounds its derived spans to whole steps of dt; below 2^-53 they
+    # would overflow (span / dt = inf) or not count exactly, after the run
+    # directory exists, so normalize refuses the dt itself
+    out = tmp_path / "runs"
+    for dt in (1e-320, 1e-307):
+        cfg = {"scenario": "evolve-near-solution", "grid": dict(SMALL_GRID),
+               "evolver": {"dt": dt, "sample_every": dt}}
+        msg = ("evolver.dt: %r is below 2^-53: the spans the run derives would not be "
+               "whole, finite numbers of steps" % dt)
+        assert ex.normalize(cfg)[1] == [msg], dt
+        rc = cli.main(["wpm", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "invalid config:\n  %s\n" % msg
+    assert not out.exists()
+    # the canonical config stays valid
+    assert ex.normalize({"scenario": "evolve-near-solution", "sign": -1})[1] == []
 
 
 def test_zero_amplitudes_fail_before_a_run_directory(tmp_path, capsys):
@@ -476,12 +517,14 @@ def test_outputs_are_byte_reproducible_across_roots(tmp_path):
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the coarse shift's dense eigvals differ in the 12th digit between 1 and
-    # 2 BLAS threads; ground_mode rounds it, and takes its norms and Rayleigh
-    # quotient by numpy sums, as residual_rate takes its L^2 norms (BLAS
-    # reductions differ at n = 12000), so the eigenpair, a k = 4 series and
-    # its residual report come out bit-identical, and so does a sweep's
-    # aggregate, whose residual ladders stop at thresholds on those norms
+    # ground_mode rounds its shift to 6 digits (a dense eigvals on 401 cells
+    # differed in the 12th digit between 1 and 2 BLAS threads; the coarse
+    # shift's 101-cell sweep and 400-cell iteration did not), and takes its
+    # norms and Rayleigh quotient by numpy sums, as residual_rate takes its
+    # L^2 norms (BLAS reductions differ at n = 12000), so the eigenpair, a
+    # k = 4 series and its residual report come out bit-identical, and so
+    # does a sweep's aggregate, whose residual ladders stop at thresholds on
+    # those norms
     cfgs = []
     for n in (6000, 12000):
         grid = {"d": 6, "r_max": 60.0, "n": n}
@@ -752,8 +795,9 @@ def test_sweep_rows_match_direct_cells(tmp_path):
 
 def test_sweep_solves_one_series_and_one_coarse_sweep(tmp_path, monkeypatch):
     # one unit series per grid (k_max - 1 profile solves), and the two grids
-    # of one (d, r_max) share one dense coarse-shift eigensolve; a sweep
-    # writes no bundle, so it makes no inverse-norm estimate
+    # of one (d, r_max) share one coarse shift, whose one dense eigensolve is
+    # on 100 cells; a sweep writes no bundle, so it makes no inverse-norm
+    # estimate
     solves, sweeps, estimates = [], [], []
     solve_profile, eigvals, estimate = sb.solve_profile, np.linalg.eigvals, sb._inverse_onenorm
     monkeypatch.setattr(sb, "solve_profile",
@@ -768,7 +812,7 @@ def test_sweep_solves_one_series_and_one_coarse_sweep(tmp_path, monkeypatch):
     manifest = ex.sweep(cfg, out_dir=str(tmp_path), workers=2)
     assert manifest["ok"]
     assert sorted(solves) == [2, 2, 3, 3]
-    assert sweeps == [(401, 401)]
+    assert sweeps == [(101, 101)]
     assert estimates == []
 
 

@@ -82,6 +82,34 @@ def test_ground_mode_certifies_fine_grids():
     assert abs(ref.e0 - 0.14029086451248082) <= 1e-10
 
 
+def _dense_shift(d, r_max, n):
+    """sqrt(-lambda), lambda the most negative real eigenvalue of L_minus L_plus
+    on n cells, by a dense eigensolve: the reference for the coarse shift."""
+    b = gs.Background(dz.build_grid(d, r_max, n))
+    lam = np.linalg.eigvals(b.lapl.apply(b.lapl.apply(np.eye(n + 1), b.p_c * b.pot), b.pot))
+    real = lam[np.abs(lam.imag) < 1e-8 * np.abs(lam.real).max()].real
+    return float(np.sqrt(-real.min()))
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8, 10])
+def test_coarse_shift_rounds_as_a_dense_sweep(d):
+    # the 400-cell inverse iteration, anchored by a 100-cell dense sweep,
+    # rounds to the 6 digits of a dense sweep on all 400 cells
+    assert "%.6g" % ls._coarse_shift(d, 60.0, 400) == "%.6g" % _dense_shift(d, 60.0, 400)
+
+
+def test_reference_grid_keeps_its_shift_and_e0(monkeypatch):
+    # at d = 6, r_max = 60, n = 6000 the fine iteration starts from the
+    # shift 0.140761, to which a dense sweep on all 401 coarse nodes also
+    # rounds, and gives the e0 that shift gives, to the bit
+    shifts, factor = [], ls.factor_block
+    monkeypatch.setattr(ls, "factor_block",
+                        lambda bg, s: shifts.append((bg.grid.n, s)) or factor(bg, s))
+    pair = ls.ground_mode(gs.Background(dz.build_grid(6, 60.0, 6000)))
+    assert shifts[-1] == (6000, float("0.140761"))
+    assert pair.e0.hex() == "0x1.1f50d118111f6p-3"
+
+
 def test_eigenmode_decays(grid, pair):
     amp = np.abs(pair.y_plus)
     assert amp[-1] < 1e-3 * np.max(amp)
