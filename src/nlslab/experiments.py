@@ -7,15 +7,17 @@ defaults, and rejects every key its scenario's pipeline does not read
 hash of the filled-in config (an implicit default and the same default
 written out share a directory), containing the declared outputs plus a
 manifest.json echoing the filled-in config, library versions, wall time,
-stage seconds under "timings" (a sweep's spectra, its unit series and its
-cells; evolve-near-solution's spectrum, series, bundle writes, forward and
+the seconds of normalize's config check as "check_s", stage seconds under
+"timings" (a sweep's spectra, its unit series and its cells;
+evolve-near-solution's spectrum, series, bundle writes, forward and
 backward evolution, and the stage that runs the last three as evolve_s;
 classify-custom's evolution), each evolution's steps, seconds and
 termination status (e.g. "scattering-detected" for a run stopped at its
 scattering decision) under "evolutions" (W+'s dt/2 blowup refinement as
-"backward_refined"), a sweep's number of processes that ran its cells as
-"cell_processes", the sorted relative paths of every other file in the run
-directory under "outputs", and the pass/fail record of every embedded check.
+"backward_refined"), a sweep's number of processes that ran its residual
+ladders as "cell_processes", the sorted relative paths of every other file in
+the run directory under "outputs", and the pass/fail record of every embedded
+check.
 Only the evolving scenarios (evolve-near-solution, classify-custom) read an
 evolver section; the others reject one.
 The spans an evolving scenario is given (t_span, sample_every) must be whole
@@ -34,9 +36,11 @@ save_s + forward_s + backward_s - evolve_s.  The backward span is the seed's
 reflection horizon, within which the scattering rule may fire (evolver.evolve),
 rounded down to the step grid; W-'s backward run stops at its scattering
 decision, W+'s at its blowup, and W+'s dt/2 refinement, run afterwards only
-on a blowup, takes the same span.  A sweep runs its cells on at most
-`workers` processes.  Where no worker may be forked, the jobs run one after
-the other in the caller; the outputs are the same bytes either way.
+on a blowup, takes the same span.  A sweep runs one residual ladder per
+(d, n, k, sign of a) on at most `workers` processes; each amplitude's row is
+its sign's report translated in time (_run_sweep).  Where no worker may be
+forked, the jobs run one after the other in the caller; the outputs are the
+same bytes either way.
 """
 
 import copy
@@ -473,10 +477,12 @@ def _run_sweep(cfg, rundir, workers=1):
     ds, ns, ks, aa = (cfg["ranges"][key] for key in ("d", "n", "k", "a"))
     r_max = cfg["grid"]["r_max"]
 
-    # per (d, n): the spectrum and one a = 1 series at the largest k.  A cell
-    # scales its prefix by Phi_j^a = a^j Phi_j^1 (acceptance criterion 6 checks
-    # this against the direct solve) and still evaluates its own PDE residual.
-    # Grids of one d share the memoized coarse shift of the spectrum.
+    # per (d, n): the spectrum and one a = 1 series at the largest k.  Since
+    # Phi_j^a = a^j Phi_j^1 (acceptance criterion 6 checks this against the
+    # direct solve), W_k^a(t) = W_k^s(t - ln|a|/e0) for s = sgn a: one residual
+    # ladder per (d, n, k, s) on the prefix scaled by s^j, and each amplitude's
+    # row is its sign's report with t_k + ln|a|/e0.  Grids of one d share the
+    # memoized coarse shift of the spectrum.
     units, failures, timings = {}, {}, {"spectra_s": 0.0, "series_s": 0.0}
     for d in ds:
         for n in ns:
@@ -491,28 +497,31 @@ def _run_sweep(cfg, rundir, workers=1):
             timings["spectra_s"] += t1 - t0
             timings["series_s"] += _time.perf_counter() - t1
 
-    def cell(params):
-        d, n, k, a = params
+    def ladder(params):
+        d, n, k, s = params
         unit = units[(d, n)]
         try:
-            profiles = [None] + [a ** j * unit.profiles[j] for j in range(1, k + 1)]
-            report = sb.residual_rate(sb.NearSolution(unit.background, k, a, unit.e0,
+            profiles = [None] + [s ** j * unit.profiles[j] for j in range(1, k + 1)]
+            report = sb.residual_rate(sb.NearSolution(unit.background, k, s, unit.e0,
                                                       profiles))
-        except Exception as exc:  # per-cell failures recorded, sweep continues
+        except Exception as exc:  # recorded for each of its amplitudes, sweep continues
             return "%s: %s" % (type(exc).__name__, exc)
-        return {"d": d, "n": n, "k": k, "a": a, "e0": unit.e0,
-                "t_k": report.t_k, "rate": report.rate,
-                "rate_target": (k + 1) * unit.e0}
+        return report.t_k, report.rate
 
     t1 = _time.perf_counter()
-    cells = [(d, n, k, a) for d, n in units for k in ks for a in aa]
-    procs = ev._processes(workers, len(cells))
+    signs = list(dict.fromkeys(math.copysign(1.0, a) for a in aa))
+    ladders = [(d, n, k, s) for d, n in units for k in ks for s in signs]
+    procs = ev._processes(workers, len(ladders))
     rows = {}
-    for c, res in zip(cells, ev.forked_map(cell, cells, procs)):
-        if isinstance(res, str):
-            failures[c] = res
-        else:
-            rows[c] = res
+    for (d, n, k, s), res in zip(ladders, ev.forked_map(ladder, ladders, procs)):
+        e0 = units[(d, n)].e0
+        for a in (a for a in aa if math.copysign(1.0, a) == s):
+            if isinstance(res, str):
+                failures[(d, n, k, a)] = res
+            else:
+                rows[(d, n, k, a)] = {"d": d, "n": n, "k": k, "a": a, "e0": e0,
+                                      "t_k": res[0] + math.log(abs(a)) / e0,
+                                      "rate": res[1], "rate_target": (k + 1) * e0}
     timings["cells_s"] = _time.perf_counter() - t1
 
     cols = ["d", "n", "k", "a", "e0", "t_k", "rate", "rate_target"]
@@ -547,8 +556,9 @@ def run(cfg, out_dir=".", workers=1, check=False):
     """
     if not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(["workers: expected an integer >= 1, got %r" % (workers,)])
-    t0 = _time.time()  # normalize runs a spectrum's coarse shift (_grid_errors)
+    t0 = _time.perf_counter()  # normalize runs a spectrum's coarse shift (_grid_errors)
     cfg, errors = normalize(cfg)
+    check_s = _time.perf_counter() - t0
     if errors:
         raise ConfigError(errors)
     scen = cfg["scenario"]
@@ -564,7 +574,8 @@ def run(cfg, out_dir=".", workers=1, check=False):
         "schema_version": SCHEMA_VERSION,
         "config": cfg,
         "versions": _versions(),
-        "wall_time_s": _time.time() - t0,
+        "wall_time_s": _time.perf_counter() - t0,
+        "check_s": check_s,
         "run_dir": rundir,
         "outputs": [path for path in outputs if path != "manifest.json"],
         "checks": checks,

@@ -28,7 +28,7 @@ solved as it stands (no Schur complement, which would square the condition
 number of the Laplacian) with the banded LU of linearized_spectrum.factor_block,
 the same factorization the eigenmode is computed with.  Its conditioning takes
 about ten banded solves, so it is estimated only where a bundle reports it
-(resolvent_conditioning); a sweep's cells' residual rates certify its profiles.
+(resolvent_conditioning); a sweep's residual ladders certify its profiles.
 
 The residual eps_k = (i d/dt + Lap) W_k^a + |W_k^a|^{p_c-1} W_k^a is linear in
 the profiles except for its last term:
@@ -52,6 +52,7 @@ quadratic, secant or bisection steps, Brent 1973, ch. 4; xtol = 2e-12,
 rtol = 4 eps): bit-identical to it without importing scipy.optimize.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -281,8 +282,10 @@ def series_reconstruction(near, t):
 
 def validity_start(near):
     """t_k: the smallest t with max_x |v_k(t,x)| / W(x) <= 1/2.  The bracket
-    search, its check and the root search share their evaluations, so no time
-    is evaluated twice."""
+    search walks out from ln|a|/e0, where the series of amplitude a is the
+    unit series at time 0 up to the sign of a, so t_k(a) = t_k(sgn a) + ln|a|/e0
+    is bracketed whatever the amplitude.  The bracket search, its check and
+    the root search share their evaluations, so no time is evaluated twice."""
     if near.a == 0:
         return -np.inf
     seen = {}
@@ -292,10 +295,11 @@ def validity_start(near):
             seen[t] = np.max(np.abs(perturbation(near, t)) / near.W) - 0.5
         return seen[t]
 
-    lo, hi = -10.0, 10.0
-    while excess(lo) < 0 and lo > -400:
+    shift = math.log(abs(near.a)) / near.e0
+    lo, hi = shift - 10.0, shift + 10.0
+    while excess(lo) < 0 and lo > shift - 400:
         lo -= 20.0
-    while excess(hi) > 0 and hi < 400:
+    while excess(hi) > 0 and hi < shift + 400:
         hi += 20.0
     if not excess(lo) >= 0 >= excess(hi):
         raise RuntimeError("could not bracket the validity start t_k")
@@ -365,6 +369,10 @@ def residual_rate(near):
     of all 450 cells checked: d = 5..10, n = 800..6000, k = 1..5,
     |a| = 0.5..1.6).  Norms are interior weighted L^2; a weighted-sup variant
     <r>^2 is fitted alongside (nan when fewer than 5 samples clear its floor).
+
+    Since Phi_j^a = a^j Phi_j^1, W_k^a(t) = W_k^{sgn a}(t - ln|a|/e0): a
+    change of a only translates the report in time, t_k by ln|a|/e0 with the
+    same rates and floors up to round-off (a sweep derives its rows so).
     """
     grid, bg = near.grid, near.background
     lap_w = bg.lapl.apply(near.W)

@@ -599,6 +599,36 @@ def test_build_series_run(tmp_path):
                                        "near_solution", "profile_1.csv"))
 
 
+@pytest.mark.parametrize("a", [1e-30, 1e30])
+def test_build_series_far_from_unit_amplitude_is_its_time_translate(tmp_path, a):
+    # W_k^a(t) = W_k^1(t - ln a / e0): the validity start's bracket walk is
+    # centred there, so t_k(a) = t_k(1) + ln a / e0 however far a is from 1
+    tks = []
+    for amp in (1.0, a):
+        cfg = {"scenario": "build-series", "grid": dict(SMALL_GRID),
+               "series": {"k": 2, "a": amp}}
+        manifest = ex.run(cfg, out_dir=str(tmp_path))
+        assert manifest["ok"]
+        meta = dz.load_json(os.path.join(manifest["run_dir"], "near_solution",
+                                         "manifest.json"))
+        tks.append(meta["t_k"])
+    # both within Brent's xtol (2e-12 plus 4 eps |t_k|) of their roots
+    assert abs(tks[1] - (tks[0] + math.log(a) / meta["e0"])) <= 1e-11
+
+
+def test_manifest_times_the_config_check(tmp_path):
+    # check_s: the seconds normalize took, coarse shift included, within the wall time
+    cfgs = [{"scenario": "sweep", "grid": {"r_max": 40.0},
+             "ranges": {"n": [800], "k": [1]}},
+            {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
+             "initial": {"kind": "scaled-w", "factor": 1.8},
+             "evolver": {"dt": 0.01, "t_span": [0.0, 1.0], "track_modulation": False}}]
+    for cfg in cfgs:
+        manifest = ex.run(cfg, out_dir=str(tmp_path))
+        assert 0.0 <= manifest["check_s"] <= manifest["wall_time_s"], cfg["scenario"]
+        assert "check_s" not in manifest["timings"]
+
+
 def test_classify_run_blowup(tmp_path):
     cfg = {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
            "initial": {"kind": "scaled-w", "factor": 1.8},
@@ -774,23 +804,43 @@ def test_sweep_aggregate_independent_of_workers(tmp_path):
     assert texts[0].count(b"\n") == 7
 
 
+NO_UNIT_AMPLITUDE = [0.5, 1.6, -0.7, -2.5]
+
+
 def test_sweep_rows_match_direct_cells(tmp_path):
-    # each cell scales the grid's unit series by a^j; a direct per-cell solve
-    # differs from it by round-off only
-    cfg = {"ranges": {"d": [6], "n": [800], "k": [1, 2, 3],
-                      "a": [1.0, -1.0, 1.6, -1.6]}, "grid": {"r_max": 40.0}}
-    manifest = ex.sweep(cfg, out_dir=str(tmp_path), workers=2)
+    # each row is its sign's ladder on the grid's unit series, translated by
+    # ln|a| / e0; a direct per-cell solve and ladder differ from it by
+    # round-off only, with and without the unit amplitudes in the ranges
+    bg = gs.Background(dz.build_grid(**SMALL_GRID))
+    pair = ls.ground_mode(bg)
+    for amplitudes in ([1.0, -1.0, 1.6, -1.6], NO_UNIT_AMPLITUDE):
+        cfg = {"ranges": {"d": [6], "n": [800], "k": [1, 2, 3],
+                          "a": amplitudes}, "grid": {"r_max": 40.0}}
+        manifest = ex.sweep(cfg, out_dir=str(tmp_path), workers=2)
+        assert manifest["ok"]
+        rows = np.loadtxt(os.path.join(manifest["run_dir"], "aggregate.csv"),
+                          delimiter=",", skiprows=1)
+        assert rows.shape == (12, 8)
+        for d, n, k, a, e0, t_k, rate, target in rows:
+            report = sb.residual_rate(sb.build_near_solution(int(k), a, pair, bg))
+            assert e0 == pair.e0
+            assert abs(t_k - report.t_k) <= 1e-12 * max(1.0, abs(report.t_k)), (k, a)
+            assert abs(rate - report.rate) <= 1e-9 * report.rate, (k, a)
+
+
+def test_sweep_runs_one_ladder_per_sign(tmp_path, monkeypatch):
+    # 3 orders x 2 signs, each on the unit series of its sign, for 12 rows
+    amplitudes, rate = [], sb.residual_rate
+    monkeypatch.setattr(sb, "residual_rate",
+                        lambda near: amplitudes.append(near.a) or rate(near))
+    cfg = {"ranges": {"d": [6], "n": [800], "k": [1, 2, 3], "a": NO_UNIT_AMPLITUDE},
+           "grid": {"r_max": 40.0}}
+    manifest = ex.sweep(cfg, out_dir=str(tmp_path), workers=1)
     assert manifest["ok"]
+    assert sorted(amplitudes) == [-1.0] * 3 + [1.0] * 3
     rows = np.loadtxt(os.path.join(manifest["run_dir"], "aggregate.csv"),
                       delimiter=",", skiprows=1)
     assert rows.shape == (12, 8)
-    bg = gs.Background(dz.build_grid(**SMALL_GRID))
-    pair = ls.ground_mode(bg)
-    for d, n, k, a, e0, t_k, rate, target in rows:
-        report = sb.residual_rate(sb.build_near_solution(int(k), a, pair, bg))
-        assert e0 == pair.e0
-        assert abs(t_k - report.t_k) <= 1e-12 * max(1.0, abs(report.t_k)), (k, a)
-        assert abs(rate - report.rate) <= 1e-9 * report.rate, (k, a)
 
 
 def test_sweep_solves_one_series_and_one_coarse_sweep(tmp_path, monkeypatch):
@@ -934,6 +984,29 @@ def test_sweep_cell_error_on_a_child_is_recorded_as_serially(tmp_path, monkeypat
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0]["failures.json"]) == {
         str((6, 800, 2, a)): "ValueError: no rate for k = 2, a = %g" % a for a in (1.0, -1.0)}
+
+
+def test_a_failed_ladder_is_recorded_for_each_amplitude_of_its_sign(tmp_path, monkeypatch,
+                                                                   two_cpus):
+    rate = sb.residual_rate
+
+    def failing(near):
+        if near.k == 2 and near.a > 0:
+            raise ValueError("no rate for k = %d, a = %g" % (near.k, near.a))
+        return rate(near)
+    monkeypatch.setattr(sb, "residual_rate", failing)
+    cfg = dict(SWEEP_SMALL, ranges=dict(SWEEP_SMALL["ranges"], a=NO_UNIT_AMPLITUDE))
+    outputs = []
+    for workers in (2, 1):
+        manifest = ex.sweep(cfg, out_dir=str(tmp_path / str(workers)), workers=workers)
+        assert manifest["cell_processes"] == workers
+        assert manifest["checks"]["all-cells-completed"]["failed_cells"] == 2
+        outputs.append({name: data for name, data in _output_bytes(manifest["run_dir"]).items()
+                        if name != "manifest.json"})
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]["failures.json"]) == {
+        str((6, 800, 2, a)): "ValueError: no rate for k = 2, a = 1" for a in (0.5, 1.6)}
+    assert outputs[0]["aggregate.csv"].count(b"\n") == 11
 
 
 def test_sweep_cell_exit_is_an_error(tmp_path, monkeypatch, two_cpus):
