@@ -31,7 +31,7 @@ _SCENARIO_OF = {
 
 
 def _load_config(path):
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return json.load(f)
 
 
@@ -63,7 +63,7 @@ def main(argv=None):
     if args.config is not None:
         try:
             cfg = _load_config(args.config)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
             print("error reading config %s: %s" % (args.config, exc), file=sys.stderr)
             return 2
     else:

@@ -2,29 +2,26 @@
 
 The modulation fit projects a field onto the two-parameter family
 W_{[theta,mu]}: for each scale mu the optimal phase has the closed form
-theta = arg <grad W_mu, grad u>, leaving a 1-D bounded minimization in mu.
-The face differences du of u, weighted by the square roots of the face
-fluxes and split into real and imaginary parts, are taken once per fit
-(the weights, like q = r^2/(d(d-2)), once per grid).  Each trial mu then
-costs the real closed form W_mu (ground_state.scaled_w, no libm pow), its
-weighted face differences s = sqrt(flux) dW by one slice subtraction and
-one product, two real dot products for <grad W_mu, grad u>, and the
-residual e = sqrt(flux) du - e^{i theta} s, whose two real dot products
-e_re.e_re + e_im.e_im give the kinetic norm of the direct field difference
-u - e^{i theta} W_mu.  The expanded norm-difference formula
-||u||^2 - 2|<.,.>| + ||W_mu||^2 would save the residual but is not used: it
-cancels near the family.  On W + eps bump (d = 6, n = 6000, eps = 1e-1 to
-1e-5) its d^2 is off the direct one by up to 3.4e-12, a distance floor near
-2e-6, and it makes a fit of 1.02 W only 20-30% faster (0.39-0.44 ms against
-0.54-0.57 ms, medians of 200 fits, 2 vCPU, single-threaded BLAS).
-The bracket is seeded from the field's amplitude.  An optimum within 1e-6
-of the bracket width from either end is flagged ``at_bracket_edge``: the true
-minimizer may lie outside the bracket, which happens while a field focuses.
-Such a fit is repeated once on a bracket of the same ratio centred on the hit
-edge, and the fit with the smaller distance is reported.  The search over mu
-ports scipy's bounded Brent minimizer (golden-section and parabolic steps,
-Brent 1973, ch. 5; xatol = 1e-10): the same trial points and nfev, so fits
-are bit-identical to it without importing scipy.optimize.
+theta = arg <grad W_mu, grad u>, which leaves the squared distance
+||grad u||^2 + g(mu), g(mu) = ||grad W_mu||^2 - 2 |<grad W_mu, grad u>|.
+The fit scans g on LATTICE scales geometric over [MU_LO, MU_HI] by one
+matrix product against a per-grid table (``_lattice``), then searches
+nu = ln mu over the two lattice cells around the best scale by a port of
+scipy's bounded Brent minimizer (golden-section and parabolic steps, Brent
+1973, ch. 5): the same trial points and nfev, without importing
+scipy.optimize.  A trial costs the real closed form W_mu
+(ground_state.scaled_w, no libm pow), its sqrt(flux)-weighted face
+differences and three dot products against those of the field, which are
+formed once per fit.  g cancels near the family (on W + eps bump, d = 6,
+n = 6000, eps = 1e-1 to 1e-5, its d^2 is off the direct one by up to
+3.4e-12, a distance floor near 2e-6), so it only places the optimum: the
+reported theta and distance are those of the direct residual
+sqrt(flux) (e^{i theta} dW_mu - du) there.  A fit whose best lattice scale
+is an end of the lattice is flagged ``at_bracket_edge``: its optimum may lie
+beyond the lattice.  The scan replaced a search on a bracket seeded from the
+field's amplitude, which settled in local minima while a field focused and
+took 13.7 trials per fit on the benchmark's classify-dense states, against
+8.7 now.
 
 Classification mirrors the forward/backward trichotomy: blowup if the
 detector fired; convergence to the modulated W family if the fitted distance
@@ -46,6 +43,11 @@ from . import discretization as dz
 from . import ground_state as gs
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# the fit's scan: LATTICE scales, geometric over [MU_LO, MU_HI]
+MU_LO, MU_HI, LATTICE = 0.01, 100.0, 33
+# the search's xatol in nu = ln mu: its tolerance sqrt(eps) |nu| + xatol / 3
+# is then a relative tolerance in mu of sqrt(eps) (1 + |nu|), at least sqrt(eps)
+NU_XATOL = 3.0 * math.sqrt(2.2e-16)
 # the classification thresholds, echoed in every report
 THRESHOLDS = {"tail_fraction": 0.01, "dist_tol": 0.25, "floor": 1e-3, "deadband": 1e-6}
 
@@ -58,64 +60,72 @@ class ModulationFit:
         self.diagnostics = diagnostics or {}
 
 
-def fit_modulation(u, grid):
-    """Minimize ||u - W_{[theta,mu]}||_{H1-dot} over (theta, mu).
+def _lattice(grid):
+    """The scan's table on grid, built by the first fit and memoized on it:
+    nu = ln mu of the LATTICE scales, the rows sqrt(flux) dW_mu and their
+    squared norms ||grad W_mu||^2."""
+    if getattr(grid, "_fit_lattice", None) is None:
+        nu = np.linspace(math.log(MU_LO), math.log(MU_HI), LATTICE)
+        w = np.array([gs.scaled_w(grid.d, grid.q, mu) for mu in np.exp(nu)])
+        rows = grid.sqrt_flux * (w[:, 1:] - w[:, :-1])
+        grid._fit_lattice = nu.tolist(), rows, np.einsum("ij,ij->i", rows, rows)
+    return grid._fit_lattice
 
-    theta is eliminated in closed form per mu; mu by bounded scalar
-    minimization on a bracket seeded from amplitude matching
-    (max W_mu = mu^{-(d-2)/2}).  diagnostics: "at_bracket_edge" for the
-    seeded bracket (which is then refit once past that edge), "bracket" for
-    the bracket of the reported fit, and "nfev" over both fits.
+
+def fit_modulation(u, grid):
+    """Minimize ||u - W_{[theta,mu]}||_{H1-dot} over (theta, mu) by the scan,
+    search and direct residual of the module docstring.  diagnostics:
+    "at_bracket_edge" when the best lattice scale is an end of the lattice,
+    "bracket" for the searched scales [mu_lo, mu_hi] and "nfev" for the
+    search's evaluations.
     """
     u = np.asarray(u, dtype=complex)
     if not np.any(u):
         raise ValueError("cannot fit modulation of the zero field")
     d, q, sf = grid.d, grid.q, grid.sqrt_flux
     du = u[1:] - u[:-1]
-    sdu_re, sdu_im = sf * du.real, sf * du.imag
+    sdu = np.stack((sf * du.real, sf * du.imag))
+    sdu_re, sdu_im = sdu
+    # the scan: g on the lattice, and its best scale j
+    nu, rows, norms = _lattice(grid)
+    ab = rows @ sdu.T
+    j = int(np.argmin(norms - 2.0 * np.hypot(ab[:, 0], ab[:, 1])))
+    edge = j in (0, LATTICE - 1)
+    j = min(max(j, 1), LATTICE - 2)
+    # the trials' sqrt(flux) dW_mu by nu, so the optimum's is not formed twice
+    trials = {}
 
-    def dist2_theta(mu):
-        w = gs.scaled_w(d, q, mu)
-        sdw = w[1:] - w[:-1]
+    def g(x):
+        w = gs.scaled_w(d, q, math.exp(x))
+        sdw = trials[x] = w[1:] - w[:-1]
         sdw *= sf
-        a, b = sdu_re @ sdw, sdu_im @ sdw
-        th = math.atan2(b, a) if a or b else 0.0
-        # the residual's sign flipped, in place (each fresh array costs
-        # about as much as the product that fills it)
-        e_re = math.cos(th) * sdw
-        e_re -= sdu_re
-        sdw *= math.sin(th)
-        sdw -= sdu_im
-        return float(e_re @ e_re + sdw @ sdw), th
+        return float(sdw @ sdw) - 2.0 * math.hypot(sdu_re @ sdw, sdu_im @ sdw)
 
-    def fit(bounds):
-        mu, (d2, th), nfev = _bounded_min(dist2_theta, *bounds)
-        return d2, th, mu, list(bounds), nfev
-
-    seed = min(max(float(np.max(np.abs(u))) ** (-2 / (d - 2)), 0.05), 20.0)
-    lo, hi = seed / 5.0, seed * 5.0
-    d2, th, mu, bracket, nfev = fit((lo, hi))
-    edge = min(mu - lo, hi - mu) <= 1e-6 * (hi - lo)
-    if edge:
-        wide = fit((mu / 5.0, mu * 5.0))
-        nfev += wide[4]
-        if wide[0] < d2:
-            d2, th, mu, bracket = wide[:4]
-    return ModulationFit(th, mu, np.sqrt(max(d2, 0.0)),
-                         diagnostics={"bracket": bracket, "nfev": nfev,
-                                      "at_bracket_edge": bool(edge)})
+    x, nfev = _bounded_min(g, nu[j - 1], nu[j + 1], NU_XATOL)
+    mu, sdw = math.exp(x), trials[x]
+    a, b = sdu_re @ sdw, sdu_im @ sdw
+    th = math.atan2(b, a) if a or b else 0.0
+    # the direct residual e = sqrt(flux) (e^{i theta} dW_mu - du), formed in
+    # place (each fresh array costs about as much as the product that fills it)
+    e_re = math.cos(th) * sdw
+    e_re -= sdu_re
+    sdw *= math.sin(th)
+    sdw -= sdu_im
+    d2 = float(e_re @ e_re + sdw @ sdw)
+    return ModulationFit(th, mu, math.sqrt(max(d2, 0.0)),
+                         diagnostics={"bracket": [math.exp(nu[j - 1]), math.exp(nu[j + 1])],
+                                      "nfev": nfev, "at_bracket_edge": edge})
 
 
-def _bounded_min(func, a, b):
-    """scipy's bounded Brent minimizer (BSD): (x, func(x), nfev) for func(x)[0] on [a, b]."""
+def _bounded_min(func, a, b, xatol):
+    """scipy's bounded Brent minimizer (BSD): (x, nfev) for func on [a, b]."""
     fulc = nfc = xf = a + _GOLDEN * (b - a)
     rat = e = 0.0
-    best = func(xf)
-    ffulc = fnfc = fx = best[0]
+    ffulc = fnfc = fx = func(xf)
     fu, num = math.inf, 1
     while True:
         xm = 0.5 * (a + b)
-        tol1 = math.sqrt(2.2e-16) * abs(xf) + 1e-10 / 3.0  # xatol = 1e-10
+        tol1 = math.sqrt(2.2e-16) * abs(xf) + xatol / 3.0
         if not abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a) or num >= 500:
             break
         golden = True
@@ -135,12 +145,12 @@ def _bounded_min(func, a, b):
             e = (a if xf >= xm else b) - xf
             rat = _GOLDEN * e
         x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        out = func(x)
-        fu, num = out[0], num + 1
+        fu = func(x)
+        num += 1
         if fu <= fx:
             a, b = (xf, b) if x >= xf else (a, xf)
             fulc, ffulc, nfc, fnfc = nfc, fnfc, xf, fx
-            xf, fx, best = x, fu, out
+            xf, fx = x, fu
         else:
             a, b = (x, b) if x < xf else (a, x)
             if fu <= fnfc or nfc == xf:
@@ -149,7 +159,7 @@ def _bounded_min(func, a, b):
                 fulc, ffulc = x, fu
     if num >= 500 or math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
         raise RuntimeError("modulation scale search on [%r, %r] failed" % (a, b))
-    return xf, best, num
+    return xf, num
 
 
 class RateFit:

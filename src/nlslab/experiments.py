@@ -174,6 +174,8 @@ def normalize(cfg):
         errors += _field_errors(init["path"], dz.build_grid(**out["grid"]))
     elif init.get("kind") == "scaled-w":
         errors += _factor_errors(init["factor"], out["grid"]["d"])
+    if "a" in out.get("series", {}):
+        errors += _amplitude_errors(out["series"]["a"], out["series"]["k"])
     if "evolver" in out and not errors:
         errors += _whole_steps(out)
     return out, errors
@@ -224,6 +226,19 @@ def _factor_errors(factor, d):
         ok = False
     return [] if ok else ["initial.factor: %r overflows (|factor| max W)^%g, the largest "
                           "power a sample forms at d = %d" % (factor, 2 * (d + 2) / (d - 2), d)]
+
+
+def _amplitude_errors(a, k):
+    """[the error for a series amplitude a whose powers |a|^j, j = 1..k, the
+    series of order k multiplies its profiles by, leave the normal
+    floating-point range], else []."""
+    fin = np.finfo(float)
+    try:
+        ok = all(fin.tiny <= abs(a) ** j <= fin.max for j in (1, k))
+    except OverflowError:
+        ok = False
+    return [] if ok else ["series.a: %r takes a power |a|^j, j <= %d, out of the "
+                          "normal floating-point range" % (a, k)]
 
 
 def _field_errors(path, grid):

@@ -616,6 +616,27 @@ def test_build_series_far_from_unit_amplitude_is_its_time_translate(tmp_path, a)
     assert abs(tks[1] - (tks[0] + math.log(a) / meta["e0"])) <= 1e-11
 
 
+def test_build_series_amplitude_whose_powers_leave_the_double_range(tmp_path, capsys):
+    # |a|^2 underflows at a = 1e-200 and overflows at 1e200: refused under
+    # series.a before a run directory exists; 1e-120 still runs
+    out = tmp_path / "runs"
+    for a in (1e-200, 1e200):
+        cfg = {"scenario": "build-series", "grid": dict(SMALL_GRID),
+               "series": {"k": 2, "a": a}}
+        msg = ("series.a: %r takes a power |a|^j, j <= 2, out of the normal "
+               "floating-point range" % a)
+        with pytest.raises(ex.ConfigError) as exc:
+            ex.run(cfg, out_dir=str(out))
+        assert exc.value.errors == [msg]
+        rc = cli.main(["build-series", "--config", _write_cfg(tmp_path, cfg),
+                       "--out", str(out)])
+        assert rc == 2 and msg in capsys.readouterr().err
+    assert not out.exists()
+    cfg = {"scenario": "build-series", "grid": dict(SMALL_GRID),
+           "series": {"k": 2, "a": 1e-120}}
+    assert ex.run(cfg, out_dir=str(out))["ok"]
+
+
 def test_manifest_times_the_config_check(tmp_path):
     # check_s: the seconds normalize took, coarse shift included, within the wall time
     cfgs = [{"scenario": "sweep", "grid": {"r_max": 40.0},
@@ -651,22 +672,32 @@ def test_classify_run_blowup(tmp_path):
 
 def test_fit_worker_writes_the_traces_of_the_direct_path(tmp_path, monkeypatch):
     # one CPU keeps the fits in the evolving process; the run has more
-    # samples than ring slots, bracket-edge fits and a blowup exit
+    # samples than ring slots and a blowup exit.  The fits complete each
+    # sample's kinetic norm and energy, which a run without fits computes
+    # as it samples: the same bytes in all three runs
     cfg = {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
            "initial": {"kind": "scaled-w", "factor": 1.8},
            "evolver": {"dt": 0.005, "t_span": [0.0, 30.0], "sample_every": 0.05}}
+    untracked = dict(cfg, evolver=dict(cfg["evolver"], track_modulation=False))
     outputs = []
-    for cpus in (2, 1):
+    for cpus, run_cfg in ((2, cfg), (1, cfg), (2, untracked)):
         monkeypatch.setattr(ev, "_cpus", lambda n=cpus: n)
-        manifest = ex.run(cfg, out_dir=str(tmp_path / str(cpus)))
-        assert manifest["evolutions"]["evolve"]["fit_seconds"] > 0
+        manifest = ex.run(run_cfg, out_dir=str(tmp_path / str(len(outputs))))
+        if run_cfg is cfg:
+            assert manifest["evolutions"]["evolve"]["fit_seconds"] > 0
         outputs.append(_output_bytes(manifest["run_dir"]))
     for name in ("trace.csv", "trace.json"):
         assert outputs[0][name] == outputs[1][name], name
+    t_e_kinetic = [[row.split(b",")[:3] for row in out["trace.csv"].splitlines()]
+                   for out in outputs]
+    assert t_e_kinetic[0] == t_e_kinetic[2]
     trace = json.loads(outputs[0]["trace.json"])
     assert trace["termination"]["status"] == "blowup-detected"
     assert trace["modulation"]["fits"] > ev.RING
-    assert trace["modulation"]["edge_hits"] > 0
+    # the fit's scan leaves its search two lattice cells: 9.42 evaluations
+    # per fit on this run, where the amplitude-seeded search and its refit
+    # took 14.0
+    assert trace["modulation"]["nfev"] / trace["modulation"]["fits"] < 9.5
 
 
 WPM_SMALL = {"scenario": "evolve-near-solution", "grid": {"d": 6, "r_max": 40.0, "n": 400}}
@@ -1088,6 +1119,16 @@ def test_cli_rejects_unreadable_config(tmp_path, capsys):
         f.write("{not json")
     rc = cli.main(["ground-state", "--config", path])
     assert rc == 2
+
+
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = str(tmp_path / "c.json")
+    with open(path, "wb") as f:
+        f.write(b"\xff\xfe")
+    out = tmp_path / "runs"
+    assert cli.main(["classify", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error reading config %s: " % path)
+    assert not out.exists()
 
 
 def test_cli_requires_config_for_classify(capsys):
