@@ -21,7 +21,7 @@ is an end of the lattice is flagged ``at_bracket_edge``: its optimum may lie
 beyond the lattice.  The scan replaced a search on a bracket seeded from the
 field's amplitude, which settled in local minima while a field focused and
 took 13.7 trials per fit on the benchmark's classify-dense states, against
-8.7 now.
+8.9 now.
 
 Classification mirrors the forward/backward trichotomy: blowup if the
 detector fired; convergence to the modulated W family if the fitted distance
@@ -43,8 +43,11 @@ from . import discretization as dz
 from . import ground_state as gs
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-# the fit's scan: LATTICE scales, geometric over [MU_LO, MU_HI]
-MU_LO, MU_HI, LATTICE = 0.01, 100.0, 33
+# the fit's scan: LATTICE scales geometric over [MU_LO, MU_HI], a ratio of
+# 10^0.15 apart; this holds the reach of the amplitude-seeded fit it replaced
+# (about 0.002 to 500 with its refit): at d = 3 a field just below the blowup
+# detector's amplitude threshold fits near mu = 0.01
+MU_LO, MU_HI, LATTICE = 1e-3, 1e3, 41
 # the search's xatol in nu = ln mu: its tolerance sqrt(eps) |nu| + xatol / 3
 # is then a relative tolerance in mu of sqrt(eps) (1 + |nu|), at least sqrt(eps)
 NU_XATOL = 3.0 * math.sqrt(2.2e-16)

@@ -58,11 +58,9 @@ The workers have two clients:
   on one worker forked after the input checks, while it steps on.  Each
   sampled state is copied into one of RING slots of an anonymous shared
   mmap and only the sample number goes over the pipe; stepping waits only
-  while RING fits are in flight.  The fit job also forms the sample's
-  kinetic norm, which completes its energy (EvolutionTrace.add_kinetic).
-  With one CPU the worker has none of its own to overlap on (pinned to one
-  CPU, the classify-dense config took 0.75-0.80 s with a worker forced
-  against 0.68-0.71 s without).
+  while RING fits are in flight.  With one CPU the worker has none of its
+  own to overlap on (pinned to one CPU, the benchmark's classify-dense
+  config took 0.75-0.91 s with a worker forced against 0.70-0.75 s without).
 * ``forked_map`` runs independent jobs on the caller and up to P - 1
   workers: evolve-near-solution's backward evolution beside its bundle and
   forward evolution, and a sweep's cells.  Both scenarios compute their
@@ -315,18 +313,10 @@ class EvolutionTrace:
         # ran); reported in the manifest, not in trace.json
         self.fit_seconds = 0.0
 
-    def add_kinetic(self, k, kin_sq):
-        """Complete sample k with its squared kinetic norm: its kinetic norm,
-        and its energy from the potential term ``evolve`` left in energy[k]."""
-        K = np.sqrt(kin_sq)
-        self.kinetic[k] = float(K)
-        self.energy[k] = 0.5 * K ** 2 - self.energy[k]
-
     def add_fit(self, k, fit):
         """Record sample k's modulation fit, as ``_fit`` returns it."""
-        dist, theta, mu, nfev, at_edge, kin_sq, seconds = fit
+        dist, theta, mu, nfev, at_edge, seconds = fit
         self.h1_dist[k], self.theta[k], self.mu[k] = dist, theta, mu
-        self.add_kinetic(k, kin_sq)
         mod = self.modulation
         mod["fits"] += 1
         mod["nfev"] += nfev
@@ -350,12 +340,11 @@ class EvolutionTrace:
 
 def _fit(u, grid):
     """One sample's modulation fit: (distance, theta, mu, nfev,
-    at_bracket_edge, the squared kinetic norm of u, seconds the fit took)."""
+    at_bracket_edge, seconds taken)."""
     t0 = time.perf_counter()
     fit = dg.fit_modulation(u, grid)
-    seconds = time.perf_counter() - t0
     return (fit.distance, fit.theta, fit.mu, fit.diagnostics["nfev"],
-            fit.diagnostics["at_bracket_edge"], dz.kinetic_sq(u, grid), seconds)
+            fit.diagnostics["at_bracket_edge"], time.perf_counter() - t0)
 
 
 def _cpus():
@@ -586,8 +575,7 @@ def evolve(u0, config, bg):
     when 2(p_c + 1) is an integer (d = 3, 4, 6, 10), see ground_state._power;
     s(t) multiplies it by |u|^{4/(d-2)} (|u| itself at d = 6).
     With config.track_modulation, each sample's modulation fit runs on the
-    fit worker (see the module docstring) when it can overlap the stepping,
-    and with it the sample's kinetic norm, which completes its energy;
+    fit worker (see the module docstring) when it can overlap the stepping;
     trace.fit_seconds sums the fits' busy time wherever they ran.
     """
     grid = bg.grid
@@ -619,27 +607,24 @@ def evolve(u0, config, bg):
     def sample(t, u):
         """Record the sample of u at t; True when it decides scattering."""
         nonlocal S
+        K = np.sqrt(dz.kinetic_sq(u, grid))
         amp = np.abs(u)
         mx = float(np.max(amp))
         pot = gs._power(amp, bg.p_c + 1)
-        V = (grid.d - 2) / (2 * grid.d) * dz.integrate(pot, grid)
+        E = 0.5 * K ** 2 - (grid.d - 2) / (2 * grid.d) * dz.integrate(pot, grid)
         pot *= gs._power(amp, spow)
         s = float(np.dot(pot, grid.w)) / s_w
         trace.times.append(t)
+        trace.energy.append(E)
+        trace.kinetic.append(float(K))
         trace.max_amp.append(mx)
         trace.s_crit.append(s)
-        # add_kinetic completes these, on the fit worker's kinetic norm when
-        # the fit is tracked (add_fit fills in the fit's own three)
-        trace.kinetic.append(np.nan)
-        trace.energy.append(V)
+        # the fit, when tracked, fills these in (add_fit)
         trace.h1_dist.append(np.nan)
         trace.theta.append(np.nan)
         trace.mu.append(np.nan)
-        k = len(trace.times) - 1
         if config.track_modulation:
-            fits.submit(k, u)
-        else:
-            trace.add_kinetic(k, dz.kinetic_sq(u, grid))
+            fits.submit(len(trace.times) - 1, u)
         if len(trace.times) == 1:
             return False
         s_prev, span = trace.s_crit[-2], abs(t - trace.times[-2])

@@ -125,6 +125,11 @@ def test_fit_modulation_flags_bracket_edge(grid):
     fit = dg.fit_modulation(u, grid)
     assert fit.diagnostics["at_bracket_edge"] is False
     assert fit.mu == pytest.approx(3.0, abs=1e-6)
+    # the scan holds the amplitude-seeded fit's reach, about [0.002, 500]
+    for mu in (0.002, 500.0):
+        fit = dg.fit_modulation(gs.w_family(0.0, mu, grid), grid)
+        assert fit.diagnostics["at_bracket_edge"] is False
+        assert fit.mu == pytest.approx(mu, rel=1e-6)
     # optima beyond the scanned scales [MU_LO, MU_HI]
     for mu in (0.5 * dg.MU_LO, 2.0 * dg.MU_HI):
         fit = dg.fit_modulation(gs.w_family(0.0, mu, grid), grid)
