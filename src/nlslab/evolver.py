@@ -573,7 +573,9 @@ def evolve(u0, config, bg):
     forward one, and backward the seed's reflection horizon, rounded down.
     The potential |u|^{p_c+1} of each sample's energy is formed by products
     when 2(p_c + 1) is an integer (d = 3, 4, 6, 10), see ground_state._power;
-    s(t) multiplies it by |u|^{4/(d-2)} (|u| itself at d = 6).
+    s(t) multiplies it by |u|^{4/(d-2)} (|u| itself at d = 6).  Both
+    integrals are discretization.dot products with the quadrature weights, so
+    E and s, like the fits, have the same bits whatever the BLAS thread count.
     With config.track_modulation, each sample's modulation fit runs on the
     fit worker (see the module docstring) when it can overlap the stepping;
     trace.fit_seconds sums the fits' busy time wherever they ran.
@@ -600,7 +602,7 @@ def evolve(u0, config, bg):
 
     # |u|^{2(d+2)/(d-2)} = |u|^{p_c+1} |u|^{4/(d-2)}
     spow = Fraction(4, grid.d - 2)
-    s_w = float(np.dot(gs._power(bg.W, bg.p_c + 1) * gs._power(bg.W, spow), grid.w))
+    s_w = float(dz.dot(gs._power(bg.W, bg.p_c + 1) * gs._power(bg.W, spow), grid.w))
     tail_fraction = dg.THRESHOLDS["tail_fraction"]
     S = 0.0
 
@@ -613,7 +615,7 @@ def evolve(u0, config, bg):
         pot = gs._power(amp, bg.p_c + 1)
         E = 0.5 * K ** 2 - (grid.d - 2) / (2 * grid.d) * dz.integrate(pot, grid)
         pot *= gs._power(amp, spow)
-        s = float(np.dot(pot, grid.w)) / s_w
+        s = float(dz.dot(pot, grid.w)) / s_w
         trace.times.append(t)
         trace.energy.append(E)
         trace.kinetic.append(float(K))

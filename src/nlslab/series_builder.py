@@ -225,8 +225,8 @@ def time_derivative(near, t):
     return ut
 
 
-def _residual_norms(near, ts, sup_weight, lap_w, floors=None):
-    """Interior weighted L^2 and <r>^sup_weight-sup norms of the PDE residual
+def _residual_norms(near, ts, lap_w, floors=None):
+    """Interior weighted L^2 and <r>^2-sup norms of the PDE residual
     eps_k^a(t) = (i d/dt + Lap) W_k^a + |W_k^a|^{p_c-1} W_k^a at the times ts,
     given lap_w = Lap W (see the module docstring for the evaluation).
 
@@ -241,7 +241,7 @@ def _residual_norms(near, ts, sup_weight, lap_w, floors=None):
                      for rate, phi in zip(rates, phis)])
     # real (samples x k) coefficients times complex profiles, as one real GEMM
     phis, glin = phis.view(float), glin.view(float)
-    w, jw = grid.w[:-1], np.sqrt(1.0 + grid.r ** 2) ** sup_weight
+    w, jw = grid.w[:-1], np.sqrt(1.0 + grid.r ** 2) ** 2
     rows = max(1, CHUNK_BYTES // (16 * grid.nnodes))
     l2s, sups = np.empty(len(ts)), np.empty(len(ts))
     for lo in range(0, len(ts), rows):
@@ -381,7 +381,7 @@ def residual_rate(near):
     sup_floor = dz.weighted_sup_norm(floor_field, 2, grid)
     t_k = validity_start(near)
     ts = np.linspace(t_k, t_k + 60.0, 121)
-    l2s, sups = _residual_norms(near, ts, 2, lap_w, (floor, sup_floor))
+    l2s, sups = _residual_norms(near, ts, lap_w, (floor, sup_floor))
     ts = ts[:len(l2s)]
     try:
         fit = dg.rate_fit(ts, l2s, floor)

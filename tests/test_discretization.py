@@ -60,6 +60,24 @@ def test_integrate_matches_quad_oracle(grid):
     assert val == pytest.approx(grid.omega * oracle, rel=1e-9)
 
 
+def test_dot_is_matmul_up_to_a_chunk_and_in_order_chunk_dots_above(rng):
+    # up to DOT_CHUNK elements one BLAS call, bit for bit; above, the sum of
+    # chunk dots in order, the short tail chunk included (n = 12001)
+    for n in (17, 6001, dz.DOT_CHUNK):
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        assert dz.dot(a, b) == a @ b
+        assert dz.dot_for(n)(a, b) == a @ b
+    chunk = dz.DOT_CHUNK
+    for n in (chunk + 1, 12001, 3 * chunk):
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        want = 0.0
+        for i in range(0, n, chunk):
+            want += a[i:i + chunk] @ b[i:i + chunk]
+        assert dz.dot(a, b) == want
+        assert dz.dot_for(n)(a, b) == want
+        assert abs(dz.dot(a, b) - math.fsum(a * b)) <= 1e-13 * np.sum(np.abs(a * b))
+
+
 def test_l2_norm_matches_quad_oracle(grid):
     val = dz.l2_norm(gaussian(grid.r), grid)
     oracle, _ = quad(lambda s: gaussian(s) ** 2 * s ** (grid.d - 1), 0, grid.r_max)

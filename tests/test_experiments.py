@@ -524,7 +524,9 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # L^2 norms (BLAS reductions differ at n = 12000), so the eigenpair, a
     # k = 4 series and its residual report come out bit-identical, and so
     # does a sweep's aggregate, whose residual ladders stop at thresholds on
-    # those norms
+    # those norms; an evolution takes its energy, s_crit and modulation fits'
+    # 1-D dot products by dz.dot, so a classify run at n = 12000, whose
+    # 12001-node dots OpenBLAS would split over its threads, does too
     cfgs = []
     for n in (6000, 12000):
         grid = {"d": 6, "r_max": 60.0, "n": n}
@@ -532,6 +534,10 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         cfgs.append(("build-series", {"grid": grid, "series": {"k": 4, "a": 1.0}}))
     cfgs.append(("sweep", {"grid": {"r_max": 60.0}, "ranges": {
         "d": [6], "n": [6000, 12000], "k": [1, 4], "a": [1.0, -1.6]}}))
+    cfgs.append(("classify", {"grid": {"d": 6, "r_max": 60.0, "n": 12000},
+                              "initial": {"kind": "scaled-w", "factor": 1.02},
+                              "evolver": {"dt": 0.01, "t_span": [0.0, 1.0],
+                                          "sample_every": 0.02}}))
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
@@ -551,7 +557,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     names = sorted(name.split("/", 1)[1] for name in outputs[0])
     assert names == sorted(2 * (["eigenpair.csv", "eigenpair.json", "near_solution/manifest.json"]
                                 + ["near_solution/profile_%d.csv" % j for j in range(1, 5)])
-                           + ["aggregate.csv"]), names
+                           + ["aggregate.csv", "report.json", "trace.csv", "trace.json"]), names
     assert outputs[0] == outputs[1]
 
 

@@ -138,7 +138,7 @@ def test_batched_residual_matches_per_time_oracle(grid, pair, background):
         t_k = sb.validity_start(near)
         ts = np.linspace(t_k, t_k + 60.0, 45)
         assert len(ts) > sb.CHUNK_BYTES // (16 * grid.nnodes)  # several chunks
-        l2s, sups = sb._residual_norms(near, ts, 2, L.apply(near.W))
+        l2s, sups = sb._residual_norms(near, ts, L.apply(near.W))
         for t, l2, sup in zip(ts, l2s, sups):
             u = sb.assemble(near, t)
             ut = sb.time_derivative(near, t)
@@ -159,7 +159,7 @@ def test_residual_norms_reject_non_finite_values(grid, pair, background):
     near.profiles[1][5] = np.inf
     with np.errstate(all="ignore"), \
             pytest.raises(ValueError, match="non-finite residual"):
-        sb._residual_norms(near, np.array([0.0, 1.0]), 2, background.lapl.apply(near.W))
+        sb._residual_norms(near, np.array([0.0, 1.0]), background.lapl.apply(near.W))
 
 
 def test_order_forcing_requires_lower_profiles(grid, pair, background):
@@ -196,7 +196,7 @@ def _full_window_report(near):
     sup_floor = dz.weighted_sup_norm(floor_field, 2, near.grid)
     t_k = sb.validity_start(near)
     ts = np.linspace(t_k, t_k + 60.0, 121)
-    l2s, sups = sb._residual_norms(near, ts, 2, lap_w)
+    l2s, sups = sb._residual_norms(near, ts, lap_w)
     assert len(l2s) == len(sups) == 121
     try:
         fit = dg.rate_fit(ts, l2s, floor)
@@ -259,7 +259,7 @@ def test_residual_rate_stops_at_the_floor(grid, pair, background, monkeypatch):
     ts[sb.CHUNK_BYTES // (16 * grid.nnodes) - 1] = np.nan  # the first chunk's last row
     with np.errstate(all="ignore"), \
             pytest.raises(ValueError, match="non-finite residual"):
-        norms(near, ts, 2, lap_w, (1e300, 1e300))
+        norms(near, ts, lap_w, (1e300, 1e300))
 
 
 def test_empty_fit_window_reports_the_samples_above_the_floor(grid, pair, background):
