@@ -13,7 +13,7 @@ scipy.optimize.  A trial costs the real closed form W_mu
 (ground_state.scaled_w, no libm pow), its sqrt(flux)-weighted face
 differences and three dot products against those of the field, which are
 formed once per fit.  The fit's dot products are discretization.dot's,
-chunked below OpenBLAS's threading threshold, so a fit gives the same bits
+chunks that OpenBLAS keeps on one thread, so a fit gives the same bits
 whatever the BLAS thread count; the scan's product, a GEMM, did so at
 n = 6000, 12000 and 24000 under 1, 2 and 4 threads.  g cancels near the
 family (on W + eps bump, d = 6, n = 6000, eps = 1e-1 to 1e-5, its d^2 is
@@ -98,7 +98,6 @@ def fit_modulation(u, grid):
     j = int(np.argmin(norms - 2.0 * np.hypot(ab[:, 0], ab[:, 1])))
     edge = j in (0, LATTICE - 1)
     j = min(max(j, 1), LATTICE - 2)
-    dot = dz.dot_for(sf.size)
     # the best trial's g and sqrt(flux) dW_mu, kept as the search keeps its
     # best point (on g <= best), so the optimum's is not formed twice
     g_best, sdw = math.inf, None
@@ -108,15 +107,15 @@ def fit_modulation(u, grid):
         w = gs.scaled_w(d, q, math.exp(x))
         trial = w[1:] - w[:-1]
         trial *= sf
-        a, b = dot(sdu_re, trial), dot(sdu_im, trial)
-        val = float(dot(trial, trial)) - 2.0 * math.hypot(a, b)
+        a, b = dz.dot(sdu_re, trial), dz.dot(sdu_im, trial)
+        val = float(dz.dot(trial, trial)) - 2.0 * math.hypot(a, b)
         if val <= g_best:
             g_best, sdw = val, trial
         return val
 
     x, nfev = _bounded_min(g, nu[j - 1], nu[j + 1], NU_XATOL)
     mu = math.exp(x)
-    a, b = dot(sdu_re, sdw), dot(sdu_im, sdw)
+    a, b = dz.dot(sdu_re, sdw), dz.dot(sdu_im, sdw)
     th = math.atan2(b, a) if a or b else 0.0
     # the direct residual e = sqrt(flux) (e^{i theta} dW_mu - du), formed in
     # place (each fresh array costs about as much as the product that fills it)
@@ -124,7 +123,7 @@ def fit_modulation(u, grid):
     e_re -= sdu_re
     sdw *= math.sin(th)
     sdw -= sdu_im
-    d2 = float(dot(e_re, e_re) + dot(sdw, sdw))
+    d2 = float(dz.dot(e_re, e_re) + dz.dot(sdw, sdw))
     return ModulationFit(th, mu, math.sqrt(max(d2, 0.0)),
                          diagnostics={"bracket": [math.exp(nu[j - 1]), math.exp(nu[j + 1])],
                                       "nfev": nfev, "at_bracket_edge": edge})

@@ -66,7 +66,6 @@ def test_dot_is_matmul_up_to_a_chunk_and_in_order_chunk_dots_above(rng):
     for n in (17, 6001, dz.DOT_CHUNK):
         a, b = rng.standard_normal(n), rng.standard_normal(n)
         assert dz.dot(a, b) == a @ b
-        assert dz.dot_for(n)(a, b) == a @ b
     chunk = dz.DOT_CHUNK
     for n in (chunk + 1, 12001, 3 * chunk):
         a, b = rng.standard_normal(n), rng.standard_normal(n)
@@ -74,7 +73,6 @@ def test_dot_is_matmul_up_to_a_chunk_and_in_order_chunk_dots_above(rng):
         for i in range(0, n, chunk):
             want += a[i:i + chunk] @ b[i:i + chunk]
         assert dz.dot(a, b) == want
-        assert dz.dot_for(n)(a, b) == want
         assert abs(dz.dot(a, b) - math.fsum(a * b)) <= 1e-13 * np.sum(np.abs(a * b))
 
 
