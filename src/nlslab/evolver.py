@@ -99,9 +99,9 @@ JOIN_S = 10.0
 
 
 class EvolverConfig:
-    """One evolution's settings; the scenarios fill them from experiments._KEYS."""
+    """One evolution's settings; track_modulation is off only for wpm's backward run."""
 
-    def __init__(self, *, dt, t_span, sample_every, track_modulation):
+    def __init__(self, *, dt, t_span, sample_every, track_modulation=True):
         if not dt > 0:
             raise ValueError("need dt > 0")
         self.dt = float(dt)

@@ -69,21 +69,22 @@ _READS = {scen: ("scenario", "schema_version") + paths for scen, paths in {
     "ground-state": _GRID,
     "spectrum": _GRID,
     "build-series": _GRID + ("series.k", "series.a"),
-    "evolve-near-solution": _GRID + ("series.k",) + _STEP + (
-        "sign", "seed_t0", "departure_floor"),
+    "evolve-near-solution": _GRID + ("series.k",) + _STEP + ("sign", "seed_t0"),
     "classify-custom": _GRID + ("initial.kind", "initial.factor", "initial.path") + _STEP + (
-        "evolver.t_span", "evolver.track_modulation"),
+        "evolver.t_span",),
     "sweep": ("grid.r_max", "ranges.d", "ranges.n", "ranges.k", "ranges.a"),
 }.items()}
 SCENARIOS = tuple(_READS)
 # the scenarios whose pipeline computes a spectrum (ls.ground_mode)
 _SPECTRAL = ("spectrum", "build-series", "evolve-near-solution", "sweep")
+# the H^1 distance from W at which wpm's forward horizon puts the departure (_run_wpm)
+DEPARTURE_FLOOR = 1e-3
 # path -> (check, default); a key without a default is required, a section's
 # default fills it when it is absent (so a given grid must be complete), and
 # initial.factor and initial.path are required by the initial.kind that reads
 # them (_KIND_READS).  A check is the least integer allowed, "positive",
-# "nonzero" or "finite" for a real number, "span" for [t0, t1], bool, str for
-# a file path, dict for a section, or a tuple of the allowed values; a ranges
+# "nonzero" or "finite" for a real number, "span" for [t0, t1], str for a
+# file path, dict for a section, or a tuple of the allowed values; a ranges
 # entry is a nonempty list of values that each pass its check.  An amplitude
 # of 0 is refused: a zero series has no validity start t_k, and zero initial
 # data no reflection horizon.
@@ -93,9 +94,8 @@ _KEYS = {
     "grid.d": (3,), "grid.r_max": ("positive",), "grid.n": (16,),
     "series": (dict, {}), "series.k": (1, 3), "series.a": ("nonzero", 1.0),
     "evolver": (dict, {}), "evolver.dt": ("positive", 0.01),
-    "evolver.sample_every": ("positive", 0.5),
-    "evolver.t_span": ("span", [0.0, 20.0]), "evolver.track_modulation": (bool, True),
-    "sign": ((1, -1), -1), "seed_t0": ("finite", -10.5), "departure_floor": ("positive", 1e-3),
+    "evolver.sample_every": ("positive", 0.5), "evolver.t_span": ("span", [0.0, 20.0]),
+    "sign": ((1, -1), -1), "seed_t0": ("finite", -10.5),
     "initial": (dict,), "initial.kind": (("scaled-w", "field"),),
     "initial.factor": ("nonzero",), "initial.path": (str,),
     "ranges": (dict,), "ranges.d": (3, [6]), "ranges.n": (16, [6000]),
@@ -273,7 +273,7 @@ def _check(where, want, val):
         what = "[t0, t1], two finite numbers"
     else:
         ok = isinstance(val, want)
-        what = {bool: "true or false", str: "a file path", dict: "an object"}[want]
+        what = {str: "a file path", dict: "an object"}[want]
     return [] if ok else ["%s: expected %s, got %r" % (where, what, val)]
 
 
@@ -339,11 +339,10 @@ def _evolve(u0, ecfg, bg):
 
 def _evolve_step(u0, ecfg, bg, path):
     """Evolve u0 on bg under the evolver settings ecfg, save the trace as
-    path.csv and path.json, and classify it: (the trace's termination,
-    report, _evolve's record)."""
+    path.csv and path.json, and classify it: (report, _evolve's record)."""
     trace, record = _evolve(u0, ecfg, bg)
     trace.save(path + ".csv", path + ".json")
-    return trace.termination, dg.classify(trace), record
+    return dg.classify(trace), record
 
 
 def _run_ground_state(cfg, rundir):
@@ -402,16 +401,15 @@ def _run_wpm(cfg, rundir):
 
     # forward horizon: stop before the unstable mode amplifies floor-level
     # noise into departure; d0 e^{-e0 t} meets eta e^{+e0 t} at
-    # (1/(2 e0)) ln(d0/eta), kept with a safety factor
+    # (1/(2 e0)) ln(d0/eta), eta = DEPARTURE_FLOOR, kept with a safety factor
     d0 = dz.h1_distance(u0, bg.W.astype(complex), grid)
-    t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / cfg["departure_floor"])
+    t_fwd = 0.75 / (2 * pair.e0) * np.log(d0 / DEPARTURE_FLOOR)
     # on the step grid, so the trace ends at the reported horizon
     t_fwd = round(t_fwd / ecfg["dt"]) * ecfg["dt"]
-    if t_fwd <= 0:  # a floor at or above d0 would run the "forward" trace backward
-        raise RuntimeError(
-            "departure_floor = %r leaves no forward step: the horizon 0.75/(2 e0) "
-            "ln(d0/departure_floor) rounds to %g for the seed's H^1 distance from W, "
-            "d0 = %.6g" % (cfg["departure_floor"], t_fwd, d0))
+    if t_fwd <= 0:  # a seed this near W would run the "forward" trace backward
+        raise ConfigError(["seed_t0: %r leaves no forward step: 0.75/(2 e0) ln(d0/%g) rounds "
+                           "to %g for the seed's H^1 distance d0 = %.6g from W"
+                           % (seed_t0, DEPARTURE_FLOOR, t_fwd, d0)])
 
     horizon = ev.reflection_horizon(u0, grid)["horizon_elapsed"]  # where scattering may fire
     t_bwd = math.floor(horizon / ecfg["dt"]) * ecfg["dt"]  # rounded down to the step grid
@@ -430,7 +428,7 @@ def _run_wpm(cfg, rundir):
     # the caller writes the bundle, then evolves forward, while the worker
     # evolves backward, the critical path, from the moment the seed exists
     t2 = _time.perf_counter()
-    timings["save_s"], (term_b, rep_b, rec_b), (_, rep_f, rec_f) = ev.forked_map(
+    timings["save_s"], (rep_b, rec_b), (rep_f, rec_f) = ev.forked_map(
         job, ["bundle"] + list(spans), 2)
     timings["evolve_s"] = _time.perf_counter() - t2
     evolutions = {"forward": rec_f, "backward": rec_b}
@@ -456,7 +454,7 @@ def _run_wpm(cfg, rundir):
         checks["backward-blowup"] = {
             "passed": rep_b.regime == "blowup", "value": rep_b.regime}
         if rep_b.regime == "blowup":
-            t_star = term_b["t_star"]
+            t_star = rep_b.details["termination"]["t_star"]
             trace_b2, evolutions["backward_refined"] = _evolve(
                 u0, dict(bwd, dt=ecfg["dt"] / 2), bg)
             t_star2 = trace_b2.termination.get("t_star", float("nan"))
@@ -480,7 +478,7 @@ def _run_classify(cfg, rundir):
         u0 = init["factor"] * bg.W.astype(complex)
     else:
         u0 = dz.load_field(init["path"])[0]  # on the config grid: validated
-    _, report, record = _evolve_step(u0, cfg["evolver"], bg, os.path.join(rundir, "trace"))
+    report, record = _evolve_step(u0, cfg["evolver"], bg, os.path.join(rundir, "trace"))
     dz.save_json(os.path.join(rundir, "report.json"), report.as_dict())
     checks = {"classified": {"passed": report.regime != "undetermined",
                              "value": report.regime}}
@@ -566,8 +564,7 @@ def run(cfg, out_dir=".", workers=1, check=False):
     """Execute a scenario config; returns the manifest dict.  workers caps
     the processes that run a sweep's cells (_run_sweep).
 
-    Raises ConfigError before creating any output when the config is invalid
-    or workers is not an integer >= 1.
+    Raises ConfigError, leaving no run directory, on an invalid config or workers.
     """
     if not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(["workers: expected an integer >= 1, got %r" % (workers,)])
@@ -579,10 +576,12 @@ def run(cfg, out_dir=".", workers=1, check=False):
     scen = cfg["scenario"]
     rundir = os.path.join(out_dir, "%s-%s" % (scen, _digest(cfg)))
     os.makedirs(rundir, exist_ok=True)
-    if scen == "sweep":
-        checks, entries = _run_sweep(cfg, rundir, workers=workers)
-    else:
-        checks, entries = _PIPELINES[scen](cfg, rundir)
+    try:
+        checks, entries = (_run_sweep(cfg, rundir, workers=workers) if scen == "sweep"
+                           else _PIPELINES[scen](cfg, rundir))
+    except ConfigError:  # a value only the pipeline can judge, found before it writes
+        os.rmdir(rundir)
+        raise
     outputs = sorted(os.path.relpath(os.path.join(base, name), rundir)
                      for base, _, names in os.walk(rundir) for name in names)
     manifest = {

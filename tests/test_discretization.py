@@ -316,7 +316,7 @@ def test_import_leaves_scipy_unloaded_until_a_factorization():
         "grid = {'d': 6, 'r_max': 20.0, 'n': 400}",
         "m = ex.run({'scenario': 'classify-custom', 'grid': grid,",
         "            'initial': {'kind': 'scaled-w', 'factor': 1.02},",
-        "            'evolver': {'t_span': [0.0, 2.0], 'track_modulation': True}},",
+        "            'evolver': {'t_span': [0.0, 2.0]}},",
         "           out_dir=out)",
         "print(m['evolutions']['evolve']['steps'], 'scipy.linalg' in sys.modules)",
         "m = ex.run({'scenario': 'spectrum', 'grid': grid}, out_dir=out)",

@@ -78,17 +78,26 @@ def test_validate_config_rejects_unknown_keys():
           "initial": {"kind": "scaled-w", "factor": 1.8, "facter": 2.0}},
          "initial.facter"),
         ({"scenario": "sweep", "ranges": {"k": [1], "j": [2]}}, "ranges.j"),
+        # the forward horizon's floor is a constant, and classify always fits
+        ({"scenario": "evolve-near-solution", "departure_floor": 1e-3}, "departure_floor"),
+        ({"scenario": "classify-custom", "initial": {"kind": "scaled-w", "factor": 1.8},
+          "evolver": {"track_modulation": True}}, "evolver.track_modulation"),
     ]
     for cfg, path in cases:
         assert ex.normalize(cfg)[1] == ["%s: unknown key" % path], cfg
 
 
 def test_unknown_key_fails_before_a_run_directory(tmp_path, capsys):
-    # wpm takes no backward span: it derives one from the seed's reflection horizon
+    # wpm takes no backward span: it derives one from the seed's reflection
+    # horizon; nor a departure floor, a constant; classify always fits the modulation
+    wpm = {"scenario": "evolve-near-solution", "grid": dict(SMALL_GRID)}
     cases = [("ground-state", {"scenario": "ground-state", "grid": dict(SMALL_GRID),
                                "evolvr": {}}, "evolvr"),
-             ("wpm", {"scenario": "evolve-near-solution", "grid": dict(SMALL_GRID),
-                      "backward_span": 120.0}, "backward_span")]
+             ("wpm", dict(wpm, backward_span=120.0), "backward_span"),
+             ("wpm", dict(wpm, departure_floor=1e-3), "departure_floor"),
+             ("classify", {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
+                           "initial": {"kind": "scaled-w", "factor": 1.8},
+                           "evolver": {"track_modulation": True}}, "evolver.track_modulation")]
     out = tmp_path / "runs"
     for command, cfg, key in cases:
         with pytest.raises(ex.ConfigError) as exc:
@@ -135,6 +144,20 @@ def test_config_table_is_consistent():
     read = {path for paths in ex._READS.values() for path in paths}
     assert read <= set(ex._KEYS)
     assert set(ex._KEYS) == read | {path.split(".")[0] for path in read if "." in path}
+    # every kind of check _check accepts is some key's, as an unused one is
+    # dead validation code: the least integer, the allowed values, and of the
+    # checks named by a string or a type, exactly those some key uses
+    wants = [want for want, *_ in ex._KEYS.values()]
+    assert any(type(want) is int for want in wants)
+    assert any(isinstance(want, tuple) for want in wants)
+    named = {want for want in wants if not isinstance(want, (int, tuple))}
+    for kind in named | {bool, int, float, list, tuple, "integer", "real", "bool"}:
+        try:
+            ex._check("x", kind, None)
+        except (KeyError, TypeError):
+            assert kind not in named, kind
+        else:
+            assert kind in named, kind
 
 
 def test_config_hash_fills_in_defaults():
@@ -142,7 +165,7 @@ def test_config_hash_fills_in_defaults():
     written = {"scenario": "evolve-near-solution", "schema_version": 1,
                "grid": {"d": 6, "r_max": 60.0, "n": 6000}, "series": {"k": 3},
                "evolver": {"dt": 0.01, "sample_every": 0.5},
-               "sign": -1, "seed_t0": -10.5, "departure_floor": 1e-3}
+               "sign": -1, "seed_t0": -10.5}
     assert ex.normalize({"scenario": "evolve-near-solution"}) == (written, [])
     assert _hash({"scenario": "evolve-near-solution"}) == _hash(written)
 
@@ -167,9 +190,8 @@ def test_wrongly_typed_values_exit_2_before_a_run_directory(tmp_path, capsys):
     wpm = {"scenario": "evolve-near-solution", "grid": dict(SMALL_GRID)}
     cases = [
         ("classify", {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
-                      "initial": {"kind": "scaled-w", "factor": 1.8},
-                      "evolver": {"track_modulation": "false"}},
-         "evolver.track_modulation: expected true or false, got 'false'"),
+                      "initial": {"kind": "field", "path": 7}},
+         "initial.path: expected a file path, got 7"),
         ("ground-state", {"scenario": "ground-state", "schema_version": 7},
          "schema_version: expected one of [1], got 7"),
         ("wpm", dict(wpm, sign=True), "sign: expected one of [1, -1], got True"),
@@ -267,7 +289,6 @@ def test_bad_values_fail_before_a_run_directory(tmp_path, capsys):
         (dict(scaled, initial={"kind": "scaled-w", "factor": "big"}),
          "initial.factor: expected a finite number"),
         (dict(wpm, seed_t0="early"), "seed_t0: expected a finite number"),
-        (dict(wpm, departure_floor=0), "departure_floor: expected a positive number"),
         (dict(wpm, evolver={"sample_every": 0.0}),
          "evolver.sample_every: expected a positive number"),
         (dict(scaled, evolver={"t_span": [0.0, "20"]}), "evolver.t_span: expected"),
@@ -576,14 +597,24 @@ def test_forward_horizon_is_on_the_step_grid(tmp_path):
     assert "fit_seconds" not in manifest["evolutions"]["backward"]
 
 
-def test_departure_floor_above_the_seed_distance_fails_before_evolving(tmp_path, monkeypatch):
-    # a floor at or above d0 gives a forward horizon <= 0, which would step
-    # the "forward" trace backward
+def test_a_seed_too_late_for_a_forward_step_exits_2_before_a_run_directory(
+        tmp_path, capsys, monkeypatch):
+    # a seed closer to W than the departure floor (d0 = 2.2e-4 at t = 60)
+    # gives a forward horizon <= 0, which would step the "forward" trace backward
     monkeypatch.setattr(ev, "evolve", lambda *args: pytest.fail("evolve called"))
-    cfg = dict(WPM_SMALL, departure_floor=100)
-    with pytest.raises(RuntimeError, match=r"departure_floor = 100 leaves no forward step: "
-                                           r".* rounds to -\d.*, d0 = \d"):
-        ex.run(cfg, out_dir=str(tmp_path))
+    cfg = dict(WPM_SMALL, seed_t0=60)
+    out = tmp_path / "runs"
+    with pytest.raises(ex.ConfigError) as exc:
+        ex.run(cfg, out_dir=str(out))
+    assert len(exc.value.errors) == 1
+    assert re.fullmatch(r"seed_t0: 60 leaves no forward step: 0\.75/\(2 e0\) ln\(d0/0\.001\) "
+                        r"rounds to -4\.\d+ for the seed's H\^1 distance d0 = 0\.000218\d* from W",
+                        exc.value.errors[0]), exc.value.errors
+    assert os.listdir(out) == []
+    rc = cli.main(["wpm", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "invalid config:\n  %s\n" % exc.value.errors[0]
+    assert os.listdir(out) == []
 
 
 def test_spectrum_run(tmp_path):
@@ -649,7 +680,7 @@ def test_manifest_times_the_config_check(tmp_path):
              "ranges": {"n": [800], "k": [1]}},
             {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
              "initial": {"kind": "scaled-w", "factor": 1.8},
-             "evolver": {"dt": 0.01, "t_span": [0.0, 1.0], "track_modulation": False}}]
+             "evolver": {"dt": 0.01, "t_span": [0.0, 1.0]}}]
     for cfg in cfgs:
         manifest = ex.run(cfg, out_dir=str(tmp_path))
         assert 0.0 <= manifest["check_s"] <= manifest["wall_time_s"], cfg["scenario"]
@@ -659,8 +690,7 @@ def test_manifest_times_the_config_check(tmp_path):
 def test_classify_run_blowup(tmp_path):
     cfg = {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
            "initial": {"kind": "scaled-w", "factor": 1.8},
-           "evolver": {"dt": 0.005, "t_span": [0.0, 30.0],
-                       "track_modulation": False}}
+           "evolver": {"dt": 0.005, "t_span": [0.0, 30.0]}}
     manifest = ex.run(cfg, out_dir=str(tmp_path))
     assert manifest["checks"]["classified"]["value"] == "blowup"
     assert set(manifest["timings"]) == {"evolve_s"}
@@ -670,7 +700,7 @@ def test_classify_run_blowup(tmp_path):
     # the trace stops at the detected blowup, t_star / dt steps in
     trace = dz.load_json(os.path.join(manifest["run_dir"], "trace.json"))
     assert record["steps"] == round(trace["termination"]["t_star"] / 0.005) < 6000
-    assert set(record) == {"steps", "seconds", "status"}
+    assert set(record) == {"steps", "seconds", "status", "fit_seconds"}
     assert record["status"] == "blowup-detected"
     report = dz.load_json(os.path.join(manifest["run_dir"], "report.json"))
     assert report["regime"] == "blowup"
@@ -796,8 +826,7 @@ def test_classify_run_from_field_file(tmp_path):
     dz.save_field(path, (0.8 * np.exp(-grid.r ** 2 / 4)).astype(complex), grid)
     cfg = {"scenario": "classify-custom", "grid": dict(SMALL_GRID),
            "initial": {"kind": "field", "path": path},
-           "evolver": {"dt": 0.01, "t_span": [0.0, 15.0],
-                       "track_modulation": False}}
+           "evolver": {"dt": 0.01, "t_span": [0.0, 15.0]}}
     manifest = ex.run(cfg, out_dir=str(tmp_path))
     assert manifest["checks"]["classified"]["value"] == "scattering-proxy"
     # the evolution stops at the decision, and the manifest shows it
