@@ -48,6 +48,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import time as _time
 
 import numpy as np
@@ -564,8 +565,8 @@ def run(cfg, out_dir=".", workers=1, check=False):
     """Execute a scenario config; returns the manifest dict.  workers caps
     the processes that run a sweep's cells (_run_sweep).
 
-    Raises ConfigError, leaving no run directory, on an invalid config or workers.
-    """
+    Raises ConfigError on an invalid config or workers.  A call that raises
+    leaves no run directory behind, except one that existed before it."""
     if not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(["workers: expected an integer >= 1, got %r" % (workers,)])
     t0 = _time.perf_counter()  # normalize runs a spectrum's coarse shift (_grid_errors)
@@ -575,12 +576,14 @@ def run(cfg, out_dir=".", workers=1, check=False):
         raise ConfigError(errors)
     scen = cfg["scenario"]
     rundir = os.path.join(out_dir, "%s-%s" % (scen, _digest(cfg)))
+    created = not os.path.isdir(rundir)  # one that exists may hold a finished run
     os.makedirs(rundir, exist_ok=True)
     try:
         checks, entries = (_run_sweep(cfg, rundir, workers=workers) if scen == "sweep"
                            else _PIPELINES[scen](cfg, rundir))
-    except ConfigError:  # a value only the pipeline can judge, found before it writes
-        os.rmdir(rundir)
+    except BaseException:
+        if created:
+            shutil.rmtree(rundir)
         raise
     outputs = sorted(os.path.relpath(os.path.join(base, name), rundir)
                      for base, _, names in os.walk(rundir) for name in names)

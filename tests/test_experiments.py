@@ -674,6 +674,62 @@ def test_build_series_amplitude_whose_powers_leave_the_double_range(tmp_path, ca
     assert ex.run(cfg, out_dir=str(out))["ok"]
 
 
+# the spectrum and series rungs of the dimension ladder: t_k (k = 1) lies at
+# -525, -735 and -1,290 at d = 16, 18 and 22, far out on the bracket walk
+LADDER = (5, 8, 12, 16, 18, 22)
+
+
+@pytest.mark.parametrize("d", LADDER)
+def test_ladder_rung_passes_its_checks(tmp_path, d):
+    grid = {"d": d, "r_max": 60.0, "n": 1200}
+    for cfg in ({"scenario": "ground-state", "grid": grid},
+                {"scenario": "spectrum", "grid": grid},
+                {"scenario": "build-series", "grid": grid, "series": {"k": 1, "a": 1.0}}):
+        assert ex.run(cfg, out_dir=str(tmp_path), check=True)["ok"]
+
+
+def test_build_series_at_d18_to_third_order(tmp_path):
+    cfg = {"scenario": "build-series", "grid": {"d": 18, "r_max": 60.0, "n": 6000},
+           "series": {"k": 3, "a": 1.0}}
+    assert ex.run(cfg, out_dir=str(tmp_path), check=True)["ok"]
+
+
+def test_sweep_past_d16_completes_every_cell(tmp_path):
+    cfg = {"scenario": "sweep", "grid": {"r_max": 60.0},
+           "ranges": {"d": [16, 22], "n": [1200], "k": [1], "a": [1.0, -1.0]}}
+    manifest = ex.run(cfg, out_dir=str(tmp_path), workers=2, check=True)
+    rows = np.loadtxt(os.path.join(manifest["run_dir"], "aggregate.csv"),
+                      delimiter=",", skiprows=1)
+    assert rows.shape == (4, 8)
+    assert np.all(rows[:, 5] < -500)  # every t_k far out on the bracket walk
+
+
+def test_a_failed_pipeline_leaves_no_run_directory(tmp_path, capsys):
+    # 3 samples above 10x the floor at k = 4 on the session grid: residual_rate raises
+    cfg = {"scenario": "build-series", "grid": dict(SMALL_GRID), "series": {"k": 4}}
+    out = tmp_path / "runs"
+    rc = cli.main(["build-series", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert rc == 1
+    assert "fit window empty after floor filtering: 3 samples" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_a_failed_rerun_keeps_the_finished_run(tmp_path, monkeypatch):
+    cfg = {"scenario": "ground-state", "grid": dict(SMALL_GRID)}
+    rundir = tmp_path / os.path.basename(ex.run(cfg, out_dir=str(tmp_path))["run_dir"])
+
+    def snapshot():
+        return {path.name: path.read_bytes() for path in rundir.iterdir()}
+    before = snapshot()
+
+    def fail(cfg, rundir):
+        raise RuntimeError("rerun failed")
+    monkeypatch.setitem(ex._PIPELINES, "ground-state", fail)
+    with pytest.raises(RuntimeError, match="rerun failed"):
+        ex.run(cfg, out_dir=str(tmp_path))
+    assert "manifest.json" in before and snapshot() == before
+
+
 def test_manifest_times_the_config_check(tmp_path):
     # check_s: the seconds normalize took, coarse shift included, within the wall time
     cfgs = [{"scenario": "sweep", "grid": {"r_max": 40.0},

@@ -287,6 +287,40 @@ def test_validity_start_shifts_with_amplitude(pair, background):
     assert sb.validity_start(n0) == -np.inf
 
 
+def test_validity_start_ends_on_a_non_finite_profile(pair, background, monkeypatch):
+    # a NaN excess fails both walk tests, so the bracket check raises after
+    # one evaluation at each end, not a walk without end
+    calls = []
+    perturbation = sb.perturbation
+
+    def counted(near, t):
+        calls.append(t)
+        if len(calls) > 2:
+            pytest.fail("the bracket walk went on at t = %r" % t)
+        return perturbation(near, t)
+    monkeypatch.setattr(sb, "perturbation", counted)
+    profile = pair.y_plus.copy()
+    profile[0] = np.nan
+    near = sb.NearSolution(background, 1, 1.0, pair.e0, [None, profile])
+    with pytest.raises(RuntimeError, match="^could not bracket the validity start t_k$"):
+        sb.validity_start(near)
+    assert len(calls) == 2
+
+
+def test_bundle_without_a_report_finds_t_k_at_d18(tmp_path):
+    # wpm's bundle path: t_k from validity_start, 735 time units before 0;
+    # at k = 1, max|v_1(t)|/W = e^{-e0 t} max|Y_plus|/W, so t_k is in closed form
+    bg = gs.Background(dz.build_grid(18, 60.0, 1200))
+    pair = ls.ground_mode(bg)
+    near = sb.build_near_solution(1, 1.0, pair, bg)
+    path = str(tmp_path / "bundle")
+    sb.save_near_solution(path, near)
+    t_k = dz.load_json(os.path.join(path, "manifest.json"))["t_k"]
+    assert t_k < -700
+    exact = np.log(2 * np.max(np.abs(pair.y_plus) / bg.W)) / pair.e0
+    assert t_k == pytest.approx(exact, rel=1e-12)
+
+
 def test_brentq_port_matches_scipy_on_cubics():
     rng = np.random.default_rng(5)
     checked = 0
