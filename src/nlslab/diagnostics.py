@@ -89,9 +89,11 @@ def fit_modulation(u, grid):
     if not np.any(u):
         raise ValueError("cannot fit modulation of the zero field")
     d, q, sf = grid.d, grid.q, grid.sqrt_flux
-    du = u[1:] - u[:-1]
-    sdu = np.stack((sf * du.real, sf * du.imag))
+    sdu = np.empty((2, grid.n))
     sdu_re, sdu_im = sdu
+    for part, out in ((u.real, sdu_re), (u.imag, sdu_im)):
+        np.subtract(part[1:], part[:-1], out=out)
+        out *= sf
     # the scan: g on the lattice, and its best scale j
     nu, rows, norms = _lattice(grid)
     ab = rows @ sdu.T

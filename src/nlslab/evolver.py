@@ -21,9 +21,13 @@ evolution that steps by Cayley, as every scenario does, loads no scipy.
 
 N leaves |u| unchanged, so adjacent half-rotations compose into one:
 ``evolve`` carries the state v after each linear substep (true state
-N(dt/2) v), applies one full rotation per step, and completes the half-rotation
-only for samples, the blowup test and the final state.  |v|^2 = |u|^2 is
-computed once per step for both the rotation and the amplitude test.
+N(dt/2) v), applies one full rotation per step, and forms the true state
+u = e_h v only for samples, the blowup test and the final state, with the
+phase factor e_h of N(dt/2) computed once from |v|^2.  After a sample,
+e_h u = N(dt) v starts the next step, the composition of adjacent flows
+(Hairer, Lubich and Wanner, Geometric Numerical Integration, II.5), so a
+sampled step computes one phase factor, not two.  |v|^2 = |u|^2 is computed
+once per step for the rotation, the amplitude test and the sample's |u|.
 
 Both substeps are isometries of the discrete (cell-volume) L^2 norm, so mass
 is conserved to round-off and the scheme is unconditionally stable.
@@ -233,18 +237,24 @@ def _abs2(u):
     return u.real ** 2 + u.imag ** 2
 
 
-def _rotate(u, s, m2, pexp):
-    """N(s) u given m2 = |u|^2 and pexp = (p_c - 1) / 2 = Fraction(2, d - 2).
-    The exact ratio lets ground_state._power take m2^pexp by a square root
-    at d = 6, np.cbrt at d = 8 and two square roots at d = 10 instead of libm
-    pow.  exp(ix) is formed from t = tan(x/2) as (c - 1) + i t c with
-    c = 2 / (1 + t^2): one transcendental per node instead of a cosine and
-    a sine."""
+def _phase(s, m2, pexp):
+    """The phase factor exp(i s m2^pexp) of N(s) on a state with |u|^2 = m2,
+    pexp = (p_c - 1) / 2 = Fraction(2, d - 2).  The exact ratio lets
+    ground_state._power take m2^pexp by a square root at d = 6, np.cbrt at
+    d = 8 and two square roots at d = 10 instead of libm pow.  exp(ix) is
+    formed from t = tan(x/2) as (c - 1) + i t c with c = 2 / (1 + t^2): one
+    transcendental per node instead of a cosine and a sine."""
     t = np.tan((0.5 * s) * gs._power(m2, pexp))
     c = 2.0 / (1.0 + t * t)
-    e = np.empty_like(u)
+    e = np.empty(m2.shape, complex)
     np.subtract(c, 1.0, out=e.real)
     np.multiply(t, c, out=e.imag)
+    return e
+
+
+def _rotate(u, s, m2, pexp):
+    """N(s) u given m2 = |u|^2 (see ``_phase``)."""
+    e = _phase(s, m2, pexp)
     e *= u
     return e
 
@@ -565,7 +575,10 @@ def evolve(u0, config, bg):
     run stops at that sample, so its trace and final state are those of the
     run whose t_span ends there.
     Adjacent nonlinear half-steps are merged (see the module docstring);
-    samples, the blowup test and final_state see the true state.
+    samples, the blowup test and final_state see the true state, and the
+    step after a sample starts from the sample's state rotated by the same
+    phase factor once more.  A run that ends on a sample returns that
+    sample's state as final_state.
     trace.steps counts the steps taken.  The step and sample counts are
     |t1 - t0| / dt and sample_every / dt rounded, so a span off the step grid
     ends up to dt/2 from t1.  Scenario configs reject such spans, and
@@ -606,11 +619,12 @@ def evolve(u0, config, bg):
     tail_fraction = dg.THRESHOLDS["tail_fraction"]
     S = 0.0
 
-    def sample(t, u):
-        """Record the sample of u at t; True when it decides scattering."""
+    def sample(t, u, m2):
+        """Record the sample of u at t, m2 = |u|^2; True when it decides
+        scattering."""
         nonlocal S
         K = np.sqrt(dz.kinetic_sq(u, grid))
-        amp = np.abs(u)
+        amp = np.sqrt(m2)
         mx = float(np.max(amp))
         pot = gs._power(amp, bg.p_c + 1)
         E = 0.5 * K ** 2 - (grid.d - 2) / (2 * grid.d) * dz.integrate(pot, grid)
@@ -644,12 +658,16 @@ def evolve(u0, config, bg):
     ctx = _fork_context() if config.track_modulation else None
     fits = _Fits(grid, trace.add_fit, ctx)
     with fits.worker or contextlib.nullcontext():
-        sample(t0, u)
-        # v is the state after the linear substep; the true state is
-        # N(dt/2) v, and |v| = |u|, so m2 serves the next rotation and the
-        # amplitude test
+        # v is the state after the linear substep, owed a rotation of lead
+        # steps; u = N(dt/2) v = e_h v is the true state after step `at`, and
+        # |v| = |u|, so m2 serves the rotation, the amplitude test and the
+        # sample.  After a sample, e_h u = N(dt) v starts the next step.  A
+        # step that only tests the gradient keeps v's full rotation, so the
+        # states' bits do not hang on the amplitude threshold, which does
+        # not scale with the data
         pexp, half = Fraction(2, grid.d - 2), 0.5 * dt
-        v, m2, lead = u, _abs2(u), 0.5
+        v, m2, lead, at = u, _abs2(u), 0.5, 0
+        sample(t0, u, m2)
         for i in range(nsteps):
             v = step_fn(v, lead, 0.0, m2)
             lead = 1.0
@@ -661,14 +679,22 @@ def evolve(u0, config, bg):
                 trace.termination = {"status": "nan", "t_star": t,
                                      "bracket": [t - dt, t]}
                 break
-            if mx > amp_ref and dz.kinetic_sq(_rotate(v, half, m2, pexp), grid) > kin_ref2:
+            sampled = (i + 1) % per == 0
+            if not (sampled or mx > amp_ref):
+                continue
+            e_h = _phase(half, m2, pexp)
+            u, at = e_h * v, i + 1
+            if mx > amp_ref and dz.kinetic_sq(u, grid) > kin_ref2:
                 trace.termination = {"status": "blowup-detected", "t_star": t,
                                      "bracket": [t - dt, t]}
                 break
-            if (i + 1) % per == 0 and sample(t, _rotate(v, half, m2, pexp)):
-                break
+            if sampled:
+                if sample(t, u, m2):
+                    break
+                e_h *= u
+                v, lead = e_h, 0.0
         fits.drain()
-    trace.final_state = _rotate(v, half, m2, pexp) if nsteps else u
+    trace.final_state = u if at == trace.steps else _rotate(v, half, m2, pexp)
     return trace
 
 

@@ -326,12 +326,13 @@ def _spectrum(grid):
 
 def _evolve(u0, ecfg, bg):
     """Evolve u0 on bg under the evolver settings ecfg: (trace, its steps,
-    seconds, stepper set-up and samples included, and termination status,
-    and for an evolution that fits the modulation, the seconds its fits took
-    as fit_seconds)."""
+    samples, seconds, stepper set-up and samples included, and termination
+    status, and for an evolution that fits the modulation, the seconds its
+    fits took as fit_seconds)."""
     t0 = _time.perf_counter()
     trace = ev.evolve(u0, ev.EvolverConfig(**ecfg), bg)
-    record = {"steps": trace.steps, "seconds": _time.perf_counter() - t0,
+    record = {"steps": trace.steps, "samples": len(trace.times),
+              "seconds": _time.perf_counter() - t0,
               "status": trace.termination["status"]}
     if trace.config.track_modulation:
         record["fit_seconds"] = trace.fit_seconds

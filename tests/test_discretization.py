@@ -93,6 +93,23 @@ def test_kinetic_sq_matches_quad_oracle(grid):
         pytest.approx(oracle, rel=1e-7)
 
 
+@pytest.mark.parametrize("n", [400, 6000])
+@pytest.mark.parametrize("refine", [False, True])
+def test_kinetic_sq_matches_hypot_form(n, refine):
+    # the Re^2 + Im^2 form against the squared hypot it replaced
+    g = dz.build_grid(6, 60.0, n)
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+
+    def ref(u, g):
+        return np.sum(g.flux * np.abs(np.diff(u)) ** 2)
+
+    want = ref(u, g)
+    if refine:
+        want = (4 * want - ref(u[::2], dz.build_grid(6, 60.0, n // 2))) / 3
+    assert dz.kinetic_sq(u, g, refine=refine) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_kinetic_refine_improves_accuracy(grid):
     oracle, _ = quad(lambda s: (s * gaussian(s)) ** 2 * s ** (grid.d - 1),
                      0, grid.r_max)

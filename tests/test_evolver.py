@@ -121,18 +121,35 @@ def _stepwise(u0, grid, lapl, cfg):
     return u, np.array(energy), np.array(kinetic), bracket
 
 
-def test_merged_loop_matches_stepper(grid, lapl, background):
-    # evolve merges adjacent nonlinear half-steps; samples and the final
-    # state must still be the states of repeated full steps
+def test_merged_loop_matches_stepper(grid, lapl, background, monkeypatch):
+    # evolve merges adjacent nonlinear half-steps and starts the step after
+    # a sample from the sample's half-rotation; samples and the final state
+    # must still be the states of repeated full steps.  The states handed
+    # to the fits are recorded by fitting in this process
+    states = []
+
+    def fit(u, grid):
+        states.append(u.copy())
+        return np.nan, np.nan, np.nan, 0, False, 0.0
+
+    monkeypatch.setattr(ev, "_fork_context", lambda: None)
+    monkeypatch.setattr(ev, "_fit", fit)
     u0 = (0.9 * gs.sample_w(grid) * np.exp(0.3j * grid.r)).astype(complex)
-    cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, 1.5), sample_every=0.25,
-                           track_modulation=False)
-    trace = ev.evolve(u0, cfg, background)
-    u, energy, kinetic, _ = _stepwise(u0, grid, lapl, cfg)
-    assert len(trace.times) == len(energy) == 7
-    assert np.max(np.abs(trace.final_state - u)) <= 1e-9 * np.max(np.abs(u))
-    assert np.allclose(trace.energy, energy, rtol=1e-10, atol=0)
-    assert np.allclose(trace.kinetic, kinetic, rtol=1e-10, atol=0)
+    for t1, every, samples, ends_on_sample in [
+            (1.5, 0.25, 7, True),    # a sample every 25 steps
+            (0.3, 0.01, 31, True),   # a sample after every step
+            (0.5, 0.02, 26, True),   # a sample after every second step
+            (1.37, 0.25, 6, False)]:  # 12 steps after the last sample
+        states.clear()
+        cfg = ev.EvolverConfig(dt=0.01, t_span=(0.0, t1), sample_every=every)
+        trace = ev.evolve(u0, cfg, background)
+        u, energy, kinetic, _ = _stepwise(u0, grid, lapl, cfg)
+        assert len(trace.times) == len(energy) == len(states) == samples
+        assert np.max(np.abs(trace.final_state - u)) <= 1e-9 * np.max(np.abs(u))
+        assert np.allclose(trace.energy, energy, rtol=1e-10, atol=0)
+        assert np.allclose(trace.kinetic, kinetic, rtol=1e-10, atol=0)
+        # a run that ends on a sample returns that sample's state
+        assert np.array_equal(trace.final_state, states[-1]) == ends_on_sample
 
 
 def test_merged_loop_blowup_matches_stepper(grid, lapl, background):

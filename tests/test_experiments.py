@@ -756,7 +756,9 @@ def test_classify_run_blowup(tmp_path):
     # the trace stops at the detected blowup, t_star / dt steps in
     trace = dz.load_json(os.path.join(manifest["run_dir"], "trace.json"))
     assert record["steps"] == round(trace["termination"]["t_star"] / 0.005) < 6000
-    assert set(record) == {"steps", "seconds", "status", "fit_seconds"}
+    assert set(record) == {"steps", "samples", "seconds", "status", "fit_seconds"}
+    with open(os.path.join(manifest["run_dir"], "trace.csv")) as f:
+        assert record["samples"] == len(f.readlines()) - 1
     assert record["status"] == "blowup-detected"
     report = dz.load_json(os.path.join(manifest["run_dir"], "report.json"))
     assert report["regime"] == "blowup"
